@@ -41,7 +41,6 @@ from .models import (
     exp_pareto_normalizer,
     ig_pareto_normalizer,
     limited_moment_closed_form,
-    log_pdf,
     moment_closed_form,
 )
 from .simulation import (
@@ -97,7 +96,6 @@ __all__ = [
     "ig_pareto_normalizer",
     "limited_moment_closed_form",
     "ln_gamma",
-    "log_pdf",
     "lower_incomplete_gamma",
     "moment_closed_form",
     "parent_moment",

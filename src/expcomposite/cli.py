@@ -24,7 +24,7 @@ import numpy as np
 
 from .estimation import BaselineFitResult, EtaGrid, FitFailureError, fit
 from .gof import CRITERIA, score
-from .models import ModelId, build, limited_moment_closed_form
+from .models import ModelId, build
 from .simulation import Scenario, reproduce_recovery_tables, run_scenario
 
 __all__ = [
@@ -331,18 +331,18 @@ def _exec_density(config: dict) -> list[dict]:
     ys = np.linspace(lo, hi, points)
     pdf = np.atleast_1d(dist.pdf(ys))
     cdf = np.atleast_1d(dist.cdf(ys)) if config.get("cdf") else None
+    if order is not None:
+        # capping at 0 collapses the variable to 0
+        lm = np.full(ys.shape, 1.0 if order == 0.0 else 0.0)
+        pos = ys > 0.0
+        lm[pos] = dist.limited_moment((order, ys[pos]))
     records = []
     for i, y in enumerate(ys):
         rec = {"y": float(y), "pdf": float(pdf[i])}
         if cdf is not None:
             rec["cdf"] = float(cdf[i])
         if order is not None:
-            if y > 0.0:
-                lm = limited_moment_closed_form(model, theta, eta, order, float(y))
-            else:
-                # capping at 0 collapses the variable to 0
-                lm = 1.0 if order == 0.0 else 0.0
-            rec[f"limited_moment_t{order:g}"] = lm
+            rec[f"limited_moment_t{order:g}"] = float(lm[i])
         records.append(rec)
     return records
 

@@ -68,18 +68,17 @@ class InfiniteMomentError(ValueError):
 class LimitedMomentQuery:
     """Order t and cap b of a limited moment E[(Y ^ b)^t].
 
-    Order zero is admitted because the defining identity makes the answer
-    exactly one; it doubles as a cheap self-check of the cdf/partial-moment
-    wiring.
+    The cap may be a float or an array of caps.  Order zero is admitted
+    because the answer is then exactly one.
     """
 
     order: float
-    cap: float
+    cap: float | np.ndarray
 
     def __post_init__(self) -> None:
         if not self.order >= 0.0:
             raise ValueError(f"limited-moment order must be >= 0, got {self.order}")
-        if not self.cap > 0.0:
+        if not np.all(np.asarray(self.cap, dtype=float) > 0.0):
             raise ValueError(f"limited-moment cap must be > 0, got {self.cap}")
 
 
@@ -88,9 +87,9 @@ class CompositeSpec:
     """Pieces and auxiliary functions of one composite density.
 
     Required: the two piece densities, the breakpoint, the normalizing
-    constant, and the two cdfs.  Partial moments, log densities, and
-    quantile inverses are optional; missing ones fall back to adaptive
-    quadrature or bracketed root finding.
+    constant, and the two cdfs.  Partial moments, the tail survival, log
+    densities, and quantile inverses are optional; missing ones fall back
+    to adaptive quadrature, 1 - tail_cdf, or bracketed root finding.
 
     tail_moment_sup is the supremum of r with E[X^r] finite (the Pareto
     decay exponent of the tail piece).  Moment routines compare against it
@@ -103,6 +102,7 @@ class CompositeSpec:
     norm_const: float
     head_cdf: Callable
     tail_cdf: Callable
+    tail_sf: Callable | None = None  # 1 - tail_cdf, without the cancellation
     head_partial_moment: Callable | None = None  # (u, r) -> int_0^u x^r f1
     tail_partial_moment: Callable | None = None  # (u, r) -> int_theta^u x^r f2
     # log densities take log(x), not x, so y**eta never has to be formed
@@ -125,37 +125,48 @@ class CompositeSpec:
 
     # -- fallback-dispatching helpers ------------------------------------
 
-    def head_partial(self, u: float, r: float) -> float:
-        """int_0^u x^r f1(x) dx."""
+    def head_partial(self, u, r: float):
+        """int_0^u x^r f1(x) dx, elementwise over u."""
         if self.head_partial_moment is not None:
-            return float(self.head_partial_moment(u, r))
-        if u == 0.0:
-            return 0.0
-        res = adaptive_quadrature(
-            lambda x: x**r * float(self.head_density(x)), 0.0, u
-        )
-        return res.value
+            return self.head_partial_moment(u, r)
 
-    def tail_partial(self, u: float, r: float) -> float:
-        """int_theta^u x^r f2(x) dx."""
+        def integrate(v: float) -> float:
+            if v == 0.0:
+                return 0.0
+            return adaptive_quadrature(
+                lambda x: x**r * float(self.head_density(x)), 0.0, v
+            ).value
+
+        return _each(integrate, u)
+
+    def tail_partial(self, u, r: float):
+        """int_theta^u x^r f2(x) dx, elementwise over u."""
         if self.tail_partial_moment is not None:
-            return float(self.tail_partial_moment(u, r))
-        if u == self.breakpoint:
-            return 0.0
+            return self.tail_partial_moment(u, r)
         theta = self.breakpoint
-        if u / theta > 100.0:
-            # x = e^v turns many decades of algebraic decay into a short
-            # exponential-decay integral the adaptive rule certifies easily
-            res = adaptive_quadrature(
-                lambda v: math.exp((r + 1.0) * v) * float(self.tail_density(math.exp(v))),
-                math.log(theta),
-                math.log(u),
-            )
-        else:
-            res = adaptive_quadrature(
-                lambda x: x**r * float(self.tail_density(x)), theta, u
-            )
-        return res.value
+
+        def integrate(v: float) -> float:
+            if v == theta:
+                return 0.0
+            if 100.0 < v / theta < math.inf:
+                # x = e^w turns many decades of algebraic decay into a short
+                # exponential-decay integral the adaptive rule certifies easily
+                return adaptive_quadrature(
+                    lambda w: math.exp((r + 1.0) * w) * float(self.tail_density(math.exp(w))),
+                    math.log(theta),
+                    math.log(v),
+                ).value
+            return adaptive_quadrature(
+                lambda x: x**r * float(self.tail_density(x)), theta, v
+            ).value
+
+        return _each(integrate, u)
+
+    def tail_survival(self, u):
+        """1 - F2(u): the tail_sf when wired, else from the tail cdf."""
+        if self.tail_sf is not None:
+            return self.tail_sf(u)
+        return 1.0 - self.tail_cdf(u)
 
     def invert_head_cdf(self, q: float) -> float:
         if self.head_ppf is not None:
@@ -349,19 +360,31 @@ class ExponentiatedComposite:
 
     # -- moments -----------------------------------------------------------
 
+    def moment(self, t: float) -> float:
+        """E[Y^t] from the parent's partial moments, s = t/eta:
+
+            c * [H(theta, s) + T(inf, s) - T(theta, s)]
+
+        H and T are the head and tail partial moments.  Raises
+        InfiniteMomentError when t/eta reaches the tail exponent.
+        """
+        _require_finite_moment(t, self.exponent, self.parent.tail_moment_sup)
+        s = t / self.exponent
+        parent = self.parent
+        theta = parent.breakpoint
+        return parent.norm_const * (
+            float(parent.head_partial(theta, s))
+            + float(parent.tail_partial(math.inf, s))
+            - float(parent.tail_partial(theta, s))
+        )
+
     def moment_numeric(self, t: float, *, tol: float = QUAD_TOL) -> float:
         """E[Y^t] by quadrature on the y scale.
 
         Divergence is decided by comparing t/eta with the declared tail
         exponent, never by integrating.
         """
-        if not t > 0.0:
-            raise ValueError(f"moment order must be > 0, got {t}")
-        if t / self.exponent >= self.parent.tail_moment_sup:
-            raise InfiniteMomentError(
-                f"moment of order {t} diverges: t/eta = {t / self.exponent} "
-                f"reaches the tail exponent {self.parent.tail_moment_sup}"
-            )
+        _require_finite_moment(t, self.exponent, self.parent.tail_moment_sup)
         res = adaptive_quadrature(
             lambda y: y**t * float(self.pdf(y)),
             0.0,
@@ -371,34 +394,77 @@ class ExponentiatedComposite:
         )
         return res.value
 
-    def limited_moment(self, q) -> float:
-        """E[(Y ^ b)^t] via the three-branch split at b = theta**(1/eta).
+    def limited_moment(self, q):
+        """E[(Y ^ b)^t], elementwise over the cap b like pdf and cdf.
 
-        Accepts a LimitedMomentQuery or an (order, cap) pair.
+        Accepts a LimitedMomentQuery or an (order, cap) pair.  With
+        s = t/eta, u1 = min(b**eta, theta) and u2 = max(b**eta, theta), one
+        identity covers caps on both sides of the breakpoint:
+
+            c * [H(u1, s) + T(u2, s) - T(theta, s)
+                 + b**t * (F1(theta) - F1(u1) + S2(u2))]
+
+        H and T are the head and tail partial moments, S2 = 1 - F2 the tail
+        survival, and c times the last bracket is P(Y > b).  Order zero
+        gives exactly one.  Raises OverflowError where b**eta or the result
+        leaves the float range.
         """
         if not isinstance(q, LimitedMomentQuery):
             q = LimitedMomentQuery(*q)
-        t, b = q.order, q.cap
-        s = t / self.exponent
+        t = q.order
+        caps = np.asarray(q.cap, dtype=float)
+        scalar = caps.ndim == 0
+        b = np.atleast_1d(caps)
+        if t == 0.0:
+            return 1.0 if scalar else np.ones(b.shape)
+        eta = self.exponent
+        s = t / eta
         parent = self.parent
         theta = parent.breakpoint
         c = parent.norm_const
-        yb = self.breakpoint
-        f2_theta = float(parent.tail_cdf(theta))
-        if b < yb:
-            xb = b**self.exponent
-            return (
-                c * parent.head_partial(xb, s)
-                + c * b**t * (float(parent.head_cdf(theta)) - float(parent.head_cdf(xb)))
-                + c * b**t * (1.0 - f2_theta)
+        # an overflow in here leaves a non-finite value, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = b**eta
+            if np.isinf(x).any():  # would pass for an infinite cap
+                raise OverflowError(f"cap**{eta:g} exceeds the float range")
+            u1 = np.minimum(x, theta)
+            u2 = np.maximum(x, theta)
+            survival = (
+                float(parent.head_cdf(theta)) - parent.head_cdf(u1) + parent.tail_survival(u2)
             )
-        if b == yb:
-            return c * parent.head_partial(theta, s) + c * b**t * (1.0 - f2_theta)
-        xb = b**self.exponent
-        return (
-            c * parent.head_partial(theta, s)
-            + c * (parent.tail_partial(xb, s) - parent.tail_partial(theta, s))
-            + c * b**t * (1.0 - float(parent.tail_cdf(xb)))
+            out = c * (
+                parent.head_partial(u1, s)
+                + parent.tail_partial(u2, s)
+                - float(parent.tail_partial(theta, s))
+                + _cap_power_times(b, t, survival)
+            )
+        if not np.isfinite(out).all():
+            raise OverflowError(f"limited moment of order {t} exceeds the float range")
+        return float(out[0]) if scalar else out
+
+
+def _cap_power_times(b: np.ndarray, t: float, w: np.ndarray) -> np.ndarray:
+    """b**t * w, through logs where b**t alone overflows but the product need not."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bt = b**t
+        return np.where(np.isinf(bt), np.exp(t * np.log(b) + np.log(w)), bt * w)
+
+
+def _each(f: Callable[[float], float], u):
+    """Scalar f over every element of u: a float gives a float, an array an array."""
+    arr = np.asarray(u, dtype=float)
+    out = np.array([f(float(v)) for v in arr.ravel()], dtype=float).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _require_finite_moment(t: float, eta: float, sup: float) -> None:
+    """Reject t <= 0 and orders whose moment diverges (t/eta >= sup)."""
+    if not t > 0.0:
+        raise ValueError(f"moment order must be > 0, got {t}")
+    if t / eta >= sup:
+        raise InfiniteMomentError(
+            f"moment of order {t} diverges: t/eta = {t / eta} "
+            f"reaches the tail exponent {sup}"
         )
 
 
@@ -516,6 +582,7 @@ def as_composite_spec(d: ExponentiatedComposite) -> CompositeSpec:
         norm_const=parent.norm_const,
         head_cdf=promote_cdf(parent.head_cdf),
         tail_cdf=promote_cdf(parent.tail_cdf),
+        tail_sf=None if parent.tail_sf is None else promote_cdf(parent.tail_sf),
         head_partial_moment=promote_partial(parent.head_partial_moment),
         tail_partial_moment=promote_partial(parent.tail_partial_moment),
         head_log_density=None,
@@ -544,13 +611,7 @@ def exponentiate(parent, eta: float) -> ExponentiatedComposite:
 
 def parent_moment(spec: CompositeSpec, r: float, *, tol: float = QUAD_TOL) -> float:
     """Fractional parent moment E[X^r] by quadrature on the x scale."""
-    if not r > 0.0:
-        raise ValueError(f"moment order must be > 0, got {r}")
-    if r >= spec.tail_moment_sup:
-        raise InfiniteMomentError(
-            f"parent moment of order {r} diverges (tail exponent "
-            f"{spec.tail_moment_sup})"
-        )
+    _require_finite_moment(r, 1.0, spec.tail_moment_sup)
     c = spec.norm_const
     head = adaptive_quadrature(
         lambda x: x**r * float(spec.head_density(x)), 0.0, spec.breakpoint, tol=tol

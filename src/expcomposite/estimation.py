@@ -29,7 +29,6 @@ from .models import (
     build,
     exp_pareto_normalizer,
     ig_pareto_normalizer,
-    log_pdf,
 )
 from .special import find_root_bracketed
 
@@ -352,7 +351,7 @@ def fit(model: ModelId, y, grid: EtaGrid | None = None):
     )
     theta_hat = profile(eta_hat, m_hat, arr)
     instance = build(model, theta_hat, eta_hat)
-    nll = -float(np.sum(log_pdf(instance, arr)))
+    nll = -float(np.sum(instance.log_pdf(arr)))
     return FitResult(
         model=model,
         theta=theta_hat,

@@ -24,8 +24,10 @@ from enum import Enum
 import numpy as np
 from scipy import special as _special
 
-from .composite import CompositeSpec, ExponentiatedComposite, InfiniteMomentError
+from .composite import CompositeSpec, ExponentiatedComposite
 from .special import (
+    _as_batch,
+    _maybe_scalar,
     find_root_bracketed,
     ln_gamma,
     lower_incomplete_gamma,
@@ -47,15 +49,9 @@ __all__ = [
     "ig_pareto_k_exact",
     "moment_closed_form",
     "limited_moment_closed_form",
-    "log_pdf",
     "WeibullDensity",
     "InverseGammaDensity",
 ]
-
-# Treat |s - tail exponent| below this as the logarithmic limiting case of
-# the tail partial moment.
-_LOG_BRANCH_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class IgParetoConstants:
@@ -134,15 +130,6 @@ _COMPOSITE_FAMILY = {
     ModelId.EXP_EXP_PARETO: "exp",
     ModelId.EXP_PARETO_1P: "exp",
 }
-
-
-def _as_batch(x):
-    arr = np.asarray(x, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
-
-
-def _maybe_scalar(out, scalar):
-    return float(out[0]) if scalar else out
 
 
 # -- normalizers and exactly solved constants -----------------------------
@@ -234,14 +221,19 @@ def ig_pareto_spec(
         return _maybe_scalar(out, scalar)
 
     def head_partial_moment(u, r):
-        if u <= 0.0:
-            return 0.0
-        return math.exp(r * log_beta - lg) * upper_incomplete_gamma(
-            alpha - r, beta / u
+        arr, scalar = _as_batch(u)
+        out = np.zeros(arr.shape)
+        pos = arr > 0.0
+        out[pos] = math.exp(r * log_beta - lg) * upper_incomplete_gamma(
+            alpha - r, beta / arr[pos]
         )
+        return _maybe_scalar(out, scalar)
 
     def tail_partial_moment(u, r):
         return _pareto_partial(u, r, theta, a2, log_theta)
+
+    def tail_sf(u):
+        return _pareto_sf(u, theta, a2, log_theta)
 
     def head_log_density(log_x):
         log_x = np.asarray(log_x, dtype=float)
@@ -264,6 +256,7 @@ def ig_pareto_spec(
         norm_const=c,
         head_cdf=head_cdf,
         tail_cdf=tail_cdf,
+        tail_sf=tail_sf,
         head_partial_moment=head_partial_moment,
         tail_partial_moment=tail_partial_moment,
         head_log_density=head_log_density,
@@ -319,12 +312,19 @@ def exp_pareto_spec(
         return _maybe_scalar(out, scalar)
 
     def head_partial_moment(u, r):
-        if u <= 0.0:
-            return 0.0
-        return math.exp(-r * log_rate) * lower_incomplete_gamma(r + 1.0, rate * u)
+        arr, scalar = _as_batch(u)
+        out = np.zeros(arr.shape)
+        pos = arr > 0.0
+        out[pos] = math.exp(-r * log_rate) * lower_incomplete_gamma(
+            r + 1.0, rate * arr[pos]
+        )
+        return _maybe_scalar(out, scalar)
 
     def tail_partial_moment(u, r):
         return _pareto_partial(u, r, theta, alpha, log_theta)
+
+    def tail_sf(u):
+        return _pareto_sf(u, theta, alpha, log_theta)
 
     def head_log_density(log_x):
         log_x = np.asarray(log_x, dtype=float)
@@ -348,6 +348,7 @@ def exp_pareto_spec(
         norm_const=c,
         head_cdf=head_cdf,
         tail_cdf=tail_cdf,
+        tail_sf=tail_sf,
         head_partial_moment=head_partial_moment,
         tail_partial_moment=tail_partial_moment,
         head_log_density=head_log_density,
@@ -359,19 +360,34 @@ def exp_pareto_spec(
     )
 
 
-def _pareto_partial(u: float, r: float, theta: float, exponent: float, log_theta: float) -> float:
-    """int_theta^u x^r * exponent * theta^exponent * x^-(exponent+1) dx."""
-    if u <= theta:
-        return 0.0
+def _pareto_partial(u, r: float, theta: float, exponent: float, log_theta: float):
+    """int_theta^u x^r * exponent * theta^exponent * x^-(exponent+1) dx.
+
+    Elementwise over u; u = inf gives the raw-moment tail term
+    exponent * theta^r / (exponent - r) when r < exponent.  Written as
+    theta^d * expm1(d * log(u/theta)) / d with d = r - exponent, so r near
+    the exponent loses no digits to cancellation.
+    """
+    arr, scalar = _as_batch(u)
+    out = np.zeros(arr.shape)
+    above = arr > theta
+    scale = exponent * math.exp(exponent * log_theta)
+    log_ratio = np.log(arr[above]) - log_theta
     d = r - exponent
-    if abs(d) < _LOG_BRANCH_EPS:
-        return exponent * math.exp(exponent * log_theta) * (math.log(u) - log_theta)
-    return (
-        exponent
-        * math.exp(exponent * log_theta)
-        * (u**d - math.exp(d * log_theta))
-        / d
-    )
+    if d == 0.0:
+        out[above] = scale * log_ratio
+    else:
+        out[above] = scale * math.exp(d * log_theta) * np.expm1(d * log_ratio) / d
+    return _maybe_scalar(out, scalar)
+
+
+def _pareto_sf(u, theta: float, exponent: float, log_theta: float):
+    """Pareto tail survival (theta/u)^exponent, one at and below theta."""
+    arr, scalar = _as_batch(u)
+    out = np.ones(arr.shape)
+    above = arr > theta
+    out[above] = np.exp(exponent * (log_theta - np.log(arr[above])))
+    return _maybe_scalar(out, scalar)
 
 
 # -- baselines -------------------------------------------------------------
@@ -497,20 +513,9 @@ def build(model: ModelId, theta: float, eta: float = 1.0):
     return ExponentiatedComposite(spec, eta)
 
 
-def _require_composite(model: ModelId) -> str:
+def _require_composite(model: ModelId) -> None:
     if not model.is_composite:
         raise ValueError(f"closed forms are defined for composite families, not {model}")
-    return model.composite_family
-
-
-def _check_theta_eta(model: ModelId, theta: float, eta: float) -> None:
-    if not theta > 0.0:
-        raise ValueError(f"theta must be > 0, got {theta}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    fixed = model.fixed_exponent
-    if fixed is not None and eta != fixed:
-        raise ValueError(f"{model.value} fixes eta = {fixed}, got {eta}")
 
 
 def moment_closed_form(model: ModelId, theta: float, eta: float, t: float) -> float:
@@ -520,31 +525,8 @@ def moment_closed_form(model: ModelId, theta: float, eta: float, t: float) -> fl
     (alpha - k for the inverse gamma head family, alpha for the
     exponential one); otherwise InfiniteMomentError, boundary included.
     """
-    family = _require_composite(model)
-    _check_theta_eta(model, theta, eta)
-    if not t > 0.0:
-        raise ValueError(f"moment order must be > 0, got {t}")
-    s = t / eta
-    if family == "ig":
-        alpha, k = IG_PARETO.alpha, IG_PARETO.k
-        a2 = alpha - k
-        if s >= a2:
-            raise InfiniteMomentError(
-                f"t/eta = {s} >= {a2}; the moment diverges"
-            )
-        c = ig_pareto_normalizer()
-        head = (k * theta) ** s * upper_incomplete_gamma(alpha - s, k) / math.exp(
-            ln_gamma(alpha)
-        )
-        tail = a2 * theta**s / (a2 - s)
-        return c * (head + tail)
-    alpha = EXP_PARETO.alpha
-    if s >= alpha:
-        raise InfiniteMomentError(f"t/eta = {s} >= {alpha}; the moment diverges")
-    c = exp_pareto_normalizer()
-    head = (theta / (alpha + 1.0)) ** s * lower_incomplete_gamma(s + 1.0, alpha + 1.0)
-    tail = alpha * theta**s / (alpha - s)
-    return c * (head + tail)
+    _require_composite(model)
+    return build(model, theta, eta).moment(t)
 
 
 def limited_moment_closed_form(
@@ -552,74 +534,7 @@ def limited_moment_closed_form(
 ) -> float:
     """E[(Y ^ b)^t] of a composite family in closed form.
 
-    Three branches split at the transformed breakpoint theta**(1/eta);
-    finite for every order, including orders whose raw moment diverges.
+    Finite for every order, including orders whose raw moment diverges.
     """
-    family = _require_composite(model)
-    _check_theta_eta(model, theta, eta)
-    if not t >= 0.0:
-        raise ValueError(f"limited-moment order must be >= 0, got {t}")
-    if not b > 0.0:
-        raise ValueError(f"cap must be > 0, got {b}")
-    s = t / eta
-    yb = theta ** (1.0 / eta)
-    if family == "ig":
-        return _ig_limited(theta, eta, t, s, b, yb)
-    return _exp_limited(theta, eta, t, s, b, yb)
-
-
-def _ig_limited(theta, eta, t, s, b, yb) -> float:
-    alpha, k = IG_PARETO.alpha, IG_PARETO.k
-    a2 = alpha - k
-    c = ig_pareto_normalizer()
-    g = math.exp(ln_gamma(alpha))
-    beta = k * theta
-    if b < yb:
-        w = beta / b**eta  # > k
-        return c * (
-            (
-                (beta) ** s * upper_incomplete_gamma(alpha - s, w)
-                + b**t * upper_incomplete_gamma(alpha, k)
-                - b**t * upper_incomplete_gamma(alpha, w)
-            )
-            / g
-            + b**t
-        )
-    head_term = beta**s * upper_incomplete_gamma(alpha - s, k) / g
-    if b == yb:
-        return c * (head_term + b**t)
-    d = s - a2
-    pareto_scale = math.exp(a2 * math.log(theta))
-    if abs(d) < _LOG_BRANCH_EPS:
-        middle = a2 * pareto_scale * (eta * math.log(b) - math.log(theta))
-    else:
-        middle = a2 * (b ** (t - eta * a2) * pareto_scale - theta**s) / d
-    return c * (head_term + middle + b ** (t - eta * a2) * pareto_scale)
-
-
-def _exp_limited(theta, eta, t, s, b, yb) -> float:
-    alpha = EXP_PARETO.alpha
-    c = exp_pareto_normalizer()
-    rate = (alpha + 1.0) / theta
-    if b < yb:
-        z = rate * b**eta  # < alpha + 1
-        return c * (
-            rate ** (-s) * lower_incomplete_gamma(s + 1.0, z)
-            + b**t * (math.exp(-z) - math.exp(-(alpha + 1.0)))
-            + b**t
-        )
-    head_term = rate ** (-s) * lower_incomplete_gamma(s + 1.0, alpha + 1.0)
-    if b == yb:
-        return c * (head_term + b**t)
-    d = s - alpha
-    pareto_scale = math.exp(alpha * math.log(theta))
-    if abs(d) < _LOG_BRANCH_EPS:
-        middle = alpha * pareto_scale * (eta * math.log(b) - math.log(theta))
-    else:
-        middle = alpha * (b ** (t - eta * alpha) * pareto_scale - theta**s) / d
-    return c * (head_term + middle + b ** (t - eta * alpha) * pareto_scale)
-
-
-def log_pdf(model_instance, y):
-    """Log density of any built model instance."""
-    return model_instance.log_pdf(y)
+    _require_composite(model)
+    return build(model, theta, eta).limited_moment((t, b))

@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
 from scipy import integrate as _integrate
 from scipy import optimize as _optimize
 from scipy import special as _special
@@ -65,24 +66,34 @@ def ln_gamma(a: float) -> float:
     return math.lgamma(a)
 
 
-def _upper_positive(a: float, x: float) -> float:
+def _as_batch(x) -> tuple[np.ndarray, bool]:
+    """x as a 1-d float array, and whether it came in as a scalar."""
+    arr = np.asarray(x, dtype=float)
+    return np.atleast_1d(arr), arr.ndim == 0
+
+
+def _maybe_scalar(out: np.ndarray, scalar: bool):
+    return float(out[0]) if scalar else out
+
+
+def _upper_positive(a: float, x: np.ndarray) -> np.ndarray:
     # Unregularized Gamma(a, x) for a > 0, x >= 0, computed in log space so a
     # large Gamma(a) cannot overflow an otherwise moderate result.
-    q = _special.gammaincc(a, x)
-    if q == 0.0:
-        return 0.0
-    log_val = math.lgamma(a) + math.log(q)
-    if log_val > _LOG_DBL_MAX:
+    with np.errstate(divide="ignore"):
+        log_val = math.lgamma(a) + np.log(_special.gammaincc(a, x))
+    big = log_val > _LOG_DBL_MAX
+    if big.any():
         raise OverflowError(
-            f"upper_incomplete_gamma({a}, {x}) exceeds float range"
+            f"upper_incomplete_gamma({a}, {x[big][0]}) exceeds float range"
         )
-    return math.exp(log_val)
+    return np.exp(log_val)
 
 
-def upper_incomplete_gamma(a: float, x: float) -> float:
+def upper_incomplete_gamma(a: float, x):
     """Unregularized upper incomplete gamma Gamma(a, x), any real shape a.
 
-    For a <= 0 the value is obtained from the recurrence
+    Elementwise over x: a float x gives a float, an array an array.  For
+    a <= 0 the value is obtained from the recurrence
 
         Gamma(a, x) = (Gamma(a + 1, x) - x^a e^(-x)) / a
 
@@ -94,20 +105,17 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     diverges at the origin there).  Raises OverflowError when the result
     exceeds the double range.
     """
-    if math.isnan(a) or math.isnan(x):
+    arr, scalar = _as_batch(x)
+    if math.isnan(a) or np.isnan(arr).any():
         raise ValueError("upper_incomplete_gamma requires finite arguments")
-    if x < 0.0:
-        raise ValueError(f"upper_incomplete_gamma requires x >= 0, got x={x}")
-    if x == 0.0:
-        if a <= 0.0:
-            raise ValueError(
-                f"upper_incomplete_gamma diverges at x=0 for a={a} <= 0"
-            )
-        return math.exp(ln_gamma(a))  # Gamma(a, 0) = Gamma(a)
+    if (arr < 0.0).any():
+        raise ValueError(f"upper_incomplete_gamma requires x >= 0, got x={arr.min()}")
+    if a <= 0.0 and (arr == 0.0).any():
+        raise ValueError(f"upper_incomplete_gamma diverges at x=0 for a={a} <= 0")
     if a > 0.0:
-        return _upper_positive(a, x)
+        return _maybe_scalar(_upper_positive(a, arr), scalar)  # Gamma(a, 0) = Gamma(a)
     if a == 0.0:
-        return float(_special.exp1(x))
+        return _maybe_scalar(_special.exp1(arr), scalar)
 
     # Step the recurrence down from a chain head the direct routines can
     # evaluate.  Negative integer shapes pass through shape zero, where the
@@ -119,33 +127,36 @@ def upper_incomplete_gamma(a: float, x: float) -> float:
     if abs(a - nearest) <= 4.0 * sys.float_info.epsilon * max(1.0, -a):
         n = int(-nearest)
         head = 0.0
-        value = float(_special.exp1(x))
+        value = _special.exp1(arr)
     else:
         n = int(math.ceil(-a))
         head = a + n  # in (0, 1), bounded away from the ends by the snap
-        value = _upper_positive(head, x)
-    log_x = math.log(x)
+        value = _upper_positive(head, arr)
+    log_x = np.log(arr)
     for i in range(n):
         s = head - 1.0 - i  # current shape being recovered
-        term = math.exp(s * log_x - x)
+        term = np.exp(s * log_x - arr)
         value = (value - term) / s
-        if math.isinf(value):
+        if np.isinf(value).any():
             raise OverflowError(
                 f"upper_incomplete_gamma({a}, {x}) exceeds float range"
             )
-    return value
+    return _maybe_scalar(value, scalar)
 
 
-def lower_incomplete_gamma(a: float, x: float) -> float:
-    """Unregularized lower incomplete gamma for a > 0, x >= 0."""
+def lower_incomplete_gamma(a: float, x):
+    """Unregularized lower incomplete gamma for a > 0, x >= 0.
+
+    Elementwise over x: a float x gives a float, an array an array.
+    """
     if not a > 0.0:
         raise ValueError(f"lower_incomplete_gamma requires a > 0, got {a}")
-    if x < 0.0:
-        raise ValueError(f"lower_incomplete_gamma requires x >= 0, got {x}")
-    p = _special.gammainc(a, x)
-    if p == 0.0:
-        return 0.0
-    return math.exp(math.lgamma(a) + math.log(p))
+    arr, scalar = _as_batch(x)
+    if (arr < 0.0).any():
+        raise ValueError(f"lower_incomplete_gamma requires x >= 0, got x={arr.min()}")
+    with np.errstate(divide="ignore"):
+        value = np.exp(math.lgamma(a) + np.log(_special.gammainc(a, arr)))
+    return _maybe_scalar(value, scalar)
 
 
 def adaptive_quadrature(

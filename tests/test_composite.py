@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from expcomposite.composite import (
     CompositeSpec,
@@ -86,6 +87,9 @@ def test_limited_moment_query_validation():
         LimitedMomentQuery(order=-0.5, cap=1.0)
     with pytest.raises(ValueError):
         LimitedMomentQuery(order=1.0, cap=0.0)
+    for caps in ([1.0, 0.0], [2.0, -1.0], [1.0, math.nan], [math.nan]):
+        with pytest.raises(ValueError):
+            LimitedMomentQuery(order=1.0, cap=np.array(caps))
 
 
 def test_exponent_validation():
@@ -191,9 +195,9 @@ def test_moment_numeric_vs_parent_moment():
     spec = rough_spec()
     for eta, t in ((2.0, 1.0), (0.8, 0.25), (5.0, 2.0)):
         d = ExponentiatedComposite(spec, eta)
-        assert d.moment_numeric(t) == pytest.approx(
-            parent_moment(spec, t / eta), rel=1e-7
-        )
+        want = parent_moment(spec, t / eta)
+        assert d.moment_numeric(t) == pytest.approx(want, rel=1e-7)
+        assert d.moment(t) == pytest.approx(want, rel=1e-7)  # quadrature partials
 
 
 def test_moment_divergence_guard():
@@ -203,6 +207,8 @@ def test_moment_divergence_guard():
         d.moment_numeric(2.6)  # t / eta == tail_moment_sup exactly
     with pytest.raises(InfiniteMomentError):
         d.moment_numeric(3.1)
+    with pytest.raises(InfiniteMomentError):
+        d.moment(2.6)
     with pytest.raises(InfiniteMomentError):
         parent_moment(spec, 1.3)
 
@@ -219,6 +225,43 @@ def test_limited_moment_accepts_tuple():
     d = ExponentiatedComposite(rough_spec(), 1.4)
     q = LimitedMomentQuery(0.5, 2.0)
     assert d.limited_moment((0.5, 2.0)) == d.limited_moment(q)
+
+
+@given(
+    theta=st.floats(0.05, 20.0),
+    eta=st.floats(0.2, 8.0),
+    t=st.floats(0.0, 4.0),
+    caps=st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=8),
+)
+@settings(max_examples=30)
+def test_limited_moment_array_matches_scalar_calls(theta, eta, t, caps):
+    # the CLI fills a whole column with one array call; each entry must be
+    # bitwise the value a scalar call gives
+    for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
+        d = build(model, theta, eta)
+        bs = np.array([*caps, d.breakpoint])
+        got = d.limited_moment((t, bs))
+        assert isinstance(got, np.ndarray) and got.shape == bs.shape
+        assert got.tolist() == [d.limited_moment((t, float(b))) for b in bs]
+
+
+@given(
+    theta=st.floats(0.3, 5.0),
+    eta=st.floats(0.5, 5.0),
+    t=st.floats(0.1, 2.0),
+    ratio=st.floats(0.2, 20.0),
+)
+@settings(max_examples=10)
+def test_limited_moment_closed_partials_match_quadrature(theta, eta, t, ratio):
+    for make_spec in (exp_pareto_spec, ig_pareto_spec):
+        spec = make_spec(theta)
+        stripped = dataclasses.replace(
+            spec, head_partial_moment=None, tail_partial_moment=None
+        )
+        b = ratio * spec.breakpoint ** (1.0 / eta)
+        closed = ExponentiatedComposite(spec, eta).limited_moment((t, b))
+        quad = ExponentiatedComposite(stripped, eta).limited_moment((t, b))
+        assert closed == pytest.approx(quad, rel=1e-8)
 
 
 def test_limited_moment_vs_quadrature_all_branches():

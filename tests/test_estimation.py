@@ -20,7 +20,6 @@ from expcomposite.models import (
     build,
     exp_pareto_spec,
     ig_pareto_spec,
-    log_pdf,
 )
 
 SAMPLE = build(ModelId.EXP_EXP_PARETO, 1.0, 0.8).sample(200, seed=7)
@@ -152,14 +151,14 @@ def test_fit_recovers_truth_loosely():
     assert 1 <= res.m <= 399
     assert (res.n, res.p) == (400, 2)
     # the fitted likelihood should not lose to the generating parameters
-    truth_nll = -float(np.sum(log_pdf(build(ModelId.EXP_EXP_PARETO, 1.0, 0.8), y)))
+    truth_nll = -float(np.sum(build(ModelId.EXP_EXP_PARETO, 1.0, 0.8).log_pdf(y)))
     assert res.nll <= truth_nll + 0.5
 
 
 def test_fit_nll_recomputation_and_breakpoint():
     res = fit(ModelId.EXP_EXP_PARETO, SAMPLE)
     dens = build(ModelId.EXP_EXP_PARETO, res.theta, res.eta)
-    assert res.nll == pytest.approx(-float(np.sum(log_pdf(dens, np.sort(SAMPLE)))), rel=1e-12)
+    assert res.nll == pytest.approx(-float(np.sum(dens.log_pdf(np.sort(SAMPLE)))), rel=1e-12)
     assert res.breakpoint == pytest.approx(res.theta ** (1.0 / res.eta), rel=1e-15)
 
 
@@ -203,7 +202,7 @@ def test_fit_matches_scalar_reference_search():
         if got is None:
             continue
         m, th = got
-        nll = -float(np.sum(log_pdf(build(ModelId.EXP_EXP_PARETO, th, eta), y)))
+        nll = -float(np.sum(build(ModelId.EXP_EXP_PARETO, th, eta).log_pdf(y)))
         if best is None or nll < best[0] - 1e-12:
             best = (nll, eta, m, th)
     res = fit(ModelId.EXP_EXP_PARETO, SAMPLE, grid=grid)

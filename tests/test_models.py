@@ -30,7 +30,6 @@ from expcomposite.models import (
     ig_pareto_normalizer,
     ig_pareto_spec,
     limited_moment_closed_form,
-    log_pdf,
     moment_closed_form,
 )
 
@@ -243,6 +242,53 @@ def test_limited_moment_order_zero_is_one():
             assert limited_moment_closed_form(model, theta, eta, 0.0, b) == 1.0
 
 
+@given(theta=hst.floats(0.05, 50.0), eta=hst.floats(0.2, 10.0), b=hst.floats(1e-3, 1e3))
+def test_limited_moment_order_zero_is_exactly_one(theta, eta, b):
+    for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
+        assert limited_moment_closed_form(model, theta, eta, 0.0, b) == 1.0
+
+
+# Caps far above the breakpoint, where forming 1 - tail_cdf loses digits.
+# The first three values come from the per-family closed forms; the last
+# two have b**t beyond the float range while the limited moment is not.
+LARGE_CAP_FROZEN = (
+    (ModelId.EXP_EXP_PARETO, 5.247, 5.905, 2.505, 4.49e6, 4830.650188066008),
+    (ModelId.EXP_EXP_PARETO, 1.0, 5.0, 3.0, 1e5, 2454890.7388966545),
+    (ModelId.EXP_EXP_PARETO, 1.0, 1.0, 1.0, 1e30, 2.79932502587738e19),
+    (ModelId.EXP_EXP_PARETO, 1.0, 10.0, 11.0, 1e30, 8.566042861901727e224),
+    (ModelId.EXP_IG_PARETO, 1.0, 10.0, 11.0, 1e30, 5.471373168545943e280),
+)
+
+
+@pytest.mark.parametrize("model,theta,eta,t,b,want", LARGE_CAP_FROZEN)
+def test_limited_moment_large_caps(model, theta, eta, t, b, want):
+    d = build(model, theta, eta)
+    assert d.limited_moment((t, b)) == pytest.approx(want, rel=1e-12)
+
+
+def test_limited_moment_cap_power_overflow_raises():
+    d = build(ModelId.EXP_EXP_PARETO, 1.0, 2.0)
+    with pytest.raises(OverflowError):
+        d.limited_moment((1.0, 1e200))  # b**eta overflows
+    with pytest.raises(OverflowError):
+        d.limited_moment((1.0, np.array([2.0, 1e200])))
+    with pytest.raises(OverflowError):
+        d.limited_moment((400.0, 1e10))  # the limited moment itself overflows
+
+
+def test_limited_moment_smooth_through_tail_exponent():
+    # t/eta next to the tail exponent: the tail partial moment must not lose
+    # digits to cancellation on either side of its logarithmic case
+    for model, a in (
+        (ModelId.EXP_EXP_PARETO, EXP_PARETO.alpha),
+        (ModelId.EXP_IG_PARETO, IG_PARETO.alpha - IG_PARETO.k),
+    ):
+        at = limited_moment_closed_form(model, 1.0, 1.0, a, 1e12)
+        for f in (-1e-11, -3e-12, 3e-12, 1e-11):
+            near = limited_moment_closed_form(model, 1.0, 1.0, a * (1.0 + f), 1e12)
+            assert near == pytest.approx(at, rel=1e-9)
+
+
 def test_limited_moment_validations():
     with pytest.raises(ValueError):
         limited_moment_closed_form(ModelId.EXP_EXP_PARETO, 1.0, 1.0, -0.5, 1.0)
@@ -319,14 +365,6 @@ def test_baseline_validations():
 
 
 # -- log density dispatch --------------------------------------------------
-
-
-def test_log_pdf_helper_dispatches():
-    ys = np.array([0.4, 1.1, 3.0])
-    comp = build(ModelId.EXP_IG_PARETO, 1.2, 0.8)
-    base = build(ModelId.WEIBULL, 1.5, 2.0)
-    assert np.allclose(log_pdf(comp, ys), comp.log_pdf(ys), rtol=0, atol=0)
-    assert np.allclose(log_pdf(base, ys), base.log_pdf(ys), rtol=0, atol=0)
 
 
 def test_composite_log_pdf_consistent_with_pdf():
