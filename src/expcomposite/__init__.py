@@ -23,7 +23,6 @@ from .estimation import (
     EtaGrid,
     FitFailureError,
     FitResult,
-    detect_m,
     fit,
     theta_profile_exp_pareto,
     theta_profile_ig_pareto,
@@ -88,7 +87,6 @@ __all__ = [
     "as_composite_spec",
     "build",
     "compare",
-    "detect_m",
     "exp_pareto_normalizer",
     "exponentiate",
     "find_root_bracketed",

@@ -442,9 +442,6 @@ def _add_io_flags(sub) -> None:
 def _add_grid_flags(sub) -> None:
     sub.add_argument("--eta-min", type=float, default=0.05, help="exponent grid lower bound")
     sub.add_argument("--eta-max", type=float, default=20.0, help="exponent grid upper bound")
-    sub.add_argument("--eta-step", type=float, default=0.05, help="coarse grid step")
-    sub.add_argument("--refine", type=int, default=2, metavar="ROUNDS",
-                     help="refinement rounds, step shrinks tenfold per round")
 
 
 def _add_data_flags(sub) -> None:
@@ -456,12 +453,7 @@ def _add_data_flags(sub) -> None:
 
 
 def _grid_config(args) -> dict:
-    return {
-        "lower": args.eta_min,
-        "upper": args.eta_max,
-        "coarse_step": args.eta_step,
-        "refinement_rounds": args.refine,
-    }
+    return {"lower": args.eta_min, "upper": args.eta_max}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -324,7 +324,10 @@ class ExponentiatedComposite:
         return float(np.clip(out, 0.0, 1.0)[0]) if scalar else np.clip(out, 0.0, 1.0)
 
     def quantile(self, u):
-        """Inverse cdf on (0, 1), closed-form piece inversion when wired."""
+        """Inverse cdf on (0, 1), closed-form piece inversion when wired.
+
+        Raises OverflowError where a quantile exceeds the float range.
+        """
         arr = np.asarray(u, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
@@ -348,7 +351,12 @@ class ExponentiatedComposite:
                 x[tail] = self.parent.tail_ppf(q)
             else:
                 x[tail] = [self.parent.invert_tail_cdf(float(qi)) for qi in q]
-        y = x ** (1.0 / self.exponent)
+        with np.errstate(over="ignore"):
+            y = x ** (1.0 / self.exponent)
+        if not np.all(np.isfinite(y)):
+            raise OverflowError(
+                f"quantile x**(1/{self.exponent:g}) exceeds the float range"
+            )
         return float(y[0]) if scalar else y
 
     def sample(self, n: int, seed: int) -> np.ndarray:

@@ -37,13 +37,17 @@ __all__ = [
     "EtaGrid",
     "FitFailureError",
     "FitResult",
-    "detect_m",
     "fit",
     "theta_profile_exp_pareto",
     "theta_profile_ig_pareto",
 ]
 
 MIN_GRID_POINTS = 10
+# The coarse pass walks the grid bounds in steps of COARSE_STEP; each of the
+# REFINEMENT_ROUNDS rounds divides the step by ten and re-scans one old step
+# to either side of the incumbent, for a final resolution of 5e-4.
+COARSE_STEP = 0.05
+REFINEMENT_ROUNDS = 2
 
 
 class FitFailureError(RuntimeError):
@@ -52,36 +56,24 @@ class FitFailureError(RuntimeError):
 
 @dataclass(frozen=True)
 class EtaGrid:
-    """Search grid for the transform exponent.
-
-    The coarse pass walks [lower, upper] in steps of coarse_step; each
-    refinement round divides the step by ten and re-scans one old step to
-    either side of the incumbent, clipped to the original bounds.  The
-    defaults give a final resolution of 5e-4.
-    """
+    """Bounds of the search over the transform exponent."""
 
     lower: float = 0.05
     upper: float = 20.0
-    coarse_step: float = 0.05
-    refinement_rounds: int = 2
 
     def __post_init__(self) -> None:
         if not self.lower > 0.0:
             raise ValueError(f"grid lower bound must be > 0, got {self.lower}")
         if not self.upper > self.lower:
             raise ValueError("grid upper bound must exceed the lower bound")
-        if not self.coarse_step > 0.0:
-            raise ValueError("grid step must be > 0")
-        if self.refinement_rounds < 0:
-            raise ValueError("refinement_rounds must be >= 0")
         if self.points().size < MIN_GRID_POINTS:
             raise ValueError(f"grid must contain at least {MIN_GRID_POINTS} points")
 
     def points(self) -> np.ndarray:
         """Ascending candidate exponents of the coarse pass."""
         # 1e-9 slack keeps the endpoint when (upper - lower) / step rounds down.
-        count = int(math.floor((self.upper - self.lower) / self.coarse_step + 1e-9))
-        pts = self.lower + self.coarse_step * np.arange(count + 1)
+        count = int(math.floor((self.upper - self.lower) / COARSE_STEP + 1e-9))
+        pts = self.lower + COARSE_STEP * np.arange(count + 1)
         return np.minimum(pts, self.upper)
 
 
@@ -116,6 +108,22 @@ class BaselineFitResult:
 
 
 # -- closed-form breakpoint profiles ---------------------------------------
+#
+# With the exponent and the head count m fixed, each family's likelihood has
+# a closed-form maximizer in theta.  The helpers take the head power sum and
+# work on floats and on (exponents x m) arrays alike.
+
+
+def _exp_theta(head_sum, m, n):
+    """Exp-family breakpoint from sum_{i<=m} y_i^eta (theta_profile_exp_pareto)."""
+    alpha = EXP_PARETO.alpha
+    return (alpha + 1.0) * head_sum / ((alpha + 1.0) * m - alpha * n)
+
+
+def _ig_theta(inv_sum, m, n):
+    """Ig-family breakpoint from sum_{i<=m} y_i^(-eta) (theta_profile_ig_pareto)."""
+    alpha, k = IG_PARETO.alpha, IG_PARETO.k
+    return (alpha * m + (alpha - k) * (n - m)) / (k * inv_sum)
 
 
 def _check_profile_args(m: int, n: int) -> None:
@@ -134,13 +142,12 @@ def theta_profile_exp_pareto(eta: float, m: int, y) -> float:
     n = arr.size
     _check_profile_args(m, n)
     alpha = EXP_PARETO.alpha
-    denom = (alpha + 1.0) * m - alpha * n
-    if denom <= 0.0:
+    if (alpha + 1.0) * m <= alpha * n:
         raise ValueError(
             f"head count m={m} is too small for n={n}: the profile denominator "
-            f"(alpha+1)m - alpha*n = {denom:.6g} must be positive"
+            "(alpha+1)m - alpha*n must be positive"
         )
-    return (alpha + 1.0) * float(np.sum(arr[:m] ** eta)) / denom
+    return _exp_theta(float(np.sum(arr[:m] ** eta)), m, n)
 
 
 def theta_profile_ig_pareto(eta: float, m: int, y) -> float:
@@ -152,37 +159,7 @@ def theta_profile_ig_pareto(eta: float, m: int, y) -> float:
     arr = np.asarray(y, dtype=float)
     n = arr.size
     _check_profile_args(m, n)
-    alpha, k = IG_PARETO.alpha, IG_PARETO.k
-    denom = k * float(np.sum(arr[:m] ** (-eta)))
-    return (alpha * m + (alpha - k) * (n - m)) / denom
-
-
-def detect_m(eta: float, y, profile):
-    """Smallest m whose profiled breakpoint lands between y_m^eta and y_{m+1}^eta.
-
-    y must be sorted ascending and strictly positive.  Returns (m, theta)
-    or None when no split qualifies; candidate m values whose profile is
-    undefined are skipped.
-    """
-    arr = np.asarray(y, dtype=float)
-    n = arr.size
-    if n < 2:
-        raise ValueError("need at least two observations to split")
-    if not arr[0] > 0.0:
-        raise ValueError("observations must be strictly positive")
-    if np.any(np.diff(arr) < 0.0):
-        raise ValueError("sample must be sorted ascending")
-    powers = arr**eta
-    for m in range(1, n):
-        try:
-            th = profile(eta, m, arr)
-        except ValueError:
-            continue
-        if not (math.isfinite(th) and th > 0.0):
-            continue
-        if powers[m - 1] <= th <= powers[m]:
-            return m, th
-    return None
+    return _ig_theta(float(np.sum(arr[:m] ** (-eta))), m, n)
 
 
 # -- vectorized per-exponent scan ------------------------------------------
@@ -192,94 +169,83 @@ def detect_m(eta: float, y, profile):
 # the log-likelihood shifts by the exponent-independent constant -n log s,
 # so the argmax is unchanged while z = y/s <= 1 keeps z^eta from
 # overflowing at large exponents.
+#
+# The log-likelihood helpers continue the sum ll0 of the normalizer and
+# Jacobian terms with the family's head and tail terms at the profiled
+# split: m head points, head power sum, head and tail sums of log z.
 
 
-def _scan_exp(etas, z, logz, prefix_log, total_log):
+def _exp_loglik(ll0, etas, m, th, head_sum, head_log, tail_log, n):
     alpha = EXP_PARETO.alpha
-    logc = math.log(exp_pareto_normalizer())
-    n = z.size
-    W = np.exp(np.outer(etas, logz))
-    S = np.cumsum(W, axis=1)
-    ms = np.arange(1, n)
-    denom = (alpha + 1.0) * ms - alpha * n
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Th = (alpha + 1.0) * S[:, :-1] / denom
-        ok = (
-            (denom > 0.0)
-            & np.isfinite(Th)
-            & (Th > 0.0)
-            & (W[:, :-1] <= Th)
-            & (Th <= W[:, 1:])
-        )
-        found = ok.any(axis=1)
-        first = np.argmax(ok, axis=1)
-        rows = np.arange(etas.size)
-        m_sel = first + 1
-        th = Th[rows, first]
-        S_m = S[rows, first]
-        tail_logsum = total_log - prefix_log[m_sel]
-        ll = (
-            n * logc
-            + n * np.log(etas)
-            + (etas - 1.0) * total_log
-            + m_sel * math.log(alpha + 1.0)
-            - m_sel * np.log(th)
-            - (alpha + 1.0) * S_m / th
-            + (n - m_sel) * math.log(alpha)
-            + (n - m_sel) * alpha * np.log(th)
-            - (alpha + 1.0) * etas * tail_logsum
-        )
-    return np.where(found, ll, -np.inf), m_sel, th, found
+    return (
+        ll0
+        + m * math.log(alpha + 1.0)
+        - m * np.log(th)
+        - (alpha + 1.0) * head_sum / th
+        + (n - m) * math.log(alpha)
+        + (n - m) * alpha * np.log(th)
+        - (alpha + 1.0) * etas * tail_log
+    )
 
 
-def _scan_ig(etas, z, logz, prefix_log, total_log):
+def _ig_loglik(ll0, etas, m, th, inv_sum, head_log, tail_log, n):
     alpha, k = IG_PARETO.alpha, IG_PARETO.k
     a2 = alpha - k
-    logc = math.log(ig_pareto_normalizer())
-    lgam = math.lgamma(alpha)
-    n = z.size
+    return (
+        ll0
+        + m * alpha * (math.log(k) + np.log(th))
+        - (alpha + 1.0) * etas * head_log
+        - k * th * inv_sum
+        - m * math.lgamma(alpha)
+        + (n - m) * (math.log(a2) + a2 * np.log(th))
+        - (a2 + 1.0) * etas * tail_log
+    )
+
+
+_FAMILIES = {
+    "exp": (exp_pareto_normalizer, _exp_theta, _exp_loglik),
+    "ig": (ig_pareto_normalizer, _ig_theta, _ig_loglik),
+}
+
+
+def _scan(family, etas, logz, prefix_log, total_log):
+    """Profile log-likelihood of each exponent at its first valid split.
+
+    Row i holds z^etas[i].  The split m is valid when the profiled theta is
+    finite, positive and lies in [z_m^eta, z_{m+1}^eta]; a positive theta
+    implies a positive exp-family denominator, since the head sum is
+    positive.  Returns (ll, m, found), ll = -inf where no m is valid.
+    """
+    normalizer, profile, loglik = _FAMILIES[family]
+    n = logz.size
     E = np.outer(etas, logz)
     with np.errstate(over="ignore"):
         W = np.exp(E)
-        V = np.exp(-E)
-        Sv = np.cumsum(V, axis=1)
-    ms = np.arange(1, n)
-    num = alpha * ms + a2 * (n - ms)
+        # head power sums of z^eta (exp) or z^-eta (ig, built in E's buffer)
+        power = W if family == "exp" else np.exp(np.negative(E, out=E), out=E)
+        S = np.cumsum(power, axis=1)
+    del E, power
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Th = num / (k * Sv[:, :-1])
+        Th = profile(S[:, :-1], np.arange(1, n), n)
         ok = np.isfinite(Th) & (Th > 0.0) & (W[:, :-1] <= Th) & (Th <= W[:, 1:])
         found = ok.any(axis=1)
         first = np.argmax(ok, axis=1)
         rows = np.arange(etas.size)
-        m_sel = first + 1
-        th = Th[rows, first]
-        Sv_m = Sv[rows, first]
-        head_logsum = prefix_log[m_sel]
-        tail_logsum = total_log - head_logsum
-        ll = (
-            n * logc
-            + n * np.log(etas)
-            + (etas - 1.0) * total_log
-            + m_sel * alpha * (math.log(k) + np.log(th))
-            - (alpha + 1.0) * etas * head_logsum
-            - k * th * Sv_m
-            - m_sel * lgam
-            + (n - m_sel) * (math.log(a2) + a2 * np.log(th))
-            - (a2 + 1.0) * etas * tail_logsum
-        )
-    return np.where(found, ll, -np.inf), m_sel, th, found
+        m = first + 1
+        head_log = prefix_log[m]
+        ll0 = n * math.log(normalizer()) + n * np.log(etas) + (etas - 1.0) * total_log
+        th, head_sum = Th[rows, first], S[rows, first]
+        ll = loglik(ll0, etas, m, th, head_sum, head_log, total_log - head_log, n)
+    return np.where(found, ll, -np.inf), m, found
 
 
-_SCANNERS = {"exp": _scan_exp, "ig": _scan_ig}
-
-
-def _best_candidate(family, etas, z, logz, prefix_log, total_log):
+def _best_candidate(family, etas, logz, prefix_log, total_log):
     """Scan an ascending exponent batch; (ll, eta, m) of the winner or None."""
-    ll, m_sel, _, found = _SCANNERS[family](etas, z, logz, prefix_log, total_log)
+    ll, m, found = _scan(family, etas, logz, prefix_log, total_log)
     if not found.any():
         return None
     i = int(np.argmax(ll))  # ties resolve to the smallest exponent
-    return float(ll[i]), float(etas[i]), int(m_sel[i])
+    return float(ll[i]), float(etas[i]), int(m[i])
 
 
 def fit(model: ModelId, y, grid: EtaGrid | None = None):
@@ -310,40 +276,35 @@ def fit(model: ModelId, y, grid: EtaGrid | None = None):
 
     family = model.composite_family
     grid = EtaGrid() if grid is None else grid
-    scale = float(arr[-1])
-    z = arr / scale
-    logz = np.log(z)
+    logz = np.log(arr / float(arr[-1]))
     prefix_log = np.concatenate(([0.0], np.cumsum(logz)))
     total_log = float(prefix_log[-1])
 
     fixed = model.fixed_exponent
     if fixed is not None:
-        best = _best_candidate(
-            family, np.array([fixed]), z, logz, prefix_log, total_log
-        )
+        best = _best_candidate(family, np.array([fixed]), logz, prefix_log, total_log)
         if best is None:
             raise FitFailureError(
                 f"{model.value}: no valid breakpoint split at the fixed exponent"
             )
     else:
-        best = _best_candidate(family, grid.points(), z, logz, prefix_log, total_log)
+        best = _best_candidate(family, grid.points(), logz, prefix_log, total_log)
         if best is None:
             raise FitFailureError(
                 f"{model.value}: no exponent in [{grid.lower}, {grid.upper}] "
                 "admits a valid breakpoint split"
             )
-        step = grid.coarse_step
-        for _ in range(grid.refinement_rounds):
-            new_step = step / 10.0
-            cand = best[1] + new_step * np.arange(-10, 11)
+        step = COARSE_STEP
+        for _ in range(REFINEMENT_ROUNDS):
+            step /= 10.0
+            cand = best[1] + step * np.arange(-10, 11)
             cand = np.unique(np.clip(cand, grid.lower, grid.upper))
-            local = _best_candidate(family, cand, z, logz, prefix_log, total_log)
+            local = _best_candidate(family, cand, logz, prefix_log, total_log)
             # incumbent is in the candidate set, so the likelihood never drops
             if local is not None and (
                 local[0] > best[0] or (local[0] == best[0] and local[1] < best[1])
             ):
                 best = local
-            step = new_step
 
     _, eta_hat, m_hat = best
     profile = (
@@ -366,6 +327,27 @@ def fit(model: ModelId, y, grid: EtaGrid | None = None):
 # -- reference-model fits --------------------------------------------------
 
 
+def _bracket(f, lo, hi, *, factor, sign, name):
+    """Widen [lo, hi] by factor until sign * f is negative at lo, positive at hi.
+
+    Each end moves at most 200 times; FitFailureError names the end that
+    found no sign change.
+    """
+    for _ in range(200):
+        if sign * f(lo) < 0.0:
+            break
+        lo /= factor
+    else:
+        raise FitFailureError(f"{name}: shape equation has no lower bracket")
+    for _ in range(200):
+        if sign * f(hi) > 0.0:
+            break
+        hi *= factor
+    else:
+        raise FitFailureError(f"{name}: shape equation has no upper bracket")
+    return lo, hi
+
+
 def _fit_weibull(arr: np.ndarray) -> BaselineFitResult:
     # Shape score is increasing in the shape; data rescaled by the maximum
     # so z**shape stays bounded while the bracket expands.
@@ -379,19 +361,7 @@ def _fit_weibull(arr: np.ndarray) -> BaselineFitResult:
         w = z**shape
         return float(np.sum(w * logz) / np.sum(w) - 1.0 / shape - mean_log)
 
-    lo, hi = 0.5, 2.0
-    for _ in range(200):
-        if score(lo) < 0.0:
-            break
-        lo /= 2.0
-    else:
-        raise FitFailureError("weibull: shape equation has no lower bracket")
-    for _ in range(200):
-        if score(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise FitFailureError("weibull: shape equation has no upper bracket")
+    lo, hi = _bracket(score, 0.5, 2.0, factor=2.0, sign=1.0, name="weibull")
     shape = find_root_bracketed(score, lo, hi)
     scale = s * float(np.mean(z**shape)) ** (1.0 / shape)
     dens = WeibullDensity(shape=shape, scale=scale)
@@ -415,19 +385,7 @@ def _fit_inverse_gamma(arr: np.ndarray) -> BaselineFitResult:
     def h(a: float) -> float:
         return math.log(a) - float(digamma(a)) - rhs
 
-    lo, hi = 0.5, 10.0
-    for _ in range(200):
-        if h(lo) > 0.0:
-            break
-        lo /= 10.0
-    else:
-        raise FitFailureError("inverse gamma: shape equation has no lower bracket")
-    for _ in range(200):
-        if h(hi) < 0.0:
-            break
-        hi *= 10.0
-    else:
-        raise FitFailureError("inverse gamma: shape equation has no upper bracket")
+    lo, hi = _bracket(h, 0.5, 10.0, factor=10.0, sign=-1.0, name="inverse gamma")
     shape = find_root_bracketed(h, lo, hi)
     scale = shape / mean_inv
     dens = InverseGammaDensity(shape=shape, scale=scale)

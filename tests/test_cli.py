@@ -144,14 +144,15 @@ def test_fit_baseline_reports_shape_scale(tmp_path):
 def test_fit_respects_grid_flags(tmp_path):
     data = write_csv(tmp_path / "claims.csv", CLAIMS)
     out = tmp_path / "fit.csv"
-    argv = ["fit", "--model", "exp-exp-pareto", str(data), "--eta-min", "0.5",
-            "--eta-max", "1.5", "--eta-step", "0.1", "--refine", "0",
-            "--out", str(out)]
+    # the default fit's exponent lies below 1.0, so the bounds move the result
+    argv = ["fit", "--model", "exp-exp-pareto", str(data), "--eta-min", "1.0",
+            "--eta-max", "1.5", "--out", str(out)]
     assert main(argv) == 0
     row = read_out(out)[0]
-    grid = EtaGrid(lower=0.5, upper=1.5, coarse_step=0.1, refinement_rounds=0)
+    grid = EtaGrid(lower=1.0, upper=1.5)
     res = fit(ModelId.EXP_EXP_PARETO, CLAIMS, grid)
     assert float(row["eta"]) == res.eta
+    assert res.eta != fit(ModelId.EXP_EXP_PARETO, CLAIMS).eta
 
 
 def test_fit_exit_codes(tmp_path, capsys):
@@ -368,6 +369,7 @@ def test_json_artifact_and_replay(tmp_path, capsys):
     assert payload["timestamp"] is None
     assert payload["command"] == argv
     assert payload["config"]["model"] == "exp-exp-pareto"
+    assert payload["config"]["grid"] == {"lower": 0.05, "upper": 20.0}
     replayed = replay_artifact(art)
     assert list(replayed.results) == payload["results"]
     capsys.readouterr()

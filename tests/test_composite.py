@@ -175,6 +175,16 @@ def test_sampling_deterministic_and_plausible():
         d.sample(0, seed=1)
 
 
+def test_sampling_overflow_raises():
+    # at eta = 0.05 the tail draws x ** 20 leave the float range
+    d = build(ModelId.EXP_IG_PARETO, 1.0, 0.05)
+    with pytest.raises(OverflowError):
+        d.sample(200, seed=1)
+    with pytest.raises(OverflowError):
+        d.quantile(np.array([0.01, 0.999]))
+    assert math.isfinite(d.quantile(0.01))
+
+
 def test_partial_moment_quadrature_fallback():
     spec = rough_spec()
     # no closed-form partials wired: the methods must integrate

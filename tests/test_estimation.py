@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings, strategies as hst
 from scipy.special import digamma
 
 from expcomposite.estimation import (
+    COARSE_STEP,
+    REFINEMENT_ROUNDS,
     EtaGrid,
     FitFailureError,
-    detect_m,
+    _scan,
     fit,
     theta_profile_exp_pareto,
     theta_profile_ig_pareto,
@@ -82,6 +85,36 @@ def test_profile_maximizes_fixed_split_likelihood(family, profile, data):
 
 
 # -- split detection -------------------------------------------------------
+#
+# detect_m is the scalar oracle for the vectorized scan in fit.
+
+
+def detect_m(eta: float, y, profile):
+    """Smallest m whose profiled breakpoint lands between y_m^eta and y_{m+1}^eta.
+
+    y must be sorted ascending and strictly positive.  Returns (m, theta)
+    or None when no split qualifies; candidate m values whose profile is
+    undefined are skipped.
+    """
+    arr = np.asarray(y, dtype=float)
+    n = arr.size
+    if n < 2:
+        raise ValueError("need at least two observations to split")
+    if not arr[0] > 0.0:
+        raise ValueError("observations must be strictly positive")
+    if np.any(np.diff(arr) < 0.0):
+        raise ValueError("sample must be sorted ascending")
+    powers = arr**eta
+    for m in range(1, n):
+        try:
+            th = profile(eta, m, arr)
+        except ValueError:
+            continue
+        if not (math.isfinite(th) and th > 0.0):
+            continue
+        if powers[m - 1] <= th <= powers[m]:
+            return m, th
+    return None
 
 
 def test_detect_m_worked_example():
@@ -192,35 +225,112 @@ def test_one_parameter_variants_pin_the_exponent():
         assert res.p == 1
 
 
-def test_fit_matches_scalar_reference_search():
-    # the vectorized scan must agree with a plain loop over the same grid
-    grid = EtaGrid(lower=0.5, upper=1.45, coarse_step=0.05, refinement_rounds=0)
-    y = np.sort(SAMPLE)
+FAMILY_CASES = (
+    (ModelId.EXP_EXP_PARETO, theta_profile_exp_pareto, SAMPLE),
+    (ModelId.EXP_IG_PARETO, theta_profile_ig_pareto, SAMPLE_IG),
+)
+
+
+def _oracle_best(model, profile, y, etas):
+    """(nll, eta, m, theta) of the best exponent by detect_m, or None."""
     best = None
-    for eta in grid.points():
-        got = detect_m(eta, y, theta_profile_exp_pareto)
+    for eta in etas:
+        with np.errstate(over="ignore"):  # y**eta overflows at large eta
+            got = detect_m(eta, y, profile)
         if got is None:
             continue
         m, th = got
-        nll = -float(np.sum(build(ModelId.EXP_EXP_PARETO, th, eta).log_pdf(y)))
+        nll = -float(np.sum(build(model, th, eta).log_pdf(y)))
         if best is None or nll < best[0] - 1e-12:
             best = (nll, eta, m, th)
-    res = fit(ModelId.EXP_EXP_PARETO, SAMPLE, grid=grid)
-    assert best is not None
-    assert res.eta == pytest.approx(best[1], abs=1e-12)
-    assert res.m == best[2]
-    assert res.theta == pytest.approx(best[3], rel=1e-10)
-    assert res.nll == pytest.approx(best[0], rel=1e-10)
+    return best
+
+
+def test_fit_matches_scalar_reference_search():
+    # the vectorized scan must agree with a plain loop over every candidate
+    # fit scans: the coarse pass, then each refinement round around the winner
+    grid = EtaGrid(lower=0.5, upper=1.45)
+    for model, profile, data in FAMILY_CASES:
+        y = np.sort(data)
+        best = _oracle_best(model, profile, y, grid.points())
+        step = COARSE_STEP
+        for _ in range(REFINEMENT_ROUNDS):
+            step /= 10.0
+            cand = best[1] + step * np.arange(-10, 11)
+            local = _oracle_best(
+                model, profile, y, np.unique(np.clip(cand, grid.lower, grid.upper))
+            )
+            if local[0] < best[0] - 1e-12:
+                best = local
+        res = fit(model, data, grid=grid)
+        assert res.eta == pytest.approx(best[1], abs=1e-12)
+        assert res.m == best[2]
+        assert res.theta == pytest.approx(best[3], rel=1e-10)
+        assert res.nll == pytest.approx(best[0], rel=1e-10)
 
 
 def test_refinement_never_hurts():
-    coarse = EtaGrid(refinement_rounds=0)
-    fine = EtaGrid(refinement_rounds=2)
-    for model, data in (
-        (ModelId.EXP_EXP_PARETO, SAMPLE),
-        (ModelId.EXP_IG_PARETO, SAMPLE_IG),
-    ):
-        assert fit(model, data, grid=fine).nll <= fit(model, data, grid=coarse).nll + 1e-9
+    # the refined fit never loses to the best coarse exponent
+    for model, profile, data in FAMILY_CASES:
+        coarse = _oracle_best(model, profile, np.sort(data), EtaGrid().points())
+        assert fit(model, data).nll <= coarse[0] + 1e-9
+
+
+# Default fits, bit for bit (eta, theta, m, nll): any change to the search
+# candidates or to the scan's arithmetic shows here.
+FROZEN_FITS = (
+    (200, ModelId.EXP_EXP_PARETO, (0.7695000000000002, 1.0451102067345266, 85, 794.6981034919004)),
+    (200, ModelId.EXP_IG_PARETO, (0.8795000000000002, 0.17201145871514786, 26, 840.351519965214)),
+    (200, ModelId.EXP_PARETO_1P, (1.0, 0.8619648241730761, 77, 802.7884620545778)),
+    (200, ModelId.IG_PARETO_1P, (1.0, 0.08796608587793991, 21, 842.467619468307)),
+    (2000, ModelId.EXP_EXP_PARETO, (1.1325, 2.026844514703799, 850, 8503.47818002488)),
+    (2000, ModelId.EXP_IG_PARETO, (2.0119999999999996, 0.9233525453804501, 579, 8332.687529374636)),
+    (2000, ModelId.EXP_PARETO_1P, (1.0, 2.0370882118266063, 885, 8519.34025596648)),
+    (2000, ModelId.IG_PARETO_1P, (1.0, 2.1713897921993492, 902, 8768.367275625762)),
+)
+
+
+FROZEN_SAMPLES = {200: SAMPLE, 2000: build(ModelId.EXP_IG_PARETO, 1.0, 2.0).sample(2000, seed=3)}
+
+
+@pytest.mark.parametrize("n,model,expected", FROZEN_FITS)
+def test_default_fit_is_frozen(n, model, expected):
+    res = fit(model, FROZEN_SAMPLES[n])
+    assert (res.eta, res.theta, res.m, res.nll) == expected
+
+
+@settings(max_examples=25)
+@given(
+    family=hst.sampled_from(["exp", "ig"]),
+    true_eta=hst.floats(min_value=0.5, max_value=3.0),
+    eta=hst.floats(min_value=0.2, max_value=6.0),
+    n=hst.integers(min_value=10, max_value=120),
+    seed=hst.integers(min_value=0, max_value=2**16),
+)
+def test_scan_picks_the_unique_valid_split(family, true_eta, eta, n, seed):
+    model = ModelId.EXP_EXP_PARETO if family == "exp" else ModelId.EXP_IG_PARETO
+    profile = theta_profile_exp_pareto if family == "exp" else theta_profile_ig_pareto
+    y = np.sort(build(model, 1.0, true_eta).sample(n, seed=seed))
+    z = y / y[-1]  # the scale fit hands to the scan
+    powers = z**eta
+    valid = []
+    for m in range(1, n):
+        try:
+            th = profile(eta, m, z)
+        except ValueError:
+            continue
+        if math.isfinite(th) and th > 0.0 and powers[m - 1] <= th <= powers[m]:
+            valid.append(m)
+    assert len(valid) <= 1
+    logz = np.log(z)
+    prefix_log = np.concatenate(([0.0], np.cumsum(logz)))
+    total_log = float(prefix_log[-1])
+    ll, m_sel, found = _scan(family, np.array([eta]), logz, prefix_log, total_log)
+    assert bool(found[0]) == bool(valid)
+    if valid:
+        assert int(m_sel[0]) == valid[0] and math.isfinite(ll[0])
+    else:
+        assert ll[0] == -math.inf
 
 
 # -- exponent grid ---------------------------------------------------------
@@ -232,9 +342,7 @@ def test_eta_grid_validation():
     with pytest.raises(ValueError):
         EtaGrid(lower=2.0, upper=1.0)
     with pytest.raises(ValueError):
-        EtaGrid(coarse_step=-0.1)
-    with pytest.raises(ValueError):
-        EtaGrid(lower=1.0, upper=1.2, coarse_step=0.1)  # fewer than 10 points
+        EtaGrid(lower=1.0, upper=1.2)  # fewer than 10 points
 
 
 def test_eta_grid_points_cover_range():
@@ -244,7 +352,7 @@ def test_eta_grid_points_cover_range():
     assert pts[-1] == pytest.approx(g.upper, rel=1e-12)
     assert np.all(pts <= g.upper)
     assert np.all(np.diff(pts) > 0.0)
-    assert np.max(np.diff(pts)) <= g.coarse_step * (1.0 + 1e-12)
+    assert np.max(np.diff(pts)) <= COARSE_STEP * (1.0 + 1e-12)
 
 
 # -- baseline fitters ------------------------------------------------------
