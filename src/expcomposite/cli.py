@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimation import BaselineFitResult, EtaGrid, FitFailureError, fit
-from .gof import CRITERIA, score
+from .gof import CRITERIA, _check_criterion, score
 from .models import ModelId, build
 from .simulation import Scenario, reproduce_recovery_tables, run_scenario
 
@@ -239,9 +239,7 @@ def _exec_fit(config: dict) -> list[dict]:
 def _exec_compare(config: dict) -> list[dict]:
     dataset = ingest_csv(config["data"], config["column"], config["scale"])
     grid = EtaGrid(**config["grid"])
-    criterion = config["criterion"]
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+    criterion = _check_criterion(config["criterion"])
     data = dataset.sorted_values()
 
     def blank(model_name, source):
@@ -329,8 +327,8 @@ def _exec_density(config: dict) -> list[dict]:
     order = config.get("limited_moment")
     dist = build(model, theta, eta)
     ys = np.linspace(lo, hi, points)
-    pdf = np.atleast_1d(dist.pdf(ys))
-    cdf = np.atleast_1d(dist.cdf(ys)) if config.get("cdf") else None
+    pdf = dist.pdf(ys)
+    cdf = dist.cdf(ys) if config.get("cdf") else None
     if order is not None:
         # capping at 0 collapses the variable to 0
         lm = np.full(ys.shape, 1.0 if order == 0.0 else 0.0)

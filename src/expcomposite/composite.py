@@ -35,7 +35,13 @@ from typing import Callable
 
 import numpy as np
 
-from .special import QUAD_TOL, adaptive_quadrature, find_root_bracketed
+from .special import (
+    QUAD_TOL,
+    _as_batch,
+    _maybe_scalar,
+    adaptive_quadrature,
+    find_root_bracketed,
+)
 
 __all__ = [
     "InfiniteMomentError",
@@ -241,40 +247,40 @@ class ExponentiatedComposite:
             return self.parent.norm_const * f10
         return math.inf if f10 > 0.0 else 0.0
 
+    def _transformed(self, piece: Callable, y):
+        """c * f(y**eta) * eta * y**(eta - 1) for one parent piece f.
+
+        y**eta can overflow (or the jacobian blow up at tiny y when eta < 1)
+        while the parent density underflows to 0; the density always wins, so
+        a vanished density forces a zero product instead of 0 * inf = nan.
+        """
+        eta = self.exponent
+        with np.errstate(over="ignore", invalid="ignore"):
+            dens = np.asarray(piece(y**eta), dtype=float)
+            return np.where(
+                dens == 0.0, 0.0, self.parent.norm_const * dens * eta * y ** (eta - 1.0)
+            )
+
     def pdf(self, y):
         """Density of Y; zero for y < 0, tail branch at exactly y = breakpoint."""
-        arr = np.asarray(y, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        arr, scalar = _as_batch(y)
         out = np.zeros(arr.shape)
-        eta = self.exponent
-        c = self.parent.norm_const
         yb = self.breakpoint
         head = (arr > 0.0) & (arr < yb)
         tail = arr >= yb
-        # y**eta can overflow (or the jacobian blow up at tiny y when eta < 1)
-        # while the parent density underflows to 0; the density always wins, so
-        # a vanished density forces a zero product instead of 0 * inf = nan.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if head.any():
-                yh = arr[head]
-                dens = np.asarray(self.parent.head_density(yh**eta), dtype=float)
-                out[head] = np.where(dens == 0.0, 0.0, c * dens * eta * yh ** (eta - 1.0))
-            if tail.any():
-                yt = arr[tail]
-                dens = np.asarray(self.parent.tail_density(yt**eta), dtype=float)
-                out[tail] = np.where(dens == 0.0, 0.0, c * dens * eta * yt ** (eta - 1.0))
+        if head.any():
+            out[head] = self._transformed(self.parent.head_density, arr[head])
+        if tail.any():
+            out[tail] = self._transformed(self.parent.tail_density, arr[tail])
         zero = arr == 0.0
         if zero.any():
             out[zero] = self._pdf_at_zero()
         out[np.isnan(arr)] = np.nan
-        return float(out[0]) if scalar else out
+        return _maybe_scalar(out, scalar)
 
     def log_pdf(self, y):
         """log pdf(y) in log space; -inf where the density vanishes."""
-        arr = np.asarray(y, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        arr, scalar = _as_batch(y)
         out = np.full(arr.shape, -math.inf)
         eta = self.exponent
         log_c = math.log(self.parent.norm_const)
@@ -297,14 +303,12 @@ class ExponentiatedComposite:
                     lp = np.log(piece(ym**eta))
             out[mask] = log_c + lp + log_eta + (eta - 1.0) * log_y
         out[np.isnan(arr)] = np.nan
-        return float(out[0]) if scalar else out
+        return _maybe_scalar(out, scalar)
 
     # -- distribution function and inverse --------------------------------
 
     def cdf(self, y):
-        arr = np.asarray(y, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        arr, scalar = _as_batch(y)
         out = np.zeros(arr.shape)
         eta = self.exponent
         c = self.parent.norm_const
@@ -321,16 +325,14 @@ class ExponentiatedComposite:
                 self.parent.tail_cdf(arr[tail] ** eta) - f2_theta
             )
         out[np.isnan(arr)] = np.nan
-        return float(np.clip(out, 0.0, 1.0)[0]) if scalar else np.clip(out, 0.0, 1.0)
+        return _maybe_scalar(np.clip(out, 0.0, 1.0), scalar)
 
     def quantile(self, u):
         """Inverse cdf on (0, 1), closed-form piece inversion when wired.
 
         Raises OverflowError where a quantile exceeds the float range.
         """
-        arr = np.asarray(u, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
+        arr, scalar = _as_batch(u)
         if not np.all((arr > 0.0) & (arr < 1.0)):
             raise ValueError("quantile requires probabilities strictly inside (0, 1)")
         c = self.parent.norm_const
@@ -357,7 +359,7 @@ class ExponentiatedComposite:
             raise OverflowError(
                 f"quantile x**(1/{self.exponent:g}) exceeds the float range"
             )
-        return float(y[0]) if scalar else y
+        return _maybe_scalar(y, scalar)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n inversion draws from a seeded generator; same seed, same draws."""
@@ -420,11 +422,9 @@ class ExponentiatedComposite:
         if not isinstance(q, LimitedMomentQuery):
             q = LimitedMomentQuery(*q)
         t = q.order
-        caps = np.asarray(q.cap, dtype=float)
-        scalar = caps.ndim == 0
-        b = np.atleast_1d(caps)
+        b, scalar = _as_batch(q.cap)
         if t == 0.0:
-            return 1.0 if scalar else np.ones(b.shape)
+            return _maybe_scalar(np.ones(b.shape), scalar)
         eta = self.exponent
         s = t / eta
         parent = self.parent
@@ -448,7 +448,7 @@ class ExponentiatedComposite:
             )
         if not np.isfinite(out).all():
             raise OverflowError(f"limited moment of order {t} exceeds the float range")
-        return float(out[0]) if scalar else out
+        return _maybe_scalar(out, scalar)
 
 
 def _cap_power_times(b: np.ndarray, t: float, w: np.ndarray) -> np.ndarray:
@@ -460,9 +460,9 @@ def _cap_power_times(b: np.ndarray, t: float, w: np.ndarray) -> np.ndarray:
 
 def _each(f: Callable[[float], float], u):
     """Scalar f over every element of u: a float gives a float, an array an array."""
-    arr = np.asarray(u, dtype=float)
+    arr, scalar = _as_batch(u)
     out = np.array([f(float(v)) for v in arr.ravel()], dtype=float).reshape(arr.shape)
-    return float(out) if arr.ndim == 0 else out
+    return _maybe_scalar(out, scalar)
 
 
 def _require_finite_moment(t: float, eta: float, sup: float) -> None:
@@ -504,13 +504,6 @@ class VerificationReport:
         return self.continuity_ok and self.derivative_ok and self.normalization_ok
 
 
-def _transformed_piece(d: ExponentiatedComposite, piece: Callable, y: float) -> float:
-    eta = d.exponent
-    return (
-        d.parent.norm_const * float(piece(y**eta)) * eta * y ** (eta - 1.0)
-    )
-
-
 def verify_composite(
     d: ExponentiatedComposite,
     *,
@@ -522,8 +515,8 @@ def verify_composite(
     normalization defect.  Always returns the diagnostics; thresholds only
     classify them."""
     u = d.breakpoint
-    g1 = lambda y: _transformed_piece(d, d.parent.head_density, y)
-    g2 = lambda y: _transformed_piece(d, d.parent.tail_density, y)
+    g1 = lambda y: float(d._transformed(d.parent.head_density, y))
+    g2 = lambda y: float(d._transformed(d.parent.tail_density, y))
     g1u = g1(u)
     g2u = g2(u)
     denom = g1u if g1u > 0.0 else 1.0
@@ -610,8 +603,6 @@ def exponentiate(parent, eta: float) -> ExponentiatedComposite:
     exponentiations exercises the closure rather than a shortcut on the
     exponents.
     """
-    if not eta > 0.0:
-        raise ValueError(f"exponent must be > 0, got {eta}")
     if isinstance(parent, ExponentiatedComposite):
         return ExponentiatedComposite(as_composite_spec(parent), eta)
     return ExponentiatedComposite(parent, eta)

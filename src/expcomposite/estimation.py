@@ -15,6 +15,7 @@ score equations by bracketed root finding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +49,18 @@ MIN_GRID_POINTS = 10
 # to either side of the incumbent, for a final resolution of 5e-4.
 COARSE_STEP = 0.05
 REFINEMENT_ROUNDS = 2
+# Cells (exponents x observations) per block of the profile scan.  A float
+# temporary of a block is then at most 64 KB up to n = 8192 (a block is one
+# row beyond): it stays in cache and in the memory the C heap keeps between
+# calls.  A whole 400 x n grid at once has each fit at n = 100-200 fault in
+# 1-2 MB of fresh pages, at n = 100 in some processes and not in others,
+# so that the same fits run 30% apart.
+_SCAN_BLOCK = 8192
 
 
 class FitFailureError(RuntimeError):
-    """Raised when no candidate exponent admits a valid breakpoint split."""
+    """Raised when no candidate exponent admits a valid breakpoint split, or
+    the fitted breakpoint parameter leaves the normal float range."""
 
 
 @dataclass(frozen=True)
@@ -215,26 +224,37 @@ def _scan(family, etas, logz, prefix_log, total_log):
     finite, positive and lies in [z_m^eta, z_{m+1}^eta]; a positive theta
     implies a positive exp-family denominator, since the head sum is
     positive.  Returns (ll, m, found), ll = -inf where no m is valid.
+
+    The rows are scanned in blocks of about _SCAN_BLOCK cells, so the
+    temporaries stay small whatever n and the number of exponents are.
     """
     normalizer, profile, loglik = _FAMILIES[family]
     n = logz.size
-    E = np.outer(etas, logz)
-    with np.errstate(over="ignore"):
-        W = np.exp(E)
-        # head power sums of z^eta (exp) or z^-eta (ig, built in E's buffer)
-        power = W if family == "exp" else np.exp(np.negative(E, out=E), out=E)
-        S = np.cumsum(power, axis=1)
-    del E, power
+    splits = np.arange(1, n)
+    found = np.empty(etas.size, dtype=bool)
+    first = np.empty(etas.size, dtype=np.intp)
+    head_sum = np.empty(etas.size)
+    rows = max(1, _SCAN_BLOCK // n)
+    for lo in range(0, etas.size, rows):
+        block = slice(lo, lo + rows)
+        E = np.outer(etas[block], logz)
+        with np.errstate(over="ignore"):
+            W = np.exp(E)
+            # head power sums of z^eta (exp) or z^-eta (ig, built in E's buffer)
+            power = W if family == "exp" else np.exp(np.negative(E, out=E), out=E)
+            S = np.cumsum(power, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            Th = profile(S[:, :-1], splits, n)
+            ok = np.isfinite(Th) & (Th > 0.0) & (W[:, :-1] <= Th) & (Th <= W[:, 1:])
+        found[block] = ok.any(axis=1)
+        first[block] = np.argmax(ok, axis=1)
+        head_sum[block] = S[np.arange(S.shape[0]), first[block]]
+    m = first + 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Th = profile(S[:, :-1], np.arange(1, n), n)
-        ok = np.isfinite(Th) & (Th > 0.0) & (W[:, :-1] <= Th) & (Th <= W[:, 1:])
-        found = ok.any(axis=1)
-        first = np.argmax(ok, axis=1)
-        rows = np.arange(etas.size)
-        m = first + 1
+        # the same elementwise formula as Th, so th is Th at the chosen split
+        th = profile(head_sum, m, n)
         head_log = prefix_log[m]
         ll0 = n * math.log(normalizer()) + n * np.log(etas) + (etas - 1.0) * total_log
-        th, head_sum = Th[rows, first], S[rows, first]
         ll = loglik(ll0, etas, m, th, head_sum, head_log, total_log - head_log, n)
     return np.where(found, ll, -np.inf), m, found
 
@@ -258,7 +278,8 @@ def fit(model: ModelId, y, grid: EtaGrid | None = None):
     BaselineFitResult instead.
 
     Raises FitFailureError when every candidate exponent fails to admit a
-    valid split.
+    valid split, or when the profiled theta at the winning exponent leaves
+    the normal float range on the data's scale.
     """
     arr = np.sort(np.asarray(y, dtype=float).ravel())
     n = arr.size
@@ -310,7 +331,20 @@ def fit(model: ModelId, y, grid: EtaGrid | None = None):
     profile = (
         theta_profile_exp_pareto if family == "exp" else theta_profile_ig_pareto
     )
-    theta_hat = profile(eta_hat, m_hat, arr)
+    # The scan ran on y / max(y); on the data's own scale the head power
+    # sum can overflow or underflow (an ig sum of 0 divides by zero).  A
+    # subnormal theta is refused too: the exp head rate (alpha+1)/theta
+    # overflows there.
+    with np.errstate(over="ignore"):
+        try:
+            theta_hat = profile(eta_hat, m_hat, arr)
+        except ZeroDivisionError:
+            theta_hat = math.inf
+    if not sys.float_info.min <= theta_hat < math.inf:
+        raise FitFailureError(
+            f"{model.value}: the profiled theta = y_b^eta at eta={eta_hat:g} "
+            f"leaves the normal float range ({theta_hat:g}); rescale the data"
+        )
     instance = build(model, theta_hat, eta_hat)
     nll = -float(np.sum(instance.log_pdf(arr)))
     return FitResult(

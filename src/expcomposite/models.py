@@ -26,9 +26,7 @@ from scipy import special as _special
 
 from .composite import CompositeSpec, ExponentiatedComposite
 from .special import (
-    _as_batch,
-    _maybe_scalar,
-    find_root_bracketed,
+    _on_support,
     ln_gamma,
     lower_incomplete_gamma,
     upper_incomplete_gamma,
@@ -45,8 +43,6 @@ __all__ = [
     "exp_pareto_spec",
     "ig_pareto_normalizer",
     "exp_pareto_normalizer",
-    "exp_pareto_alpha_exact",
-    "ig_pareto_k_exact",
     "moment_closed_form",
     "limited_moment_closed_form",
     "WeibullDensity",
@@ -147,23 +143,6 @@ def ig_pareto_normalizer(constants: IgParetoConstants = IG_PARETO) -> float:
     return g / (g + gk)
 
 
-def exp_pareto_alpha_exact() -> float:
-    """Machine-precision root of the continuity identity near the published
-    alpha; useful when a spec with vanishing smoothness gaps is wanted."""
-    return find_root_bracketed(
-        lambda a: (a + 1.0) * math.exp(-(a + 1.0)) - a, 0.2, 0.5
-    )
-
-
-def ig_pareto_k_exact(alpha: float = IG_PARETO.alpha) -> float:
-    """Machine-precision k solving the continuity condition
-    k^alpha e^-k / Gamma(alpha) = alpha - k for the given alpha."""
-    g = math.exp(ln_gamma(alpha))
-    return find_root_bracketed(
-        lambda k: k**alpha * math.exp(-k) / g - (alpha - k), 0.05, 0.3
-    )
-
-
 # -- composite spec builders ----------------------------------------------
 
 
@@ -182,89 +161,46 @@ def ig_pareto_spec(
         raise ValueError(f"theta must be > 0, got {theta}")
     alpha = constants.alpha
     k = constants.k
-    a2 = alpha - k  # Pareto tail exponent
     beta = k * theta
     log_beta = math.log(beta)
     lg = ln_gamma(alpha)
-    log_theta = math.log(theta)
     c = ig_pareto_normalizer(constants) if norm_const is None else norm_const
 
     def head_density(x):
-        arr, scalar = _as_batch(x)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        xp = arr[pos]
-        out[pos] = np.exp(
-            alpha * log_beta - (alpha + 1.0) * np.log(xp) - beta / xp - lg
+        return _on_support(
+            x,
+            _positive,
+            lambda xp: np.exp(
+                alpha * log_beta - (alpha + 1.0) * np.log(xp) - beta / xp - lg
+            ),
         )
-        return _maybe_scalar(out, scalar)
-
-    def tail_density(x):
-        arr, scalar = _as_batch(x)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        out[pos] = a2 * np.exp(a2 * log_theta - (a2 + 1.0) * np.log(arr[pos]))
-        return _maybe_scalar(out, scalar)
 
     def head_cdf(u):
-        arr, scalar = _as_batch(u)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        out[pos] = _special.gammaincc(alpha, beta / arr[pos])
-        return _maybe_scalar(out, scalar)
-
-    def tail_cdf(u):
-        arr, scalar = _as_batch(u)
-        out = np.zeros(arr.shape)
-        above = arr > theta
-        out[above] = -np.expm1(a2 * (log_theta - np.log(arr[above])))
-        return _maybe_scalar(out, scalar)
+        return _on_support(u, _positive, lambda up: _special.gammaincc(alpha, beta / up))
 
     def head_partial_moment(u, r):
-        arr, scalar = _as_batch(u)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        out[pos] = math.exp(r * log_beta - lg) * upper_incomplete_gamma(
-            alpha - r, beta / arr[pos]
+        scale = math.exp(r * log_beta - lg)
+        return _on_support(
+            u, _positive, lambda up: scale * upper_incomplete_gamma(alpha - r, beta / up)
         )
-        return _maybe_scalar(out, scalar)
-
-    def tail_partial_moment(u, r):
-        return _pareto_partial(u, r, theta, a2, log_theta)
-
-    def tail_sf(u):
-        return _pareto_sf(u, theta, a2, log_theta)
 
     def head_log_density(log_x):
         log_x = np.asarray(log_x, dtype=float)
         return alpha * log_beta - (alpha + 1.0) * log_x - beta * np.exp(-log_x) - lg
 
-    def tail_log_density(log_x):
-        log_x = np.asarray(log_x, dtype=float)
-        return math.log(a2) + a2 * log_theta - (a2 + 1.0) * log_x
-
     def head_ppf(q):
         return beta / _special.gammainccinv(alpha, np.asarray(q, dtype=float))
 
-    def tail_ppf(q):
-        return theta * (1.0 - np.asarray(q, dtype=float)) ** (-1.0 / a2)
-
     return CompositeSpec(
         head_density=head_density,
-        tail_density=tail_density,
         breakpoint=theta,
         norm_const=c,
         head_cdf=head_cdf,
-        tail_cdf=tail_cdf,
-        tail_sf=tail_sf,
         head_partial_moment=head_partial_moment,
-        tail_partial_moment=tail_partial_moment,
         head_log_density=head_log_density,
-        tail_log_density=tail_log_density,
         head_ppf=head_ppf,
-        tail_ppf=tail_ppf,
-        tail_moment_sup=a2,
         label="ig-pareto",
+        **_pareto_tail(theta, alpha - k),
     )
 
 
@@ -280,114 +216,112 @@ def exp_pareto_spec(
     alpha = constants.alpha
     rate = (alpha + 1.0) / theta
     log_rate = math.log(rate)
-    log_theta = math.log(theta)
     c = exp_pareto_normalizer(constants) if norm_const is None else norm_const
 
     def head_density(x):
-        arr, scalar = _as_batch(x)
-        out = np.zeros(arr.shape)
-        ok = arr >= 0.0
-        out[ok] = rate * np.exp(-rate * arr[ok])
-        return _maybe_scalar(out, scalar)
-
-    def tail_density(x):
-        arr, scalar = _as_batch(x)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        out[pos] = alpha * np.exp(alpha * log_theta - (alpha + 1.0) * np.log(arr[pos]))
-        return _maybe_scalar(out, scalar)
+        # closed at 0, where the one-parameter variant's density is c * rate
+        return _on_support(x, _nonnegative, lambda xp: rate * np.exp(-rate * xp))
 
     def head_cdf(u):
-        arr, scalar = _as_batch(u)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        out[pos] = -np.expm1(-rate * arr[pos])
-        return _maybe_scalar(out, scalar)
-
-    def tail_cdf(u):
-        arr, scalar = _as_batch(u)
-        out = np.zeros(arr.shape)
-        above = arr > theta
-        out[above] = -np.expm1(alpha * (log_theta - np.log(arr[above])))
-        return _maybe_scalar(out, scalar)
+        return _on_support(u, _positive, lambda up: -np.expm1(-rate * up))
 
     def head_partial_moment(u, r):
-        arr, scalar = _as_batch(u)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        out[pos] = math.exp(-r * log_rate) * lower_incomplete_gamma(
-            r + 1.0, rate * arr[pos]
+        scale = math.exp(-r * log_rate)
+        return _on_support(
+            u, _positive, lambda up: scale * lower_incomplete_gamma(r + 1.0, rate * up)
         )
-        return _maybe_scalar(out, scalar)
-
-    def tail_partial_moment(u, r):
-        return _pareto_partial(u, r, theta, alpha, log_theta)
-
-    def tail_sf(u):
-        return _pareto_sf(u, theta, alpha, log_theta)
 
     def head_log_density(log_x):
         log_x = np.asarray(log_x, dtype=float)
         with np.errstate(over="ignore"):
             return log_rate - rate * np.exp(log_x)
 
-    def tail_log_density(log_x):
-        log_x = np.asarray(log_x, dtype=float)
-        return math.log(alpha) + alpha * log_theta - (alpha + 1.0) * log_x
-
     def head_ppf(q):
         return -np.log1p(-np.asarray(q, dtype=float)) / rate
 
-    def tail_ppf(q):
-        return theta * (1.0 - np.asarray(q, dtype=float)) ** (-1.0 / alpha)
-
     return CompositeSpec(
         head_density=head_density,
-        tail_density=tail_density,
         breakpoint=theta,
         norm_const=c,
         head_cdf=head_cdf,
-        tail_cdf=tail_cdf,
-        tail_sf=tail_sf,
         head_partial_moment=head_partial_moment,
-        tail_partial_moment=tail_partial_moment,
         head_log_density=head_log_density,
-        tail_log_density=tail_log_density,
         head_ppf=head_ppf,
-        tail_ppf=tail_ppf,
-        tail_moment_sup=alpha,
         label="exp-pareto",
+        **_pareto_tail(theta, alpha),
     )
 
 
-def _pareto_partial(u, r: float, theta: float, exponent: float, log_theta: float):
-    """int_theta^u x^r * exponent * theta^exponent * x^-(exponent+1) dx.
+def _positive(a: np.ndarray) -> np.ndarray:
+    return a > 0.0
 
-    Elementwise over u; u = inf gives the raw-moment tail term
-    exponent * theta^r / (exponent - r) when r < exponent.  Written as
-    theta^d * expm1(d * log(u/theta)) / d with d = r - exponent, so r near
-    the exponent loses no digits to cancellation.
+
+def _nonnegative(a: np.ndarray) -> np.ndarray:
+    return a >= 0.0
+
+
+def _pareto_tail(theta: float, exponent: float) -> dict:
+    """The CompositeSpec tail fields of a Pareto tail on [theta, inf).
+
+    The density is exponent * theta^exponent * x^-(exponent+1); its
+    formula holds for every x > 0, so the smoothness checks can evaluate
+    it just below theta.  The cdf, survival and partial moment count
+    mass from theta on.  exponent is also the tail's moment supremum.
     """
-    arr, scalar = _as_batch(u)
-    out = np.zeros(arr.shape)
-    above = arr > theta
-    scale = exponent * math.exp(exponent * log_theta)
-    log_ratio = np.log(arr[above]) - log_theta
-    d = r - exponent
-    if d == 0.0:
-        out[above] = scale * log_ratio
-    else:
-        out[above] = scale * math.exp(d * log_theta) * np.expm1(d * log_ratio) / d
-    return _maybe_scalar(out, scalar)
+    log_theta = math.log(theta)
 
+    def above(a):
+        return a > theta
 
-def _pareto_sf(u, theta: float, exponent: float, log_theta: float):
-    """Pareto tail survival (theta/u)^exponent, one at and below theta."""
-    arr, scalar = _as_batch(u)
-    out = np.ones(arr.shape)
-    above = arr > theta
-    out[above] = np.exp(exponent * (log_theta - np.log(arr[above])))
-    return _maybe_scalar(out, scalar)
+    def log_sf(ua):
+        return exponent * (log_theta - np.log(ua))
+
+    def tail_density(x):
+        return _on_support(
+            x,
+            _positive,
+            lambda xp: exponent
+            * np.exp(exponent * log_theta - (exponent + 1.0) * np.log(xp)),
+        )
+
+    def tail_cdf(u):
+        return _on_support(u, above, lambda ua: -np.expm1(log_sf(ua)))
+
+    def tail_sf(u):
+        return _on_support(u, above, lambda ua: np.exp(log_sf(ua)), fill=1.0)
+
+    def tail_partial_moment(u, r):
+        # int_theta^u x^r f2(x) dx; u = inf gives exponent * theta^r /
+        # (exponent - r) when r < exponent.  Written as theta^d *
+        # expm1(d * log(u/theta)) / d with d = r - exponent, so r near the
+        # exponent loses no digits to cancellation.
+        scale = exponent * math.exp(exponent * log_theta)
+        d = r - exponent
+
+        def partial(ua):
+            log_ratio = np.log(ua) - log_theta
+            if d == 0.0:
+                return scale * log_ratio
+            return scale * math.exp(d * log_theta) * np.expm1(d * log_ratio) / d
+
+        return _on_support(u, above, partial)
+
+    def tail_log_density(log_x):
+        log_x = np.asarray(log_x, dtype=float)
+        return math.log(exponent) + exponent * log_theta - (exponent + 1.0) * log_x
+
+    def tail_ppf(q):
+        return theta * (1.0 - np.asarray(q, dtype=float)) ** (-1.0 / exponent)
+
+    return dict(
+        tail_density=tail_density,
+        tail_cdf=tail_cdf,
+        tail_sf=tail_sf,
+        tail_partial_moment=tail_partial_moment,
+        tail_log_density=tail_log_density,
+        tail_ppf=tail_ppf,
+        tail_moment_sup=exponent,
+    )
 
 
 # -- baselines -------------------------------------------------------------
@@ -405,40 +339,33 @@ class WeibullDensity:
             raise ValueError("Weibull shape and scale must be positive")
 
     def pdf(self, y):
-        arr, scalar = _as_batch(y)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        z = arr[pos] / self.scale
-        out[pos] = (self.shape / self.scale) * z ** (self.shape - 1.0) * np.exp(
-            -(z**self.shape)
-        )
-        zero = arr == 0.0
-        if zero.any():
-            if self.shape == 1.0:
-                out[zero] = 1.0 / self.scale
-            elif self.shape < 1.0:
-                out[zero] = math.inf
-        return _maybe_scalar(out, scalar)
+        def density(yp):
+            z = np.abs(yp) / self.scale  # abs: -0.0 counts as 0
+            return (self.shape / self.scale) * z ** (self.shape - 1.0) * np.exp(
+                -(z**self.shape)
+            )
+
+        # at y = 0 the formula gives the density's limit: 1/scale for shape
+        # 1, inf below and 0 above
+        with np.errstate(divide="ignore"):
+            return _on_support(y, _nonnegative, density)
 
     def log_pdf(self, y):
-        arr, scalar = _as_batch(y)
-        out = np.full(arr.shape, -math.inf)
-        pos = arr > 0.0
-        log_z = np.log(arr[pos]) - math.log(self.scale)
-        out[pos] = (
-            math.log(self.shape)
-            - math.log(self.scale)
-            + (self.shape - 1.0) * log_z
-            - np.exp(self.shape * log_z)
-        )
-        return _maybe_scalar(out, scalar)
+        def log_density(yp):
+            log_z = np.log(yp) - math.log(self.scale)
+            return (
+                math.log(self.shape)
+                - math.log(self.scale)
+                + (self.shape - 1.0) * log_z
+                - np.exp(self.shape * log_z)
+            )
+
+        return _on_support(y, _positive, log_density, fill=-math.inf)
 
     def cdf(self, y):
-        arr, scalar = _as_batch(y)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        out[pos] = -np.expm1(-((arr[pos] / self.scale) ** self.shape))
-        return _maybe_scalar(out, scalar)
+        return _on_support(
+            y, _positive, lambda yp: -np.expm1(-((yp / self.scale) ** self.shape))
+        )
 
 
 @dataclass(frozen=True)
@@ -452,38 +379,24 @@ class InverseGammaDensity:
         if not (self.shape > 0.0 and self.scale > 0.0):
             raise ValueError("inverse gamma shape and scale must be positive")
 
-    def pdf(self, y):
-        arr, scalar = _as_batch(y)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        yp = arr[pos]
-        out[pos] = np.exp(
+    def _log_density(self, yp: np.ndarray) -> np.ndarray:
+        return (
             self.shape * math.log(self.scale)
             - (self.shape + 1.0) * np.log(yp)
             - self.scale / yp
             - ln_gamma(self.shape)
         )
-        return _maybe_scalar(out, scalar)
+
+    def pdf(self, y):
+        return _on_support(y, _positive, lambda yp: np.exp(self._log_density(yp)))
 
     def log_pdf(self, y):
-        arr, scalar = _as_batch(y)
-        out = np.full(arr.shape, -math.inf)
-        pos = arr > 0.0
-        yp = arr[pos]
-        out[pos] = (
-            self.shape * math.log(self.scale)
-            - (self.shape + 1.0) * np.log(yp)
-            - self.scale / yp
-            - ln_gamma(self.shape)
-        )
-        return _maybe_scalar(out, scalar)
+        return _on_support(y, _positive, self._log_density, fill=-math.inf)
 
     def cdf(self, y):
-        arr, scalar = _as_batch(y)
-        out = np.zeros(arr.shape)
-        pos = arr > 0.0
-        out[pos] = _special.gammaincc(self.shape, self.scale / arr[pos])
-        return _maybe_scalar(out, scalar)
+        return _on_support(
+            y, _positive, lambda yp: _special.gammaincc(self.shape, self.scale / yp)
+        )
 
 
 # -- catalog entry points --------------------------------------------------
@@ -501,15 +414,11 @@ def build(model: ModelId, theta: float, eta: float = 1.0):
         return WeibullDensity(shape=theta, scale=eta)
     if model is ModelId.INVERSE_GAMMA:
         return InverseGammaDensity(shape=theta, scale=eta)
-    if not theta > 0.0:
-        raise ValueError(f"theta must be > 0, got {theta}")
-    if not eta > 0.0:
-        raise ValueError(f"eta must be > 0, got {eta}")
+    family = model.composite_family
+    spec = ig_pareto_spec(theta) if family == "ig" else exp_pareto_spec(theta)
     fixed = model.fixed_exponent
     if fixed is not None and eta != fixed:
         raise ValueError(f"{model.value} fixes eta = {fixed}, got {eta}")
-    family = model.composite_family
-    spec = ig_pareto_spec(theta) if family == "ig" else exp_pareto_spec(theta)
     return ExponentiatedComposite(spec, eta)
 
 

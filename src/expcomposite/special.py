@@ -76,6 +76,18 @@ def _maybe_scalar(out: np.ndarray, scalar: bool):
     return float(out[0]) if scalar else out
 
 
+def _on_support(x, support: Callable, f: Callable, fill: float = 0.0):
+    """f on the elements of x where support(x) holds, fill elsewhere.
+
+    A float x gives a float, an array an array.
+    """
+    arr, scalar = _as_batch(x)
+    out = np.full(arr.shape, fill)
+    mask = support(arr)
+    out[mask] = f(arr[mask])
+    return _maybe_scalar(out, scalar)
+
+
 def _upper_positive(a: float, x: np.ndarray) -> np.ndarray:
     # Unregularized Gamma(a, x) for a > 0, x >= 0, computed in log space so a
     # large Gamma(a) cannot overflow an otherwise moderate result.

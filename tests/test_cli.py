@@ -246,6 +246,19 @@ def test_compare_reports_partial_failures(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_compare_lists_theta_overflow_as_failed(tmp_path, capsys):
+    huge = build(ModelId.EXP_IG_PARETO, 1.0, 5.0).sample(200, seed=1) * 1e70
+    data = write_csv(tmp_path / "huge.csv", huge)
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", str(data), "--models",
+                 "exp-ig-pareto,ig-pareto-1p", "--out", str(out)]) == 0
+    by_model = {r["model"]: r for r in read_out(out)}
+    assert by_model["exp-ig-pareto"]["status"] == "failed"
+    assert "leaves the normal float range" in by_model["exp-ig-pareto"]["note"]
+    assert by_model["ig-pareto-1p"]["rank"] == "1"
+    capsys.readouterr()
+
+
 def test_compare_total_failure_exits_two(tmp_path, capsys):
     flat = write_csv(tmp_path / "flat.csv", [5.0] * 12)
     code = main(["compare", str(flat), "--models", "exp-exp-pareto,exp-ig-pareto"])

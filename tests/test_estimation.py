@@ -8,6 +8,7 @@ import scipy.stats as st
 from hypothesis import given, settings, strategies as hst
 from scipy.special import digamma
 
+from expcomposite import estimation
 from expcomposite.estimation import (
     COARSE_STEP,
     REFINEMENT_ROUNDS,
@@ -176,6 +177,24 @@ def test_fit_failure_on_degenerate_data():
             fit(model, flat)
 
 
+@pytest.mark.parametrize(
+    "model,scale",
+    [
+        (model, scale)
+        for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO)
+        for scale in (1e70, 1e-70)
+    ]
+    # a subnormal theta, whose exp head rate (alpha+1)/theta overflows
+    + [(ModelId.EXP_EXP_PARETO, 1e-60)],
+)
+def test_fit_refuses_theta_outside_float_range(model, scale):
+    # the scan runs on y / max(y) and finds a split, but theta = y_b^eta at
+    # the fitted eta near 5 overflows (or underflows) on the data's scale
+    y = build(model, 1.0, 5.0).sample(200, seed=1) * scale
+    with pytest.raises(FitFailureError, match="leaves the normal float range"):
+        fit(model, y)
+
+
 def test_fit_recovers_truth_loosely():
     y = build(ModelId.EXP_EXP_PARETO, 1.0, 0.8).sample(400, seed=3)
     res = fit(ModelId.EXP_EXP_PARETO, y)
@@ -297,6 +316,20 @@ FROZEN_SAMPLES = {200: SAMPLE, 2000: build(ModelId.EXP_IG_PARETO, 1.0, 2.0).samp
 def test_default_fit_is_frozen(n, model, expected):
     res = fit(model, FROZEN_SAMPLES[n])
     assert (res.eta, res.theta, res.m, res.nll) == expected
+
+
+@pytest.mark.parametrize("family,data", [("exp", SAMPLE), ("ig", SAMPLE_IG)])
+@pytest.mark.parametrize("block", [1, 450, 10**9])
+def test_scan_is_the_same_in_any_row_blocks(monkeypatch, family, data, block):
+    # 1 and 450 cells give one and two rows per block at n = 200, 10**9 one
+    # block for the whole grid; every block size must give the same bits
+    logz = np.log(np.sort(data) / data.max())
+    prefix_log = np.concatenate(([0.0], np.cumsum(logz)))
+    args = (family, EtaGrid().points(), logz, prefix_log, float(prefix_log[-1]))
+    expected = _scan(*args)
+    monkeypatch.setattr(estimation, "_SCAN_BLOCK", block)
+    for got, want in zip(_scan(*args), expected):
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25)

@@ -23,21 +23,37 @@ from expcomposite.models import (
     ModelId,
     WeibullDensity,
     build,
-    exp_pareto_alpha_exact,
     exp_pareto_normalizer,
     exp_pareto_spec,
-    ig_pareto_k_exact,
     ig_pareto_normalizer,
     ig_pareto_spec,
     limited_moment_closed_form,
     moment_closed_form,
 )
+from expcomposite.special import find_root_bracketed, ln_gamma
 
 C_EXP = 0.57446386862890377
 C_IG = 0.71138399605635839
 
 
 # -- stored constants and exact helpers ------------------------------------
+
+
+def exp_pareto_alpha_exact() -> float:
+    """Machine-precision root of the continuity identity near the published
+    alpha; useful when a spec with vanishing smoothness gaps is wanted."""
+    return find_root_bracketed(
+        lambda a: (a + 1.0) * math.exp(-(a + 1.0)) - a, 0.2, 0.5
+    )
+
+
+def ig_pareto_k_exact(alpha: float = IG_PARETO.alpha) -> float:
+    """Machine-precision k solving the continuity condition
+    k^alpha e^-k / Gamma(alpha) = alpha - k for the given alpha."""
+    g = math.exp(ln_gamma(alpha))
+    return find_root_bracketed(
+        lambda k: k**alpha * math.exp(-k) / g - (alpha - k), 0.05, 0.3
+    )
 
 
 def test_exp_pareto_alpha_satisfies_continuity():
@@ -155,6 +171,87 @@ def test_exponentiated_density_spots():
 def test_breakpoint_belongs_to_tail():
     d = build(ModelId.EXP_EXP_PARETO, 1.0, 1.0)
     assert d.pdf(1.0) == pytest.approx(C_EXP * EXP_PARETO.alpha, rel=1e-13)
+
+
+# -- frozen spec pieces ----------------------------------------------------
+#
+# Every wired piece of both family specs, pinned bit for bit.  x runs over
+# 0, theta/2, theta and 3 theta; the partial moments add u = inf and take
+# r = 0.1 or r = the tail exponent (the tail's d == 0 branch); the log
+# densities take log x for the three positive points; the ppfs take
+# q = 0, 0.3 and 0.9.
+
+PIECE_SPECS = {
+    "ig": (ig_pareto_spec, 2.5, IG_PARETO.alpha - IG_PARETO.k),
+    "exp": (exp_pareto_spec, 0.8, EXP_PARETO.alpha),
+}
+
+PIECES_FROZEN = (
+    ("ig", "head_density", None, [0.0, 0.14057539022571283, 0.06557875980546558, 0.017153008826936027]),
+    ("ig", "tail_density", None, [0.0, 0.1469421621155319, 0.06557879999999999, 0.018256587894824712]),
+    ("ig", "head_cdf", None, [0.0, 0.28705946048891906, 0.4057105663658709, 0.5670452421632652]),
+    ("ig", "tail_cdf", None, [0.0, 0.0, 0.0, 0.16482516172186534]),
+    ("ig", "tail_sf", None, [1.0, 1.0, 1.0, 0.8351748382781347]),
+    ("ig", "head_partial_moment", 0.1, [0.0, 0.26784695220687815, 0.39342817334509317, 0.5799062189389833, 1.3661358386896718]),
+    ("ig", "head_partial_moment", "tail", [0.0, 0.256765238560354, 0.38701602194376056, 0.5916973797361048, 1.8850949894268423]),
+    ("ig", "tail_partial_moment", 0.1, [0.0, 0.0, 0.0, 0.19062330626017135, 2.809812240467531]),
+    ("ig", "tail_partial_moment", "tail", [0.0, 0.0, 0.0, 0.2093095274785184, math.inf]),
+    ("ig", "head_log_density", None, [-1.9620113488823265, -2.724503418914542, -4.065581678954452]),
+    ("ig", "tail_log_density", None, [-1.9177162246235084, -2.724502805994715, -4.003229283553095]),
+    ("ig", "head_ppf", None, [0.0, 1.3456254696825067, 901.8803575328147]),
+    ("ig", "tail_ppf", None, [2.5, 22.0175755971158, 3143924.981101502]),
+    ("exp", "head_density", None, [1.68747, 0.8591964953787036, 0.43747066180201516, 0.02940185138999841]),
+    ("exp", "tail_density", None, [0.0, 1.115145524072989, 0.43747, 0.09927640296358135]),
+    ("exp", "head_cdf", None, [0.0, 0.4908374694787442, 0.7407535175131912, 0.9825763709043726]),
+    ("exp", "tail_cdf", None, [0.0, 0.0, 0.0, 0.3192008391644132]),
+    ("exp", "tail_sf", None, [1.0, 1.0, 1.0, 0.6807991608355868]),
+    ("exp", "head_partial_moment", 0.1, [0.0, 0.400434432614014, 0.6365884979950062, 0.8834399703668395, 0.9028530466521809]),
+    ("exp", "head_partial_moment", "tail", [0.0, 0.250385493504726, 0.45571566593790486, 0.7165644006169939, 0.7420369544001123]),
+    ("exp", "tail_partial_moment", 0.1, [0.0, 0.0, 0.0, 0.328791963366878, 1.3691434321838094]),
+    ("exp", "tail_partial_moment", "tail", [0.0, 0.0, 0.0, 0.35560391772579925, math.inf]),
+    ("exp", "head_log_density", None, [-0.15175763417125654, -0.8267456341712566, -3.526697634171257]),
+    ("exp", "tail_log_density", None, [0.10898491125942567, -0.8267471469641672, -2.3098473699711874]),
+    ("exp", "head_ppf", None, [0.0, 0.21136668737146871, 1.3645191280402293]),
+    ("exp", "tail_ppf", None, [0.8, 2.2166512277418344, 576.0083457529907]),
+)
+
+
+@pytest.mark.parametrize("family,piece,order,want", PIECES_FROZEN)
+def test_spec_pieces_frozen(family, piece, order, want):
+    make, theta, tail_exponent = PIECE_SPECS[family]
+    f = getattr(make(theta), piece)
+    xs = [0.0, theta / 2, theta, 3 * theta]
+    if piece.endswith("partial_moment"):
+        r = tail_exponent if order == "tail" else order
+        got = [f(u, r) for u in xs + [math.inf]]
+    elif piece.endswith("log_density"):
+        got = [float(f(math.log(x))) for x in xs[1:]]
+    elif piece.endswith("ppf"):
+        got = [float(f(q)) for q in (0.0, 0.3, 0.9)]
+    else:
+        got = [f(x) for x in xs]
+    assert got == want
+
+
+BASELINES_FROZEN = (
+    (WeibullDensity(0.5, 1.5), "pdf", [0.0, math.inf, 0.32411515375053684, 0.09097651676700885]),
+    (WeibullDensity(0.5, 1.5), "cdf", [0.0, 0.0, 0.43861608620107184, 0.6848481013277976]),
+    (WeibullDensity(1.0, 1.5), "pdf", [0.0, 0.6666666666666666, 0.47768754038252614, 0.1757314254104845]),
+    (WeibullDensity(1.0, 1.5), "cdf", [0.0, 0.0, 0.28346868942621073, 0.7364028618842732]),
+    (WeibullDensity(2.0, 1.5), "pdf", [0.0, 0.0, 0.3977063630286088, 0.3004681162774508]),
+    (WeibullDensity(2.0, 1.5), "cdf", [0.0, 0.0, 0.10516068318563022, 0.8309866845939339]),
+    (WeibullDensity(2.0, 1.5), "log_pdf", [-math.inf, -math.inf, -0.9220413273274398, -1.2024136328742159]),
+    (InverseGammaDensity(2.5, 1.5), "pdf", [0.0, 0.0, 1.1676521599113945, 0.08654980657806856]),
+    (InverseGammaDensity(2.5, 1.5), "log_pdf", [-math.inf, -math.inf, 0.1549950317572999, -2.447035232162317]),
+    (InverseGammaDensity(2.5, 1.5), "cdf", [0.0, 0.0, 0.30621891841327875, 0.9130698145443954]),
+)
+
+
+@pytest.mark.parametrize("density,method,want", BASELINES_FROZEN)
+def test_baseline_pieces_frozen(density, method, want):
+    # y = 0 holds the Weibull zero conventions: inf below shape 1,
+    # 1/scale at shape 1, 0 above
+    assert [getattr(density, method)(y) for y in (-1.0, 0.0, 0.5, 2.0)] == want
 
 
 # -- closed-form moments ---------------------------------------------------
