@@ -15,7 +15,6 @@ from .composite import (
     VerificationReport,
     as_composite_spec,
     exponentiate,
-    parent_moment,
     verify_composite,
 )
 from .estimation import (
@@ -31,8 +30,6 @@ from .gof import CRITERIA, GofRow, compare, rankings, score
 from .models import (
     EXP_PARETO,
     IG_PARETO,
-    ExpParetoConstants,
-    IgParetoConstants,
     InverseGammaDensity,
     ModelId,
     WeibullDensity,
@@ -66,13 +63,11 @@ __all__ = [
     "CRITERIA",
     "EXP_PARETO",
     "EtaGrid",
-    "ExpParetoConstants",
     "ExponentiatedComposite",
     "FitFailureError",
     "FitResult",
     "GofRow",
     "IG_PARETO",
-    "IgParetoConstants",
     "InfiniteMomentError",
     "InverseGammaDensity",
     "LimitedMomentQuery",
@@ -96,7 +91,6 @@ __all__ = [
     "ln_gamma",
     "lower_incomplete_gamma",
     "moment_closed_form",
-    "parent_moment",
     "rankings",
     "reproduce_recovery_tables",
     "run_scenario",

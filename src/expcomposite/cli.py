@@ -320,8 +320,8 @@ def _exec_density(config: dict) -> list[dict]:
         raise ValueError("density curves are emitted for the composite models")
     theta, eta = config["theta"], config["eta"]
     lo, hi, points = config["lo"], config["hi"], config["points"]
-    if not (0.0 <= lo < hi):
-        raise ValueError(f"invalid range: need 0 <= lo < hi, got [{lo}, {hi}]")
+    if not (0.0 <= lo < hi < math.inf):
+        raise ValueError(f"invalid range: need 0 <= lo < hi < inf, got [{lo}, {hi}]")
     if points < 2:
         raise ValueError(f"need at least 2 points, got {points}")
     order = config.get("limited_moment")
@@ -527,9 +527,11 @@ def cmd_compare(args, argv: list[str]) -> int:
     models = [name.strip() for name in args.models.split(",") if name.strip()]
     if len(models) < 2:
         raise ValueError("compare needs at least two models")
-    for name in models:
+    for i, name in enumerate(models):
         if name not in ALL_MODEL_CHOICES:
             raise ValueError(f"unknown model {name!r}; choices: {ALL_MODEL_CHOICES}")
+        if name in models[:i]:
+            raise ValueError(f"model {name!r} is listed twice")
     config = {
         "subcommand": "compare",
         "data": args.data,

@@ -36,7 +36,6 @@ from typing import Callable
 import numpy as np
 
 from .special import (
-    QUAD_TOL,
     _as_batch,
     _maybe_scalar,
     adaptive_quadrature,
@@ -51,14 +50,13 @@ __all__ = [
     "VerificationReport",
     "exponentiate",
     "as_composite_spec",
-    "parent_moment",
     "verify_composite",
 ]
 
 # Relative step for the central-difference derivative checks.
 DERIVATIVE_STEP_REL = 1e-6
 
-# Default relative tolerances for verify_composite, sized for models whose
+# Relative tolerances of verify_composite, sized for models whose
 # constants are stored at printed precision.  Exactly solved constants land
 # orders of magnitude below these.
 CONTINUITY_TOL = 1e-5
@@ -117,7 +115,6 @@ class CompositeSpec:
     head_ppf: Callable | None = None  # inverse of head_cdf
     tail_ppf: Callable | None = None  # inverse of tail_cdf
     tail_moment_sup: float = math.inf
-    label: str = "composite"
 
     def __post_init__(self) -> None:
         if not self.breakpoint > 0.0:
@@ -220,8 +217,8 @@ class ExponentiatedComposite:
     exponent: float
 
     def __post_init__(self) -> None:
-        if not self.exponent > 0.0:
-            raise ValueError(f"exponent must be > 0, got {self.exponent}")
+        if not 0.0 < self.exponent < math.inf:
+            raise ValueError(f"exponent must be positive and finite, got {self.exponent}")
 
     @property
     def breakpoint(self) -> float:
@@ -388,22 +385,6 @@ class ExponentiatedComposite:
             - float(parent.tail_partial(theta, s))
         )
 
-    def moment_numeric(self, t: float, *, tol: float = QUAD_TOL) -> float:
-        """E[Y^t] by quadrature on the y scale.
-
-        Divergence is decided by comparing t/eta with the declared tail
-        exponent, never by integrating.
-        """
-        _require_finite_moment(t, self.exponent, self.parent.tail_moment_sup)
-        res = adaptive_quadrature(
-            lambda y: y**t * float(self.pdf(y)),
-            0.0,
-            math.inf,
-            breakpoints=[self.breakpoint],
-            tol=tol,
-        )
-        return res.value
-
     def limited_moment(self, q):
         """E[(Y ^ b)^t], elementwise over the cap b like pdf and cdf.
 
@@ -483,9 +464,10 @@ class VerificationReport:
     continuity_gap: float  # |g1 - g2| / g1 at the breakpoint
     derivative_gap: float  # |g1' - g2'| / max(1, |g1'|), central differences
     normalization_defect: float  # |integral of pdf - 1|
-    continuity_tol: float = CONTINUITY_TOL
-    derivative_tol: float = DERIVATIVE_TOL
-    normalization_tol: float = NORMALIZATION_TOL
+    # plain class attributes, not fields: every report uses these thresholds
+    continuity_tol = CONTINUITY_TOL
+    derivative_tol = DERIVATIVE_TOL
+    normalization_tol = NORMALIZATION_TOL
 
     @property
     def continuity_ok(self) -> bool:
@@ -504,16 +486,10 @@ class VerificationReport:
         return self.continuity_ok and self.derivative_ok and self.normalization_ok
 
 
-def verify_composite(
-    d: ExponentiatedComposite,
-    *,
-    continuity_tol: float = CONTINUITY_TOL,
-    derivative_tol: float = DERIVATIVE_TOL,
-    normalization_tol: float = NORMALIZATION_TOL,
-) -> VerificationReport:
+def verify_composite(d: ExponentiatedComposite) -> VerificationReport:
     """Measure continuity/differentiability gaps at the breakpoint and the
-    normalization defect.  Always returns the diagnostics; thresholds only
-    classify them."""
+    normalization defect.  Always returns the diagnostics; the fixed
+    thresholds only classify them."""
     u = d.breakpoint
     g1 = lambda y: float(d._transformed(d.parent.head_density, y))
     g2 = lambda y: float(d._transformed(d.parent.tail_density, y))
@@ -536,9 +512,6 @@ def verify_composite(
         continuity_gap=continuity_gap,
         derivative_gap=derivative_gap,
         normalization_defect=normalization_defect,
-        continuity_tol=continuity_tol,
-        derivative_tol=derivative_tol,
-        normalization_tol=normalization_tol,
     )
 
 
@@ -591,7 +564,6 @@ def as_composite_spec(d: ExponentiatedComposite) -> CompositeSpec:
         head_ppf=promote_ppf(parent.head_ppf),
         tail_ppf=promote_ppf(parent.tail_ppf),
         tail_moment_sup=eta * parent.tail_moment_sup,
-        label=f"{parent.label}**(1/{eta:g})",
     )
 
 
@@ -606,19 +578,3 @@ def exponentiate(parent, eta: float) -> ExponentiatedComposite:
     if isinstance(parent, ExponentiatedComposite):
         return ExponentiatedComposite(as_composite_spec(parent), eta)
     return ExponentiatedComposite(parent, eta)
-
-
-def parent_moment(spec: CompositeSpec, r: float, *, tol: float = QUAD_TOL) -> float:
-    """Fractional parent moment E[X^r] by quadrature on the x scale."""
-    _require_finite_moment(r, 1.0, spec.tail_moment_sup)
-    c = spec.norm_const
-    head = adaptive_quadrature(
-        lambda x: x**r * float(spec.head_density(x)), 0.0, spec.breakpoint, tol=tol
-    )
-    tail = adaptive_quadrature(
-        lambda x: x**r * float(spec.tail_density(x)),
-        spec.breakpoint,
-        math.inf,
-        tol=tol,
-    )
-    return c * (head.value + tail.value)

@@ -73,8 +73,10 @@ class EtaGrid:
     def __post_init__(self) -> None:
         if not self.lower > 0.0:
             raise ValueError(f"grid lower bound must be > 0, got {self.lower}")
-        if not self.upper > self.lower:
-            raise ValueError("grid upper bound must exceed the lower bound")
+        if not self.lower < self.upper < math.inf:
+            raise ValueError(
+                f"grid upper bound must be finite and exceed the lower bound, got {self.upper}"
+            )
         if self.points().size < MIN_GRID_POINTS:
             raise ValueError(f"grid must contain at least {MIN_GRID_POINTS} points")
 

@@ -33,8 +33,6 @@ from .special import (
 )
 
 __all__ = [
-    "IgParetoConstants",
-    "ExpParetoConstants",
     "IG_PARETO",
     "EXP_PARETO",
     "ModelId",
@@ -91,80 +89,66 @@ class ModelId(Enum):
 
     @property
     def param_count(self) -> int:
-        return _PARAM_COUNT[self]
+        """1 when the exponent is fixed, else 2."""
+        return 2 if self.fixed_exponent is None else 1
 
     @property
     def is_composite(self) -> bool:
-        return self in _COMPOSITE_FAMILY
+        return self in _COMPOSITE
 
     @property
     def composite_family(self) -> str:
         """'ig' or 'exp' for composite ids; raises otherwise."""
         try:
-            return _COMPOSITE_FAMILY[self]
+            return _COMPOSITE[self][0]
         except KeyError:
             raise ValueError(f"{self} is not a composite family") from None
 
     @property
     def fixed_exponent(self) -> float | None:
         """1.0 for the one-parameter variants, else None."""
-        return 1.0 if self in (ModelId.IG_PARETO_1P, ModelId.EXP_PARETO_1P) else None
+        return _COMPOSITE.get(self, (None, None))[1]
 
 
-_PARAM_COUNT = {
-    ModelId.EXP_IG_PARETO: 2,
-    ModelId.EXP_EXP_PARETO: 2,
-    ModelId.IG_PARETO_1P: 1,
-    ModelId.EXP_PARETO_1P: 1,
-    ModelId.WEIBULL: 2,
-    ModelId.INVERSE_GAMMA: 2,
-}
-
-_COMPOSITE_FAMILY = {
-    ModelId.EXP_IG_PARETO: "ig",
-    ModelId.IG_PARETO_1P: "ig",
-    ModelId.EXP_EXP_PARETO: "exp",
-    ModelId.EXP_PARETO_1P: "exp",
+# composite id -> (head family, fixed exponent or None)
+_COMPOSITE = {
+    ModelId.EXP_IG_PARETO: ("ig", None),
+    ModelId.EXP_EXP_PARETO: ("exp", None),
+    ModelId.IG_PARETO_1P: ("ig", 1.0),
+    ModelId.EXP_PARETO_1P: ("exp", 1.0),
 }
 
 
 # -- normalizers and exactly solved constants -----------------------------
 
 
-def exp_pareto_normalizer(constants: ExpParetoConstants = EXP_PARETO) -> float:
-    """Exact c = 1/(2 - e^-(alpha+1)) for the given shape constant."""
-    return 1.0 / (2.0 - math.exp(-(constants.alpha + 1.0)))
+def exp_pareto_normalizer() -> float:
+    """Exact c = 1/(2 - e^-(alpha+1)) for the shape constant alpha."""
+    return 1.0 / (2.0 - math.exp(-(EXP_PARETO.alpha + 1.0)))
 
 
-def ig_pareto_normalizer(constants: IgParetoConstants = IG_PARETO) -> float:
+def ig_pareto_normalizer() -> float:
     """Exact c = Gamma(alpha) / (Gamma(alpha) + Gamma(alpha, k))."""
-    g = math.exp(ln_gamma(constants.alpha))
-    gk = upper_incomplete_gamma(constants.alpha, constants.k)
+    g = math.exp(ln_gamma(IG_PARETO.alpha))
+    gk = upper_incomplete_gamma(IG_PARETO.alpha, IG_PARETO.k)
     return g / (g + gk)
 
 
 # -- composite spec builders ----------------------------------------------
 
 
-def ig_pareto_spec(
-    theta: float,
-    *,
-    constants: IgParetoConstants = IG_PARETO,
-    norm_const: float | None = None,
-) -> CompositeSpec:
-    """Inverse gamma-Pareto parent at scale theta.
+def ig_pareto_spec(theta: float) -> CompositeSpec:
+    """Inverse gamma-Pareto parent at scale theta, with the exact normalizer.
 
-    norm_const overrides the exact normalizer (to study the published
-    truncated value, for instance).
+    The published truncated normalizer can be studied through
+    dataclasses.replace(spec, norm_const=IG_PARETO.c).
     """
-    if not theta > 0.0:
-        raise ValueError(f"theta must be > 0, got {theta}")
-    alpha = constants.alpha
-    k = constants.k
+    _check_theta(theta)
+    alpha = IG_PARETO.alpha
+    k = IG_PARETO.k
     beta = k * theta
     log_beta = math.log(beta)
     lg = ln_gamma(alpha)
-    c = ig_pareto_normalizer(constants) if norm_const is None else norm_const
 
     def head_density(x):
         return _on_support(
@@ -194,29 +178,21 @@ def ig_pareto_spec(
     return CompositeSpec(
         head_density=head_density,
         breakpoint=theta,
-        norm_const=c,
+        norm_const=ig_pareto_normalizer(),
         head_cdf=head_cdf,
         head_partial_moment=head_partial_moment,
         head_log_density=head_log_density,
         head_ppf=head_ppf,
-        label="ig-pareto",
         **_pareto_tail(theta, alpha - k),
     )
 
 
-def exp_pareto_spec(
-    theta: float,
-    *,
-    constants: ExpParetoConstants = EXP_PARETO,
-    norm_const: float | None = None,
-) -> CompositeSpec:
-    """Exponential-Pareto parent at scale theta."""
-    if not theta > 0.0:
-        raise ValueError(f"theta must be > 0, got {theta}")
-    alpha = constants.alpha
+def exp_pareto_spec(theta: float) -> CompositeSpec:
+    """Exponential-Pareto parent at scale theta, with the exact normalizer."""
+    _check_theta(theta)
+    alpha = EXP_PARETO.alpha
     rate = (alpha + 1.0) / theta
     log_rate = math.log(rate)
-    c = exp_pareto_normalizer(constants) if norm_const is None else norm_const
 
     def head_density(x):
         # closed at 0, where the one-parameter variant's density is c * rate
@@ -242,14 +218,18 @@ def exp_pareto_spec(
     return CompositeSpec(
         head_density=head_density,
         breakpoint=theta,
-        norm_const=c,
+        norm_const=exp_pareto_normalizer(),
         head_cdf=head_cdf,
         head_partial_moment=head_partial_moment,
         head_log_density=head_log_density,
         head_ppf=head_ppf,
-        label="exp-pareto",
         **_pareto_tail(theta, alpha),
     )
+
+
+def _check_theta(theta: float) -> None:
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
 
 
 def _positive(a: np.ndarray) -> np.ndarray:

@@ -33,7 +33,8 @@ __all__ = [
 # Hybrid absolute/relative target: converged means the combined error
 # estimate stays within a small constant factor of max(tol, tol * |value|).
 QUAD_TOL = 1e-10
-QUAD_DEFAULT_LIMIT = 200
+QUAD_LIMIT = 200  # subintervals quadpack may use per panel
+ROOT_RTOL = 1e-13  # relative tolerance of find_root_bracketed
 
 _LOG_DBL_MAX = math.log(math.sqrt(2.0) * 2.0**1022)  # ~709.08, safely below overflow
 
@@ -178,7 +179,6 @@ def adaptive_quadrature(
     *,
     breakpoints: Sequence[float] | None = None,
     tol: float = QUAD_TOL,
-    limit: int = QUAD_DEFAULT_LIMIT,
 ) -> QuadratureResult:
     """Integrate f over (lo, hi), hi may be inf.
 
@@ -196,7 +196,7 @@ def adaptive_quadrature(
     neval = 0
     for a, b in zip(edges[:-1], edges[1:]):
         val, abserr, info, *tail = _integrate.quad(
-            f, a, b, epsabs=tol, epsrel=tol, limit=limit, full_output=1
+            f, a, b, epsabs=tol, epsrel=tol, limit=QUAD_LIMIT, full_output=1
         )
         if tail:  # quadpack appended a warning message
             raise QuadratureError(
@@ -216,13 +216,7 @@ def adaptive_quadrature(
     return QuadratureResult(value=total, abs_error_estimate=err, evaluations=neval)
 
 
-def find_root_bracketed(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    rtol: float = 1e-13,
-) -> float:
+def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f in [lo, hi]; endpoints must straddle a sign change.
 
     Brent-style interpolation with a bisection safeguard, so convergence is
@@ -240,4 +234,4 @@ def find_root_bracketed(
         raise BracketError(
             f"f({lo})={flo:.6e} and f({hi})={fhi:.6e} do not bracket a root"
         )
-    return float(_optimize.brentq(f, lo, hi, xtol=1e-300, rtol=max(rtol, 9e-16)))
+    return float(_optimize.brentq(f, lo, hi, xtol=1e-300, rtol=ROOT_RTOL))

@@ -18,7 +18,6 @@ from expcomposite.composite import (
     InfiniteMomentError,
     LimitedMomentQuery,
     as_composite_spec,
-    parent_moment,
     verify_composite,
 )
 from expcomposite.estimation import (
@@ -38,6 +37,7 @@ from expcomposite.models import (
     moment_closed_form,
 )
 from expcomposite.simulation import Scenario, run_scenario
+from test_composite import moment_numeric, parent_moment
 
 BASE_SEED = 20260822
 
@@ -96,7 +96,7 @@ def test_acceptance_03_closed_forms_match_quadrature():
                 for t in (0.25, 0.5, 1.0):
                     if t / eta < bound:
                         closed = moment_closed_form(model, theta, eta, t)
-                        numeric = d.moment_numeric(t, tol=1e-8)
+                        numeric = moment_numeric(d, t, tol=1e-8)
                         worst_raw = max(worst_raw, _rel(closed, numeric))
                         n_raw += 1
                     for b in (0.5 * yb, yb, 2.0 * yb):
@@ -129,7 +129,7 @@ def test_acceptance_04_divergent_moments_refuse():
         d = build(ModelId.EXP_EXP_PARETO, 1.0, eta)
         tried += 1
         try:
-            d.moment_numeric(al * eta)
+            moment_numeric(d, al * eta)
         except InfiniteMomentError:
             raised += 1
         finite_below &= math.isfinite(
@@ -373,7 +373,7 @@ def test_acceptance_10_exponentiation_closure():
     for make_spec, eta, t in cases:
         spec = make_spec(1.0)
         d = ExponentiatedComposite(spec, eta)
-        a = d.moment_numeric(t, tol=1e-9)
+        a = moment_numeric(d, t, tol=1e-9)
         b = parent_moment(spec, t / eta, tol=1e-9)
         worst_mom = max(worst_mom, _rel(a, b))
     ok = worst_pdf <= 1e-12 and worst_cdf <= 1e-12 and worst_mom <= 1e-7

@@ -163,6 +163,9 @@ def test_fit_exit_codes(tmp_path, capsys):
     flat = write_csv(tmp_path / "flat.csv", [5.0] * 12)
     assert main(["fit", "--model", "exp-exp-pareto", str(flat)]) == 2
     assert "error" in capsys.readouterr().err
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
+    assert main(["fit", "--model", "exp-exp-pareto", str(data), "--eta-max", "inf"]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_fit_rejects_unknown_model(tmp_path, capsys):
@@ -272,6 +275,12 @@ def test_compare_needs_two_models(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_rejects_repeated_models(tmp_path, capsys):
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
+    assert main(["compare", str(data), "--models", "weibull,weibull"]) == 1
+    assert "twice" in capsys.readouterr().err
+
+
 # -- simulate subcommand ---------------------------------------------------
 
 
@@ -367,6 +376,7 @@ def test_density_rejects_bad_ranges(capsys):
     assert main(base + ["--lo", "-1.0", "--hi", "2.0"]) == 1
     assert main(base + ["--lo", "2.0", "--hi", "1.0"]) == 1
     assert main(base + ["--lo", "0.0", "--hi", "1.0", "--points", "1"]) == 1
+    assert main(base + ["--lo", "0", "--hi", "inf"]) == 1
     capsys.readouterr()
 
 

@@ -376,6 +376,8 @@ def test_eta_grid_validation():
         EtaGrid(lower=2.0, upper=1.0)
     with pytest.raises(ValueError):
         EtaGrid(lower=1.0, upper=1.2)  # fewer than 10 points
+    with pytest.raises(ValueError):
+        EtaGrid(upper=math.inf)
 
 
 def test_eta_grid_points_cover_range():

@@ -129,6 +129,11 @@ def test_build_rejects_bad_parameters():
         build(ModelId.EXP_PARETO_1P, 1.0, 2.0)  # exponent is pinned at 1
     with pytest.raises(ValueError):
         build(ModelId.WEIBULL, -1.0, 1.0)
+    for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
+        with pytest.raises(ValueError, match="finite"):
+            build(model, math.inf, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            build(model, 1.0, math.inf)
 
 
 def test_build_baselines_take_shape_scale():
