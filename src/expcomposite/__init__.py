@@ -23,8 +23,6 @@ from .estimation import (
     FitFailureError,
     FitResult,
     fit,
-    theta_profile_exp_pareto,
-    theta_profile_ig_pareto,
 )
 from .gof import CRITERIA, GofRow, compare, rankings, score
 from .models import (
@@ -95,8 +93,6 @@ __all__ = [
     "reproduce_recovery_tables",
     "run_scenario",
     "score",
-    "theta_profile_exp_pareto",
-    "theta_profile_ig_pareto",
     "upper_incomplete_gamma",
     "verify_composite",
     "__version__",

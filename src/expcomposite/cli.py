@@ -118,8 +118,8 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
     Errors name the 1-based file row that caused them.  Values are
     multiplied by scale after parsing.
     """
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"--scale must be positive and finite, got {scale}")
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"no such file: {path}")
@@ -438,8 +438,8 @@ def _add_io_flags(sub) -> None:
 
 
 def _add_grid_flags(sub) -> None:
-    sub.add_argument("--eta-min", type=float, default=0.05, help="exponent grid lower bound")
-    sub.add_argument("--eta-max", type=float, default=20.0, help="exponent grid upper bound")
+    sub.add_argument("--eta-min", type=float, default=0.05, help="exponent search lower bound")
+    sub.add_argument("--eta-max", type=float, default=20.0, help="exponent search upper bound")
 
 
 def _add_data_flags(sub) -> None:
@@ -594,6 +594,6 @@ def main(argv=None) -> int:
     except FitFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

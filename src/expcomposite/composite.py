@@ -80,8 +80,8 @@ class LimitedMomentQuery:
     cap: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.order >= 0.0:
-            raise ValueError(f"limited-moment order must be >= 0, got {self.order}")
+        if not 0.0 <= self.order < math.inf:
+            raise ValueError(f"limited-moment order must be finite and >= 0, got {self.order}")
         if not np.all(np.asarray(self.cap, dtype=float) > 0.0):
             raise ValueError(f"limited-moment cap must be > 0, got {self.cap}")
 

@@ -1,12 +1,12 @@
-"""Maximum-likelihood fitting by profile grid search.
+"""Maximum-likelihood fitting by the exact profile likelihood.
 
 For the composite families the likelihood has a closed-form maximizer in
 the breakpoint parameter once the transform exponent and the head count m
-are fixed, so fitting reduces to a one-dimensional sweep over the exponent:
-for each candidate, scan m for the unique split consistent with the order
-statistics, plug in the profiled breakpoint, and keep the candidate with
-the largest likelihood.  Two refinement passes shrink the exponent step
-tenfold around the incumbent.
+are fixed, so fitting reduces to a one-dimensional search over the
+exponent: for each exponent, find the unique split m consistent with the
+order statistics and plug in the profiled breakpoint.  A coarse pass of
+log-spaced exponents brackets each peak of this profile likelihood, and
+Brent's method solves the analytic profile score to zero in the bracket.
 
 The Weibull and inverse-gamma reference fits solve their usual one-variable
 score equations by bracketed root finding.
@@ -31,7 +31,7 @@ from .models import (
     exp_pareto_normalizer,
     ig_pareto_normalizer,
 )
-from .special import find_root_bracketed
+from .special import BracketError, find_root_bracketed
 
 __all__ = [
     "BaselineFitResult",
@@ -39,22 +39,14 @@ __all__ = [
     "FitFailureError",
     "FitResult",
     "fit",
-    "theta_profile_exp_pareto",
-    "theta_profile_ig_pareto",
 ]
 
-MIN_GRID_POINTS = 10
-# The coarse pass walks the grid bounds in steps of COARSE_STEP; each of the
-# REFINEMENT_ROUNDS rounds divides the step by ten and re-scans one old step
-# to either side of the incumbent, for a final resolution of 5e-4.
-COARSE_STEP = 0.05
-REFINEMENT_ROUNDS = 2
-# Cells (exponents x observations) per block of the profile scan.  A float
-# temporary of a block is then at most 64 KB up to n = 8192 (a block is one
-# row beyond): it stays in cache and in the memory the C heap keeps between
-# calls.  A whole 400 x n grid at once has each fit at n = 100-200 fault in
-# 1-2 MB of fresh pages, at n = 100 in some processes and not in others,
-# so that the same fits run 30% apart.
+# Log-spaced exponents of the coarse pass that brackets the profile's peaks.
+_COARSE_POINTS = 40
+# Cells (exponents x observations) per block of the profile scan: a block's
+# float temporary (one row beyond n = 8192) stays in cache and in the memory
+# the C heap keeps between calls.  Temporaries past the heap-trim threshold
+# fault in fresh pages on some fits and not others, 30% apart in time.
 _SCAN_BLOCK = 8192
 
 
@@ -77,15 +69,6 @@ class EtaGrid:
             raise ValueError(
                 f"grid upper bound must be finite and exceed the lower bound, got {self.upper}"
             )
-        if self.points().size < MIN_GRID_POINTS:
-            raise ValueError(f"grid must contain at least {MIN_GRID_POINTS} points")
-
-    def points(self) -> np.ndarray:
-        """Ascending candidate exponents of the coarse pass."""
-        # 1e-9 slack keeps the endpoint when (upper - lower) / step rounds down.
-        count = int(math.floor((self.upper - self.lower) / COARSE_STEP + 1e-9))
-        pts = self.lower + COARSE_STEP * np.arange(count + 1)
-        return np.minimum(pts, self.upper)
 
 
 @dataclass(frozen=True)
@@ -126,56 +109,23 @@ class BaselineFitResult:
 
 
 def _exp_theta(head_sum, m, n):
-    """Exp-family breakpoint from sum_{i<=m} y_i^eta (theta_profile_exp_pareto)."""
+    """Exp-family breakpoint (alpha+1) sum_{i<=m} y_i^eta / ((alpha+1) m - alpha n).
+
+    A stationary point only where the denominator is positive.
+    """
     alpha = EXP_PARETO.alpha
     return (alpha + 1.0) * head_sum / ((alpha + 1.0) * m - alpha * n)
 
 
 def _ig_theta(inv_sum, m, n):
-    """Ig-family breakpoint from sum_{i<=m} y_i^(-eta) (theta_profile_ig_pareto)."""
+    """Ig-family breakpoint (alpha m + (alpha-k)(n-m)) / (k sum_{i<=m} y_i^-eta)."""
     alpha, k = IG_PARETO.alpha, IG_PARETO.k
     return (alpha * m + (alpha - k) * (n - m)) / (k * inv_sum)
 
 
-def _check_profile_args(m: int, n: int) -> None:
-    if not (isinstance(m, (int, np.integer)) and 1 <= m <= n - 1):
-        raise ValueError(f"m must be an integer in [1, n-1], got m={m} with n={n}")
-
-
-def theta_profile_exp_pareto(eta: float, m: int, y) -> float:
-    """Likelihood-maximizing breakpoint for the exponential head family.
-
-    With the exponent and head count fixed, the stationary point is
-    (alpha+1) * sum_{i<=m} y_i^eta / ((alpha+1) m - alpha n).  The
-    denominator must be positive, i.e. m > alpha n / (alpha + 1).
-    """
-    arr = np.asarray(y, dtype=float)
-    n = arr.size
-    _check_profile_args(m, n)
-    alpha = EXP_PARETO.alpha
-    if (alpha + 1.0) * m <= alpha * n:
-        raise ValueError(
-            f"head count m={m} is too small for n={n}: the profile denominator "
-            "(alpha+1)m - alpha*n must be positive"
-        )
-    return _exp_theta(float(np.sum(arr[:m] ** eta)), m, n)
-
-
-def theta_profile_ig_pareto(eta: float, m: int, y) -> float:
-    """Likelihood-maximizing breakpoint for the inverse-gamma head family.
-
-    Stationary point of the fixed-(eta, m) likelihood:
-    (alpha m + (alpha - k)(n - m)) / (k * sum_{i<=m} y_i^(-eta)).
-    """
-    arr = np.asarray(y, dtype=float)
-    n = arr.size
-    _check_profile_args(m, n)
-    return _ig_theta(float(np.sum(arr[:m] ** (-eta))), m, n)
-
-
-# -- vectorized per-exponent scan ------------------------------------------
+# -- profile likelihood and profile score ----------------------------------
 #
-# fit() rescales the sorted sample by its maximum before scanning.  Both
+# fit() rescales the sorted sample by its maximum before the search.  Both
 # profile formulas are exactly scale equivariant (theta scales by s^eta) and
 # the log-likelihood shifts by the exponent-independent constant -n log s,
 # so the argmax is unchanged while z = y/s <= 1 keeps z^eta from
@@ -183,7 +133,9 @@ def theta_profile_ig_pareto(eta: float, m: int, y) -> float:
 #
 # The log-likelihood helpers continue the sum ll0 of the normalizer and
 # Jacobian terms with the family's head and tail terms at the profiled
-# split: m head points, head power sum, head and tail sums of log z.
+# split: m head points, head power sum, head and tail sums of log z.  The
+# profile score is, by the envelope theorem, the partial derivative in eta at
+# the profiled theta and split; head_dot sums p_i log z_i over head powers p_i.
 
 
 def _exp_loglik(ll0, etas, m, th, head_sum, head_log, tail_log, n):
@@ -213,26 +165,45 @@ def _ig_loglik(ll0, etas, m, th, inv_sum, head_log, tail_log, n):
     )
 
 
+def _exp_score(eta, th, head_dot, head_log, tail_log, n):
+    a1 = EXP_PARETO.alpha + 1.0
+    return n / eta + (head_log + tail_log) - a1 * head_dot / th - a1 * tail_log
+
+
+def _ig_score(eta, th, inv_dot, head_log, tail_log, n):
+    alpha, k = IG_PARETO.alpha, IG_PARETO.k
+    tail = (alpha - k + 1.0) * tail_log
+    return n / eta + (head_log + tail_log) - (alpha + 1.0) * head_log + k * th * inv_dot - tail
+
+
 _FAMILIES = {
-    "exp": (exp_pareto_normalizer, _exp_theta, _exp_loglik),
-    "ig": (ig_pareto_normalizer, _ig_theta, _ig_loglik),
+    "exp": (exp_pareto_normalizer, _exp_theta, _exp_loglik, _exp_score),
+    "ig": (ig_pareto_normalizer, _ig_theta, _ig_loglik, _ig_score),
 }
 
 
-def _scan(family, etas, logz, prefix_log, total_log):
+def _first_split(profile, head_sums, powers, n):
+    """(found, m - 1) of the first valid split m of each row of powers z^eta.
+
+    head_sums[..., m - 1] is the head power sum of split m, which is valid
+    when its profiled theta is finite, positive (so the exp-family
+    denominator is positive) and in [z_m^eta, z_{m+1}^eta].
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        Th = profile(head_sums[..., :-1], np.arange(1, n), n)
+        ok = np.isfinite(Th) & (Th > 0.0) & (powers[..., :-1] <= Th) & (Th <= powers[..., 1:])
+    return ok.any(axis=-1), np.argmax(ok, axis=-1)
+
+
+def _scan(family, etas, logz, prefix_log):
     """Profile log-likelihood of each exponent at its first valid split.
 
-    Row i holds z^etas[i].  The split m is valid when the profiled theta is
-    finite, positive and lies in [z_m^eta, z_{m+1}^eta]; a positive theta
-    implies a positive exp-family denominator, since the head sum is
-    positive.  Returns (ll, m, found), ll = -inf where no m is valid.
-
-    The rows are scanned in blocks of about _SCAN_BLOCK cells, so the
-    temporaries stay small whatever n and the number of exponents are.
+    Row i holds z^etas[i].  Returns (ll, m, found), ll = -inf where no m is
+    valid.  The rows are scanned in blocks of about _SCAN_BLOCK cells, so
+    the temporaries stay small whatever n and the number of exponents are.
     """
-    normalizer, profile, loglik = _FAMILIES[family]
+    normalizer, profile, loglik, _ = _FAMILIES[family]
     n = logz.size
-    splits = np.arange(1, n)
     found = np.empty(etas.size, dtype=bool)
     first = np.empty(etas.size, dtype=np.intp)
     head_sum = np.empty(etas.size)
@@ -245,13 +216,10 @@ def _scan(family, etas, logz, prefix_log, total_log):
             # head power sums of z^eta (exp) or z^-eta (ig, built in E's buffer)
             power = W if family == "exp" else np.exp(np.negative(E, out=E), out=E)
             S = np.cumsum(power, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            Th = profile(S[:, :-1], splits, n)
-            ok = np.isfinite(Th) & (Th > 0.0) & (W[:, :-1] <= Th) & (Th <= W[:, 1:])
-        found[block] = ok.any(axis=1)
-        first[block] = np.argmax(ok, axis=1)
+        found[block], first[block] = _first_split(profile, S, W, n)
         head_sum[block] = S[np.arange(S.shape[0]), first[block]]
     m = first + 1
+    total_log = prefix_log[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # the same elementwise formula as Th, so th is Th at the chosen split
         th = profile(head_sum, m, n)
@@ -261,27 +229,69 @@ def _scan(family, etas, logz, prefix_log, total_log):
     return np.where(found, ll, -np.inf), m, found
 
 
-def _best_candidate(family, etas, logz, prefix_log, total_log):
-    """Scan an ascending exponent batch; (ll, eta, m) of the winner or None."""
-    ll, m, found = _scan(family, etas, logz, prefix_log, total_log)
+def _score(family, eta, logz, prefix_log):
+    """Profile score d ell_p / d eta at one exponent, 0.0 where no split is valid.
+
+    One exp, one cumsum, the split test and one dot product.  A root solve
+    stops where the score reads 0.0; that root's ll of -inf then loses.
+    """
+    _, profile, _, score = _FAMILIES[family]
+    n = logz.size
+    with np.errstate(over="ignore", divide="ignore"):
+        W = np.exp(eta * logz)
+        power = W if family == "exp" else 1.0 / W
+    S = np.cumsum(power)
+    found, first = _first_split(profile, S, W, n)
+    if not found:
+        return 0.0
+    m = int(first) + 1
+    head_log, head_dot = float(prefix_log[m]), float(np.dot(power[:m], logz[:m]))
+    th = profile(float(S[first]), m, n)
+    return score(eta, th, head_dot, head_log, float(prefix_log[-1]) - head_log, n)
+
+
+def _search(family, grid, logz, prefix_log):
+    """(eta, m) maximizing the profile likelihood in the grid bounds, or None.
+
+    Each local peak of the coarse pass is bracketed by its neighbours and
+    the profile score solved there; the best root wins unless the best
+    coarse exponent is better.  A peak at a bound has no sign change in
+    its bracket, so the fit returns the bound itself.
+    """
+    etas = np.geomspace(grid.lower, grid.upper, _COARSE_POINTS)
+    ll, m, found = _scan(family, etas, logz, prefix_log)
     if not found.any():
         return None
-    i = int(np.argmax(ll))  # ties resolve to the smallest exponent
-    return float(ll[i]), float(etas[i]), int(m[i])
+    left = np.concatenate(([-np.inf], ll[:-1]))
+    right = np.concatenate((ll[1:], [-np.inf]))
+    fits = []
+    for peak in np.flatnonzero((ll > left) & (ll >= right)):
+        lo, hi = etas[max(peak - 1, 0)], etas[min(peak + 1, etas.size - 1)]
+        try:
+            root = find_root_bracketed(
+                lambda eta: _score(family, eta, logz, prefix_log), float(lo), float(hi)
+            )
+        except BracketError:
+            continue
+        ll_root, m_root, _ = _scan(family, np.array([root]), logz, prefix_log)
+        fits.append((ll_root[0], root, int(m_root[0])))
+    best = int(np.argmax(ll))  # ties resolve to the smallest exponent
+    fits.append((ll[best], float(etas[best]), int(m[best])))
+    return max(fits, key=lambda f: f[0])[1:]
 
 
 def fit(model: ModelId, y, grid: EtaGrid | None = None):
     """Fit a model by maximum likelihood.
 
-    Composite models run the profile grid search and return a FitResult
-    whose nll is recomputed from the fitted density on the original data
-    scale.  One-parameter variants pin the exponent to 1 and ignore the
-    grid, as do the Weibull and inverse-gamma baselines, which return a
-    BaselineFitResult instead.
+    Composite models maximize the profile likelihood over the exponent
+    within the grid bounds and return a FitResult whose nll is recomputed
+    from the fitted density on the original data scale.  One-parameter
+    variants pin the exponent to 1 and ignore the grid, as do the Weibull
+    and inverse-gamma baselines, which return a BaselineFitResult instead.
 
-    Raises FitFailureError when every candidate exponent fails to admit a
-    valid split, or when the profiled theta at the winning exponent leaves
-    the normal float range on the data's scale.
+    Raises FitFailureError when no exponent admits a valid split, or when
+    the profiled theta at the fitted exponent leaves the normal float
+    range on the data's scale.
     """
     arr = np.sort(np.asarray(y, dtype=float).ravel())
     n = arr.size
@@ -301,45 +311,33 @@ def fit(model: ModelId, y, grid: EtaGrid | None = None):
     grid = EtaGrid() if grid is None else grid
     logz = np.log(arr / float(arr[-1]))
     prefix_log = np.concatenate(([0.0], np.cumsum(logz)))
-    total_log = float(prefix_log[-1])
 
     fixed = model.fixed_exponent
     if fixed is not None:
-        best = _best_candidate(family, np.array([fixed]), logz, prefix_log, total_log)
-        if best is None:
+        _, m, found = _scan(family, np.array([fixed]), logz, prefix_log)
+        if not found[0]:
             raise FitFailureError(
                 f"{model.value}: no valid breakpoint split at the fixed exponent"
             )
+        eta_hat, m_hat = fixed, int(m[0])
     else:
-        best = _best_candidate(family, grid.points(), logz, prefix_log, total_log)
+        best = _search(family, grid, logz, prefix_log)
         if best is None:
             raise FitFailureError(
                 f"{model.value}: no exponent in [{grid.lower}, {grid.upper}] "
                 "admits a valid breakpoint split"
             )
-        step = COARSE_STEP
-        for _ in range(REFINEMENT_ROUNDS):
-            step /= 10.0
-            cand = best[1] + step * np.arange(-10, 11)
-            cand = np.unique(np.clip(cand, grid.lower, grid.upper))
-            local = _best_candidate(family, cand, logz, prefix_log, total_log)
-            # incumbent is in the candidate set, so the likelihood never drops
-            if local is not None and (
-                local[0] > best[0] or (local[0] == best[0] and local[1] < best[1])
-            ):
-                best = local
+        eta_hat, m_hat = best
 
-    _, eta_hat, m_hat = best
-    profile = (
-        theta_profile_exp_pareto if family == "exp" else theta_profile_ig_pareto
-    )
-    # The scan ran on y / max(y); on the data's own scale the head power
+    # The search ran on y / max(y); on the data's own scale the head power
     # sum can overflow or underflow (an ig sum of 0 divides by zero).  A
     # subnormal theta is refused too: the exp head rate (alpha+1)/theta
     # overflows there.
+    profile = _FAMILIES[family][1]
+    power = eta_hat if family == "exp" else -eta_hat
     with np.errstate(over="ignore"):
         try:
-            theta_hat = profile(eta_hat, m_hat, arr)
+            theta_hat = profile(float(np.sum(arr[:m_hat] ** power)), m_hat, n)
         except ZeroDivisionError:
             theta_hat = math.inf
     if not sys.float_info.min <= theta_hat < math.inf:

@@ -20,10 +20,6 @@ from expcomposite.composite import (
     as_composite_spec,
     verify_composite,
 )
-from expcomposite.estimation import (
-    theta_profile_exp_pareto,
-    theta_profile_ig_pareto,
-)
 from expcomposite.gof import score
 from expcomposite.models import (
     EXP_PARETO,
@@ -38,6 +34,7 @@ from expcomposite.models import (
 )
 from expcomposite.simulation import Scenario, run_scenario
 from test_composite import moment_numeric, parent_moment
+from test_estimation import theta_profile_exp_pareto, theta_profile_ig_pareto
 
 BASE_SEED = 20260822
 

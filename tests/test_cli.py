@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -54,6 +55,16 @@ def test_ingest_scales_values(tmp_path):
     assert "1000" in ds.scale_note
     with pytest.raises(ValueError, match="scale"):
         ingest_csv(p, scale=0.0)
+
+
+def test_infinite_scale_names_the_flag(tmp_path, capsys):
+    p = write_csv(tmp_path / "a.csv", CLAIMS)
+    for scale in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="--scale must be positive and finite"):
+            ingest_csv(p, scale=scale)
+    assert main(["fit", str(p), "--model", "exp-exp-pareto", "--scale", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert "--scale" in err and "row" not in err
 
 
 def test_ingest_errors_name_the_row(tmp_path):
@@ -378,6 +389,21 @@ def test_density_rejects_bad_ranges(capsys):
     assert main(base + ["--lo", "0.0", "--hi", "1.0", "--points", "1"]) == 1
     assert main(base + ["--lo", "0", "--hi", "inf"]) == 1
     capsys.readouterr()
+
+
+def test_density_infinite_limited_moment_order_exits_1(capsys):
+    argv = ["density", "--model", "exp-exp-pareto", "--theta", "1", "--lo", "0",
+            "--hi", "2", "--points", "3", "--limited-moment", "inf"]
+    assert main(argv) == 1
+    assert "error: limited-moment order must be finite" in capsys.readouterr().err
+
+
+def test_density_limited_moment_overflow_exits_1(capsys):
+    # E[(Y ^ 20)^400] leaves the float range; the library raises OverflowError
+    argv = ["density", "--model", "exp-exp-pareto", "--theta", "1", "--lo", "0",
+            "--hi", "20", "--points", "3", "--limited-moment", "400"]
+    assert main(argv) == 1
+    assert "error: limited moment of order 400" in capsys.readouterr().err
 
 
 # -- artifacts and replay --------------------------------------------------

@@ -127,6 +127,11 @@ def test_limited_moment_query_validation():
             LimitedMomentQuery(order=1.0, cap=np.array(caps))
 
 
+def test_limited_moment_query_requires_finite_order():
+    with pytest.raises(ValueError, match="finite"):
+        LimitedMomentQuery(order=math.inf, cap=1.0)
+
+
 def test_exponent_validation():
     with pytest.raises(ValueError):
         ExponentiatedComposite(rough_spec(), 0.0)
@@ -220,6 +225,22 @@ def test_sampling_overflow_raises():
     with pytest.raises(OverflowError):
         d.quantile(np.array([0.01, 0.999]))
     assert math.isfinite(d.quantile(0.01))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    model=st.sampled_from([ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO]),
+    theta=st.floats(min_value=0.1, max_value=10.0),
+    eta=st.floats(min_value=0.5, max_value=3.0),
+    a=st.floats(min_value=0.5, max_value=2.0),
+    n=st.integers(min_value=1, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_sample_maps_under_powers(model, theta, eta, a, n, seed):
+    # Y^a is the composite at exponent eta / a, draw for draw
+    lhs = build(model, theta, eta / a).sample(n, seed)
+    rhs = build(model, theta, eta).sample(n, seed) ** a
+    np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=0.0)
 
 
 def test_partial_moment_quadrature_fallback():

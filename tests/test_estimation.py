@@ -1,4 +1,4 @@
-"""Profile formulas, split detection, grid search, baseline fitters."""
+"""Profile formulas, split detection, profile-score search, baseline fitters."""
 
 import math
 
@@ -10,16 +10,16 @@ from scipy.special import digamma
 
 from expcomposite import estimation
 from expcomposite.estimation import (
-    COARSE_STEP,
-    REFINEMENT_ROUNDS,
     EtaGrid,
     FitFailureError,
+    _exp_theta,
+    _ig_theta,
     _scan,
     fit,
-    theta_profile_exp_pareto,
-    theta_profile_ig_pareto,
 )
 from expcomposite.models import (
+    EXP_PARETO,
+    IG_PARETO,
     ModelId,
     build,
     exp_pareto_spec,
@@ -28,9 +28,50 @@ from expcomposite.models import (
 
 SAMPLE = build(ModelId.EXP_EXP_PARETO, 1.0, 0.8).sample(200, seed=7)
 SAMPLE_IG = build(ModelId.EXP_IG_PARETO, 1.0, 0.8).sample(200, seed=11)
+SAMPLE_2000 = build(ModelId.EXP_IG_PARETO, 1.0, 2.0).sample(2000, seed=3)
 
 
 # -- profiled breakpoint formulas ------------------------------------------
+#
+# theta_profile_* apply the estimator's closed forms to a raw sample with
+# argument checks; they are the oracles the scan and the fit are held to.
+
+
+def _check_profile_args(m: int, n: int) -> None:
+    if not (isinstance(m, (int, np.integer)) and 1 <= m <= n - 1):
+        raise ValueError(f"m must be an integer in [1, n-1], got m={m} with n={n}")
+
+
+def theta_profile_exp_pareto(eta: float, m: int, y) -> float:
+    """Likelihood-maximizing breakpoint for the exponential head family.
+
+    With the exponent and head count fixed, the stationary point is
+    (alpha+1) * sum_{i<=m} y_i^eta / ((alpha+1) m - alpha n).  The
+    denominator must be positive, i.e. m > alpha n / (alpha + 1).
+    """
+    arr = np.asarray(y, dtype=float)
+    n = arr.size
+    _check_profile_args(m, n)
+    alpha = EXP_PARETO.alpha
+    if (alpha + 1.0) * m <= alpha * n:
+        raise ValueError(
+            f"head count m={m} is too small for n={n}: the profile denominator "
+            "(alpha+1)m - alpha*n must be positive"
+        )
+    return _exp_theta(float(np.sum(arr[:m] ** eta)), m, n)
+
+
+def theta_profile_ig_pareto(eta: float, m: int, y) -> float:
+    """Likelihood-maximizing breakpoint for the inverse-gamma head family.
+
+    Stationary point of the fixed-(eta, m) likelihood:
+    (alpha m + (alpha - k)(n - m)) / (k * sum_{i<=m} y_i^(-eta)).
+    """
+    arr = np.asarray(y, dtype=float)
+    n = arr.size
+    _check_profile_args(m, n)
+    return _ig_theta(float(np.sum(arr[:m] ** (-eta))), m, n)
+
 
 
 def test_exp_profile_worked_example():
@@ -157,7 +198,7 @@ def test_detect_m_agrees_with_exhaustive_scan():
         assert got == wanted and got is not None
 
 
-# -- grid-search fitting ---------------------------------------------------
+# -- profile-likelihood fitting --------------------------------------------
 
 
 def test_fit_input_validation():
@@ -250,66 +291,220 @@ FAMILY_CASES = (
 )
 
 
-def _oracle_best(model, profile, y, etas):
-    """(nll, eta, m, theta) of the best exponent by detect_m, or None."""
-    best = None
+def old_grid_points(lower=0.05, upper=20.0, step=0.05):
+    """Exponents of the fixed-step coarse pass the grid search used to scan."""
+    # 1e-9 slack keeps the endpoint when (upper - lower) / step rounds down.
+    count = int(math.floor((upper - lower) / step + 1e-9))
+    return np.minimum(lower + step * np.arange(count + 1), upper)
+
+
+def _oracle_nlls(model, profile, y, etas):
+    """{eta: nll} at the split detect_m finds, for each exponent that has one."""
+    out = {}
     for eta in etas:
         with np.errstate(over="ignore"):  # y**eta overflows at large eta
             got = detect_m(eta, y, profile)
-        if got is None:
-            continue
-        m, th = got
-        nll = -float(np.sum(build(model, th, eta).log_pdf(y)))
-        if best is None or nll < best[0] - 1e-12:
-            best = (nll, eta, m, th)
-    return best
+        if got is not None:
+            out[float(eta)] = -float(np.sum(build(model, got[1], eta).log_pdf(y)))
+    return out
 
 
-def test_fit_matches_scalar_reference_search():
-    # the vectorized scan must agree with a plain loop over every candidate
-    # fit scans: the coarse pass, then each refinement round around the winner
+def test_fit_beats_the_scalar_reference_grid():
+    # the fitted nll is at most the oracle's nll at every exponent the old
+    # 0.05 grid search scanned: its coarse pass and its two tenfold
+    # refinement rounds around the incumbent
     grid = EtaGrid(lower=0.5, upper=1.45)
     for model, profile, data in FAMILY_CASES:
         y = np.sort(data)
-        best = _oracle_best(model, profile, y, grid.points())
-        step = COARSE_STEP
-        for _ in range(REFINEMENT_ROUNDS):
+        nlls = _oracle_nlls(model, profile, y, old_grid_points(grid.lower, grid.upper))
+        step = 0.05
+        for _ in range(2):
+            incumbent = min(nlls, key=nlls.get)
             step /= 10.0
-            cand = best[1] + step * np.arange(-10, 11)
-            local = _oracle_best(
-                model, profile, y, np.unique(np.clip(cand, grid.lower, grid.upper))
-            )
-            if local[0] < best[0] - 1e-12:
-                best = local
+            cand = np.clip(incumbent + step * np.arange(-10, 11), grid.lower, grid.upper)
+            nlls.update(_oracle_nlls(model, profile, y, np.unique(cand)))
         res = fit(model, data, grid=grid)
-        assert res.eta == pytest.approx(best[1], abs=1e-12)
-        assert res.m == best[2]
-        assert res.theta == pytest.approx(best[3], rel=1e-10)
-        assert res.nll == pytest.approx(best[0], rel=1e-10)
+        assert all(res.nll <= v + 1e-12 * abs(v) for v in nlls.values())
+        # the scan's split at the fitted exponent is the oracle's split
+        m, th = detect_m(res.eta, y, profile)
+        assert res.m == m
+        assert res.theta == pytest.approx(th, rel=1e-12)
+
+
+def _oracle_score(family, eta, y):
+    """d ell_p / d eta by the envelope theorem, from plain sums on z = y / max y."""
+    z = np.sort(y) / np.max(y)
+    n = z.size
+    profile = theta_profile_exp_pareto if family == "exp" else theta_profile_ig_pareto
+    m, th = detect_m(eta, z, profile)
+    logz = np.log(z)
+    head, tail = logz[:m], logz[m:]
+    if family == "exp":
+        alpha = EXP_PARETO.alpha
+        terms = (
+            n / eta,
+            logz.sum(),
+            -(alpha + 1.0) * np.sum(z[:m] ** eta * head) / th,
+            -(alpha + 1.0) * tail.sum(),
+        )
+    else:
+        alpha, k = IG_PARETO.alpha, IG_PARETO.k
+        terms = (
+            n / eta,
+            logz.sum(),
+            -(alpha + 1.0) * head.sum(),
+            k * th * np.sum(z[:m] ** (-eta) * head),
+            -(alpha - k + 1.0) * tail.sum(),
+        )
+    return float(sum(terms)), float(sum(abs(t) for t in terms))
+
+
+def _oracle_profile_ll(model, profile, y, eta):
+    z = np.sort(y) / np.max(y)
+    m, th = detect_m(eta, z, profile)
+    return float(np.sum(build(model, th, eta).log_pdf(z)))
+
+
+@pytest.mark.parametrize(
+    "model,profile,data",
+    FAMILY_CASES
+    + (
+        (ModelId.EXP_EXP_PARETO, theta_profile_exp_pareto, SAMPLE_2000),
+        (ModelId.EXP_IG_PARETO, theta_profile_ig_pareto, SAMPLE_2000),
+    ),
+)
+def test_profile_score_vanishes_at_the_fit(model, profile, data):
+    family = model.composite_family
+    res = fit(model, data)
+    grid = EtaGrid()
+    assert grid.lower < res.eta < grid.upper  # an interior maximum
+    score, size = _oracle_score(family, res.eta, data)
+    # zero to rounding: the sum of terms of size ~size lands within a few
+    # ulps of that size, plus the root's own tolerance times the curvature
+    assert abs(score) <= 1e-13 * size
+    # and the formula is the profile's derivative: central differences agree
+    for eta in (0.7 * res.eta, 1.3 * res.eta):
+        h = 1e-5 * eta
+        diff = (
+            _oracle_profile_ll(model, profile, data, eta + h)
+            - _oracle_profile_ll(model, profile, data, eta - h)
+        ) / (2.0 * h)
+        assert _oracle_score(family, eta, data)[0] == pytest.approx(diff, rel=1e-6)
 
 
 def test_refinement_never_hurts():
-    # the refined fit never loses to the best coarse exponent
+    # the fit never loses to the best exponent of the old 0.05 coarse pass
     for model, profile, data in FAMILY_CASES:
-        coarse = _oracle_best(model, profile, np.sort(data), EtaGrid().points())
-        assert fit(model, data).nll <= coarse[0] + 1e-9
+        coarse = _oracle_nlls(model, profile, np.sort(data), old_grid_points())
+        assert fit(model, data).nll <= min(coarse.values()) + 1e-9
+
+
+def test_a_peak_at_a_bound_returns_the_bound():
+    # the profile still rises at the upper bound: the last bracket has no
+    # sign change and the fit keeps the bound itself
+    y = build(ModelId.EXP_EXP_PARETO, 1.0, 30.0).sample(200, seed=1)
+    assert fit(ModelId.EXP_EXP_PARETO, y).eta == 20.0
+    assert fit(ModelId.EXP_EXP_PARETO, y, EtaGrid(upper=12.5)).eta == 12.5
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    first=hst.floats(min_value=math.log(0.1), max_value=math.log(0.3)),
+    gap=hst.floats(min_value=2.0, max_value=3.0),
+    heights=hst.tuples(
+        hst.floats(min_value=1.0, max_value=3.0), hst.floats(min_value=1.0, max_value=3.0)
+    ).filter(lambda h: abs(h[0] - h[1]) > 1e-3),
+)
+def test_search_solves_every_peak_of_a_bimodal_profile(first, gap, heights):
+    # A constructed profile with two bumps in log eta stands in for the scan
+    # and the score: every peak of the coarse pass is bracketed and solved,
+    # and the higher root wins whichever side it lies on.
+    width = 0.3
+    centres = (first, first + gap)
+
+    def ell(eta):
+        u = np.log(eta)
+        return sum(h * np.exp(-0.5 * ((u - c) / width) ** 2) for h, c in zip(heights, centres))
+
+    def score(eta):
+        u = math.log(eta)
+        du = sum(
+            -h * (u - c) / width**2 * math.exp(-0.5 * ((u - c) / width) ** 2)
+            for h, c in zip(heights, centres)
+        )
+        return du / eta
+
+    def fake_scan(family, etas, logz, prefix_log):
+        return ell(etas), np.ones(etas.size, dtype=np.intp), np.ones(etas.size, dtype=bool)
+
+    brackets = []
+
+    def recording_root(f, lo, hi):
+        brackets.append((lo, hi))
+        return real_root(f, lo, hi)
+
+    real_root = estimation.find_root_bracketed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "_scan", fake_scan)
+        mp.setattr(estimation, "_score", lambda family, eta, logz, pl: score(eta))
+        mp.setattr(estimation, "find_root_bracketed", recording_root)
+        eta, m = estimation._search("exp", EtaGrid(), None, None)
+    assert len(brackets) == 2
+    for (lo, hi), c in zip(brackets, centres):
+        assert lo < math.exp(c) < hi
+    dense = np.geomspace(0.05, 20.0, 200_001)
+    assert ell(eta) >= ell(dense).max()
+    assert abs(score(eta)) <= 1e-9
+    assert abs(math.log(eta) - centres[int(np.argmax(heights))]) < width
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=hst.sampled_from(["exp", "ig"]),
+    true_eta=hst.floats(min_value=0.5, max_value=3.0),
+    n=hst.integers(min_value=50, max_value=200),
+    seed=hst.integers(min_value=0, max_value=2**16),
+    s=hst.floats(min_value=0.1, max_value=10.0),
+)
+def test_fit_is_scale_equivariant(family, true_eta, n, seed, s):
+    model = ModelId.EXP_EXP_PARETO if family == "exp" else ModelId.EXP_IG_PARETO
+    y = build(model, 1.0, true_eta).sample(n, seed=seed)
+    base, scaled = fit(model, y), fit(model, s * y)
+    assert scaled.eta == pytest.approx(base.eta, rel=1e-12)
+    assert scaled.theta == pytest.approx(s**base.eta * base.theta, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=hst.sampled_from(["exp", "ig"]),
+    true_eta=hst.floats(min_value=0.5, max_value=3.0),
+    n=hst.integers(min_value=50, max_value=200),
+    seed=hst.integers(min_value=0, max_value=2**16),
+    a=hst.floats(min_value=0.5, max_value=2.0),
+)
+def test_fit_is_power_equivariant(family, true_eta, n, seed, a):
+    # Y -> Y^a is the same composite at exponent eta / a
+    model = ModelId.EXP_EXP_PARETO if family == "exp" else ModelId.EXP_IG_PARETO
+    y = build(model, 1.0, true_eta).sample(n, seed=seed)
+    base, powered = fit(model, y), fit(model, y**a)
+    assert powered.eta == pytest.approx(base.eta / a, rel=1e-12)
 
 
 # Default fits, bit for bit (eta, theta, m, nll): any change to the search
-# candidates or to the scan's arithmetic shows here.
+# or to the arithmetic of the scan or the score shows here.
 FROZEN_FITS = (
-    (200, ModelId.EXP_EXP_PARETO, (0.7695000000000002, 1.0451102067345266, 85, 794.6981034919004)),
-    (200, ModelId.EXP_IG_PARETO, (0.8795000000000002, 0.17201145871514786, 26, 840.351519965214)),
+    (200, ModelId.EXP_EXP_PARETO, (0.7696111647065621, 1.0450185354102375, 85, 794.6981012371646)),
+    (200, ModelId.EXP_IG_PARETO, (0.8792651748768686, 0.1722310129413079, 26, 840.351511191445)),
     (200, ModelId.EXP_PARETO_1P, (1.0, 0.8619648241730761, 77, 802.7884620545778)),
     (200, ModelId.IG_PARETO_1P, (1.0, 0.08796608587793991, 21, 842.467619468307)),
-    (2000, ModelId.EXP_EXP_PARETO, (1.1325, 2.026844514703799, 850, 8503.47818002488)),
-    (2000, ModelId.EXP_IG_PARETO, (2.0119999999999996, 0.9233525453804501, 579, 8332.687529374636)),
+    (2000, ModelId.EXP_EXP_PARETO, (1.132395971456703, 2.026856259288898, 850, 8503.478171000632)),
+    (2000, ModelId.EXP_IG_PARETO, (2.0121742507559075, 0.9231919597511768, 579, 8332.687520848807)),
     (2000, ModelId.EXP_PARETO_1P, (1.0, 2.0370882118266063, 885, 8519.34025596648)),
     (2000, ModelId.IG_PARETO_1P, (1.0, 2.1713897921993492, 902, 8768.367275625762)),
 )
 
 
-FROZEN_SAMPLES = {200: SAMPLE, 2000: build(ModelId.EXP_IG_PARETO, 1.0, 2.0).sample(2000, seed=3)}
+FROZEN_SAMPLES = {200: SAMPLE, 2000: SAMPLE_2000}
 
 
 @pytest.mark.parametrize("n,model,expected", FROZEN_FITS)
@@ -325,7 +520,7 @@ def test_scan_is_the_same_in_any_row_blocks(monkeypatch, family, data, block):
     # block for the whole grid; every block size must give the same bits
     logz = np.log(np.sort(data) / data.max())
     prefix_log = np.concatenate(([0.0], np.cumsum(logz)))
-    args = (family, EtaGrid().points(), logz, prefix_log, float(prefix_log[-1]))
+    args = (family, old_grid_points(), logz, prefix_log)
     expected = _scan(*args)
     monkeypatch.setattr(estimation, "_SCAN_BLOCK", block)
     for got, want in zip(_scan(*args), expected):
@@ -357,8 +552,7 @@ def test_scan_picks_the_unique_valid_split(family, true_eta, eta, n, seed):
     assert len(valid) <= 1
     logz = np.log(z)
     prefix_log = np.concatenate(([0.0], np.cumsum(logz)))
-    total_log = float(prefix_log[-1])
-    ll, m_sel, found = _scan(family, np.array([eta]), logz, prefix_log, total_log)
+    ll, m_sel, found = _scan(family, np.array([eta]), logz, prefix_log)
     assert bool(found[0]) == bool(valid)
     if valid:
         assert int(m_sel[0]) == valid[0] and math.isfinite(ll[0])
@@ -375,19 +569,7 @@ def test_eta_grid_validation():
     with pytest.raises(ValueError):
         EtaGrid(lower=2.0, upper=1.0)
     with pytest.raises(ValueError):
-        EtaGrid(lower=1.0, upper=1.2)  # fewer than 10 points
-    with pytest.raises(ValueError):
         EtaGrid(upper=math.inf)
-
-
-def test_eta_grid_points_cover_range():
-    g = EtaGrid()
-    pts = g.points()
-    assert pts[0] == g.lower
-    assert pts[-1] == pytest.approx(g.upper, rel=1e-12)
-    assert np.all(pts <= g.upper)
-    assert np.all(np.diff(pts) > 0.0)
-    assert np.max(np.diff(pts)) <= COARSE_STEP * (1.0 + 1e-12)
 
 
 # -- baseline fitters ------------------------------------------------------
