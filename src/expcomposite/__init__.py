@@ -24,7 +24,7 @@ from .estimation import (
     FitResult,
     fit,
 )
-from .gof import CRITERIA, GofRow, compare, rankings, score
+from .gof import CRITERIA, GofRow, score
 from .models import (
     EXP_PARETO,
     IG_PARETO,
@@ -34,7 +34,6 @@ from .models import (
     build,
     exp_pareto_normalizer,
     ig_pareto_normalizer,
-    limited_moment_closed_form,
     moment_closed_form,
 )
 from .simulation import (
@@ -43,14 +42,6 @@ from .simulation import (
     SimulationReport,
     reproduce_recovery_tables,
     run_scenario,
-)
-from .special import (
-    QuadratureResult,
-    adaptive_quadrature,
-    find_root_bracketed,
-    ln_gamma,
-    lower_incomplete_gamma,
-    upper_incomplete_gamma,
 )
 
 __version__ = "0.1.0"
@@ -70,30 +61,21 @@ __all__ = [
     "InverseGammaDensity",
     "LimitedMomentQuery",
     "ModelId",
-    "QuadratureResult",
     "Scenario",
     "SimulationFailureError",
     "SimulationReport",
     "VerificationReport",
     "WeibullDensity",
-    "adaptive_quadrature",
     "as_composite_spec",
     "build",
-    "compare",
     "exp_pareto_normalizer",
     "exponentiate",
-    "find_root_bracketed",
     "fit",
     "ig_pareto_normalizer",
-    "limited_moment_closed_form",
-    "ln_gamma",
-    "lower_incomplete_gamma",
     "moment_closed_form",
-    "rankings",
     "reproduce_recovery_tables",
     "run_scenario",
     "score",
-    "upper_incomplete_gamma",
     "verify_composite",
     "__version__",
 ]

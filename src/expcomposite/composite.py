@@ -24,7 +24,8 @@ composite (see as_composite_spec), which is what makes repeated
 exponentiation close under composition of the exponents.
 
 Piece callables stored on a CompositeSpec must accept scalars or numpy
-arrays.  The quadrature and root-finding fallbacks call them with scalars.
+arrays.  The quadrature fallback of the partial moments calls them with
+scalars.
 """
 
 from __future__ import annotations
@@ -35,12 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .special import (
-    _as_batch,
-    _maybe_scalar,
-    adaptive_quadrature,
-    find_root_bracketed,
-)
+from .special import _as_batch, _maybe_scalar, adaptive_quadrature
 
 __all__ = [
     "InfiniteMomentError",
@@ -91,9 +87,10 @@ class CompositeSpec:
     """Pieces and auxiliary functions of one composite density.
 
     Required: the two piece densities, the breakpoint, the normalizing
-    constant, and the two cdfs.  Partial moments, the tail survival, log
-    densities, and quantile inverses are optional; missing ones fall back
-    to adaptive quadrature, 1 - tail_cdf, or bracketed root finding.
+    constant, the two cdfs, the tail survival, the two log densities and
+    the two quantile inverses.  Only the partial moments are optional;
+    missing ones fall back to adaptive quadrature, which also serves as the
+    reference the closed forms are tested against.
 
     tail_moment_sup is the supremum of r with E[X^r] finite (the Pareto
     decay exponent of the tail piece).  Moment routines compare against it
@@ -106,14 +103,14 @@ class CompositeSpec:
     norm_const: float
     head_cdf: Callable
     tail_cdf: Callable
-    tail_sf: Callable | None = None  # 1 - tail_cdf, without the cancellation
+    tail_sf: Callable  # 1 - tail_cdf, without the cancellation
+    # log densities take log(x), not x, so y**eta never has to be formed
+    head_log_density: Callable  # log_x -> log f1(x)
+    tail_log_density: Callable  # log_x -> log f2(x)
+    head_ppf: Callable  # inverse of head_cdf
+    tail_ppf: Callable  # inverse of tail_cdf
     head_partial_moment: Callable | None = None  # (u, r) -> int_0^u x^r f1
     tail_partial_moment: Callable | None = None  # (u, r) -> int_theta^u x^r f2
-    # log densities take log(x), not x, so y**eta never has to be formed
-    head_log_density: Callable | None = None  # log_x -> log f1(x)
-    tail_log_density: Callable | None = None  # log_x -> log f2(x)
-    head_ppf: Callable | None = None  # inverse of head_cdf
-    tail_ppf: Callable | None = None  # inverse of tail_cdf
     tail_moment_sup: float = math.inf
 
     def __post_init__(self) -> None:
@@ -126,7 +123,7 @@ class CompositeSpec:
         if not self.tail_moment_sup > 0.0:
             raise ValueError("tail_moment_sup must be positive")
 
-    # -- fallback-dispatching helpers ------------------------------------
+    # -- partial moments: closed form when wired, else quadrature --------
 
     def head_partial(self, u, r: float):
         """int_0^u x^r f1(x) dx, elementwise over u."""
@@ -164,40 +161,6 @@ class CompositeSpec:
             ).value
 
         return _each(integrate, u)
-
-    def tail_survival(self, u):
-        """1 - F2(u): the tail_sf when wired, else from the tail cdf."""
-        if self.tail_sf is not None:
-            return self.tail_sf(u)
-        return 1.0 - self.tail_cdf(u)
-
-    def invert_head_cdf(self, q: float) -> float:
-        if self.head_ppf is not None:
-            return float(self.head_ppf(q))
-        theta = self.breakpoint
-        lo = theta
-        for _ in range(400):
-            lo *= 0.5
-            if float(self.head_cdf(lo)) < q:
-                break
-        else:
-            raise ValueError(f"could not bracket head quantile for q={q}")
-        return find_root_bracketed(lambda x: float(self.head_cdf(x)) - q, lo, theta)
-
-    def invert_tail_cdf(self, q: float) -> float:
-        if self.tail_ppf is not None:
-            return float(self.tail_ppf(q))
-        theta = self.breakpoint
-        if q == 0.0:
-            return theta
-        hi = theta
-        for _ in range(2100):
-            hi *= 2.0
-            if float(self.tail_cdf(hi)) > q:
-                break
-        else:
-            raise ValueError(f"could not bracket tail quantile for q={q}")
-        return find_root_bracketed(lambda x: float(self.tail_cdf(x)) - q, theta, hi)
 
     def total_mass(self) -> float:
         """c*F1(theta) + c*(F2(inf) - F2(theta)); one for a valid spec."""
@@ -245,18 +208,11 @@ class ExponentiatedComposite:
         return math.inf if f10 > 0.0 else 0.0
 
     def _transformed(self, piece: Callable, y):
-        """c * f(y**eta) * eta * y**(eta - 1) for one parent piece f.
-
-        y**eta can overflow (or the jacobian blow up at tiny y when eta < 1)
-        while the parent density underflows to 0; the density always wins, so
-        a vanished density forces a zero product instead of 0 * inf = nan.
-        """
+        """c * f(y**eta) * eta * y**(eta - 1) for one parent piece f."""
         eta = self.exponent
         with np.errstate(over="ignore", invalid="ignore"):
             dens = np.asarray(piece(y**eta), dtype=float)
-            return np.where(
-                dens == 0.0, 0.0, self.parent.norm_const * dens * eta * y ** (eta - 1.0)
-            )
+        return _power_jacobian_times(self.parent.norm_const * dens, y, eta)
 
     def pdf(self, y):
         """Density of Y; zero for y < 0, tail branch at exactly y = breakpoint."""
@@ -285,20 +241,14 @@ class ExponentiatedComposite:
         yb = self.breakpoint
         head = (arr > 0.0) & (arr < yb)
         tail = arr >= yb
-        for mask, piece, log_piece in (
-            (head, self.parent.head_density, self.parent.head_log_density),
-            (tail, self.parent.tail_density, self.parent.tail_log_density),
+        for mask, log_piece in (
+            (head, self.parent.head_log_density),
+            (tail, self.parent.tail_log_density),
         ):
             if not mask.any():
                 continue
-            ym = arr[mask]
-            log_y = np.log(ym)
-            if log_piece is not None:
-                lp = log_piece(eta * log_y)
-            else:
-                with np.errstate(divide="ignore"):
-                    lp = np.log(piece(ym**eta))
-            out[mask] = log_c + lp + log_eta + (eta - 1.0) * log_y
+            log_y = np.log(arr[mask])
+            out[mask] = log_c + log_piece(eta * log_y) + log_eta + (eta - 1.0) * log_y
         out[np.isnan(arr)] = np.nan
         return _maybe_scalar(out, scalar)
 
@@ -325,7 +275,7 @@ class ExponentiatedComposite:
         return _maybe_scalar(np.clip(out, 0.0, 1.0), scalar)
 
     def quantile(self, u):
-        """Inverse cdf on (0, 1), closed-form piece inversion when wired.
+        """Inverse cdf on (0, 1) through the parent's piece quantiles.
 
         Raises OverflowError where a quantile exceeds the float range.
         """
@@ -339,17 +289,9 @@ class ExponentiatedComposite:
         head = arr < hm
         tail = ~head
         if head.any():
-            q = arr[head] / c
-            if self.parent.head_ppf is not None:
-                x[head] = self.parent.head_ppf(q)
-            else:
-                x[head] = [self.parent.invert_head_cdf(float(qi)) for qi in q]
+            x[head] = self.parent.head_ppf(arr[head] / c)
         if tail.any():
-            q = (arr[tail] - hm) / c + f2_theta
-            if self.parent.tail_ppf is not None:
-                x[tail] = self.parent.tail_ppf(q)
-            else:
-                x[tail] = [self.parent.invert_tail_cdf(float(qi)) for qi in q]
+            x[tail] = self.parent.tail_ppf((arr[tail] - hm) / c + f2_theta)
         with np.errstate(over="ignore"):
             y = x ** (1.0 / self.exponent)
         if not np.all(np.isfinite(y)):
@@ -419,7 +361,7 @@ class ExponentiatedComposite:
             u1 = np.minimum(x, theta)
             u2 = np.maximum(x, theta)
             survival = (
-                float(parent.head_cdf(theta)) - parent.head_cdf(u1) + parent.tail_survival(u2)
+                float(parent.head_cdf(theta)) - parent.head_cdf(u1) + parent.tail_sf(u2)
             )
             out = c * (
                 parent.head_partial(u1, s)
@@ -430,6 +372,17 @@ class ExponentiatedComposite:
         if not np.isfinite(out).all():
             raise OverflowError(f"limited moment of order {t} exceeds the float range")
         return _maybe_scalar(out, scalar)
+
+
+def _power_jacobian_times(dens, y, eta: float):
+    """dens * eta * y**(eta - 1): a density of X = Y**eta carried to Y.
+
+    y**eta can overflow (or the jacobian blow up at tiny y when eta < 1)
+    while the density underflows to 0; the density always wins, so a
+    vanished density forces a zero product instead of 0 * inf = nan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(dens == 0.0, 0.0, dens * eta * y ** (eta - 1.0))
 
 
 def _cap_power_times(b: np.ndarray, t: float, w: np.ndarray) -> np.ndarray:
@@ -529,26 +482,30 @@ def as_composite_spec(d: ExponentiatedComposite) -> CompositeSpec:
     inv = 1.0 / eta
 
     def promote(piece):
-        return lambda y: piece(np.asarray(y) ** eta) * eta * np.asarray(y) ** (
-            eta - 1.0
-        )
+        def density(y):
+            y = np.asarray(y)
+            with np.errstate(over="ignore", invalid="ignore"):
+                dens = piece(y**eta)
+            return _power_jacobian_times(dens, y, eta)
+
+        return density
+
+    def promote_log(log_piece):
+        log_eta = math.log(eta)
+        return lambda log_y: log_piece(eta * log_y) + log_eta + (eta - 1.0) * log_y
 
     def promote_cdf(cdf):
         return lambda u: cdf(np.asarray(u) ** eta)
 
+    def promote_ppf(ppf):
+        return lambda p: np.asarray(ppf(p)) ** inv
+
     def promote_partial(partial):
+        # optional: a missing one stays missing and falls back to quadrature
         if partial is None:
             return None
         return lambda u, r: partial(u**eta, r / eta)
 
-    def promote_ppf(ppf):
-        if ppf is None:
-            return None
-        return lambda p: np.asarray(ppf(p)) ** inv
-
-    # Log densities are not carried over: the stored ones take log(x) as
-    # argument, and composing that convention through the jacobian buys
-    # nothing over the generic log-of-piece fallback in log_pdf.
     return CompositeSpec(
         head_density=promote(parent.head_density),
         tail_density=promote(parent.tail_density),
@@ -556,13 +513,13 @@ def as_composite_spec(d: ExponentiatedComposite) -> CompositeSpec:
         norm_const=parent.norm_const,
         head_cdf=promote_cdf(parent.head_cdf),
         tail_cdf=promote_cdf(parent.tail_cdf),
-        tail_sf=None if parent.tail_sf is None else promote_cdf(parent.tail_sf),
-        head_partial_moment=promote_partial(parent.head_partial_moment),
-        tail_partial_moment=promote_partial(parent.tail_partial_moment),
-        head_log_density=None,
-        tail_log_density=None,
+        tail_sf=promote_cdf(parent.tail_sf),
+        head_log_density=promote_log(parent.head_log_density),
+        tail_log_density=promote_log(parent.tail_log_density),
         head_ppf=promote_ppf(parent.head_ppf),
         tail_ppf=promote_ppf(parent.tail_ppf),
+        head_partial_moment=promote_partial(parent.head_partial_moment),
+        tail_partial_moment=promote_partial(parent.tail_partial_moment),
         tail_moment_sup=eta * parent.tail_moment_sup,
     )
 

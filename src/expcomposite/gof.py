@@ -1,19 +1,18 @@
-"""Likelihood-based goodness-of-fit statistics and model ranking.
+"""Likelihood-based goodness-of-fit statistics.
 
 Five statistics are computed from (nll, p, n): the negative log-likelihood
 itself and the AIC, BIC, AICc, and CAIC penalized variants.  All are
-"smaller is better", so ranking sorts ascending.
+"smaller is better"; the compare subcommand ranks on one of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .models import ModelId
 
-__all__ = ["CRITERIA", "GofRow", "compare", "rankings", "score"]
+__all__ = ["CRITERIA", "GofRow", "score"]
 
 CRITERIA = ("nll", "aic", "bic", "aicc", "caic")
 
@@ -62,13 +61,3 @@ def _check_criterion(criterion: str) -> str:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     return criterion
 
-
-def compare(rows, criterion: str = "bic") -> list[GofRow]:
-    """Rows sorted ascending by the chosen criterion; ties keep input order."""
-    key = attrgetter(_check_criterion(criterion))
-    return sorted(rows, key=key)
-
-
-def rankings(rows) -> dict[str, list[ModelId]]:
-    """Model order under every criterion, best first."""
-    return {crit: [row.model for row in compare(rows, crit)] for crit in CRITERIA}

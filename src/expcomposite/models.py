@@ -42,7 +42,6 @@ __all__ = [
     "ig_pareto_normalizer",
     "exp_pareto_normalizer",
     "moment_closed_form",
-    "limited_moment_closed_form",
     "WeibullDensity",
     "InverseGammaDensity",
 ]
@@ -417,13 +416,3 @@ def moment_closed_form(model: ModelId, theta: float, eta: float, t: float) -> fl
     _require_composite(model)
     return build(model, theta, eta).moment(t)
 
-
-def limited_moment_closed_form(
-    model: ModelId, theta: float, eta: float, t: float, b: float
-) -> float:
-    """E[(Y ^ b)^t] of a composite family in closed form.
-
-    Finite for every order, including orders whose raw moment diverges.
-    """
-    _require_composite(model)
-    return build(model, theta, eta).limited_moment((t, b))

@@ -29,7 +29,6 @@ from expcomposite.models import (
     exp_pareto_normalizer,
     exp_pareto_spec,
     ig_pareto_spec,
-    limited_moment_closed_form,
     moment_closed_form,
 )
 from expcomposite.simulation import Scenario, run_scenario
@@ -97,7 +96,7 @@ def test_acceptance_03_closed_forms_match_quadrature():
                         worst_raw = max(worst_raw, _rel(closed, numeric))
                         n_raw += 1
                     for b in (0.5 * yb, yb, 2.0 * yb):
-                        closed = limited_moment_closed_form(model, theta, eta, t, b)
+                        closed = d.limited_moment((t, b))
                         numeric = d_quad.limited_moment(LimitedMomentQuery(t, b))
                         worst_lim = max(worst_lim, _rel(closed, numeric))
                         n_lim += 1

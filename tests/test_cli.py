@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ import pytest
 import expcomposite.cli as cli
 from expcomposite.cli import LITERATURE_ROWS, ingest_csv, main, replay_artifact
 from expcomposite.estimation import EtaGrid, FitFailureError, fit
-from expcomposite.gof import score
-from expcomposite.models import ModelId, build, limited_moment_closed_form
+from expcomposite.gof import CRITERIA, score
+from expcomposite.models import ModelId, build
 from expcomposite.simulation import Scenario, run_scenario
 
 CLAIMS = build(ModelId.EXP_EXP_PARETO, 1.0, 0.8).sample(80, seed=17)
@@ -260,6 +261,36 @@ def test_compare_reports_partial_failures(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_compare_ties_keep_input_order(tmp_path, capsys, monkeypatch):
+    # every model scores the same: the ranking must not reorder them
+    def same_fit(model, y, grid=None):
+        return SimpleNamespace(model=model, nll=100.0, p=2, n=50)
+
+    monkeypatch.setattr(cli, "fit", same_fit)
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
+    out = tmp_path / "cmp.csv"
+    for models in (["exp-exp-pareto", "weibull", "exp-ig-pareto"],
+                   ["exp-ig-pareto", "exp-exp-pareto", "weibull"]):
+        for criterion in CRITERIA:
+            assert main(["compare", str(data), "--models", ",".join(models),
+                         "--criterion", criterion, "--out", str(out)]) == 0
+            assert [r["model"] for r in read_out(out)] == models
+    capsys.readouterr()
+
+
+def test_compare_replay_rejects_unknown_criterion(tmp_path, capsys):
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
+    art = tmp_path / "cmp.json"
+    assert main(["compare", str(data), "--models", "exp-pareto-1p,weibull",
+                 "--json", str(art)]) == 0
+    payload = json.loads(art.read_text())
+    payload["config"]["criterion"] = "hqc"
+    art.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="criterion"):
+        replay_artifact(art)
+    capsys.readouterr()
+
+
 def test_compare_lists_theta_overflow_as_failed(tmp_path, capsys):
     huge = build(ModelId.EXP_IG_PARETO, 1.0, 5.0).sample(200, seed=1) * 1e70
     data = write_csv(tmp_path / "huge.csv", huge)
@@ -377,7 +408,7 @@ def test_density_cdf_and_limited_moment_columns(tmp_path, capsys):
     for r in rows[1:]:
         y = float(r["y"])
         assert float(r["cdf"]) == dist.cdf(y)
-        want = limited_moment_closed_form(ModelId.EXP_IG_PARETO, 1.2, 1.5, 1.0, y)
+        want = build(ModelId.EXP_IG_PARETO, 1.2, 1.5).limited_moment((1.0, y))
         assert float(r["limited_moment_t1"]) == want
     capsys.readouterr()
 

@@ -60,7 +60,7 @@ def parent_moment(spec: CompositeSpec, r: float, tol: float = QUAD_TOL) -> float
 # must hold for it anyway; only verify_composite should complain.
 
 
-def rough_spec(theta=2.0, rate=0.7, tail_exp=1.3, wired=True) -> CompositeSpec:
+def rough_spec(theta=2.0, rate=0.7, tail_exp=1.3) -> CompositeSpec:
     c = 1.0 / (1.0 + (1.0 - math.exp(-rate * theta)))
 
     def head_density(x):
@@ -74,15 +74,23 @@ def rough_spec(theta=2.0, rate=0.7, tail_exp=1.3, wired=True) -> CompositeSpec:
         return -np.expm1(-rate * np.asarray(u, dtype=float))
 
     def tail_cdf(u):
-        return 1.0 - (theta / np.asarray(u, dtype=float)) ** tail_exp
+        return 1.0 - tail_sf(u)
 
-    extras = {}
-    if wired:
-        extras = {
-            "head_ppf": lambda q: -np.log1p(-np.asarray(q, dtype=float)) / rate,
-            "tail_ppf": lambda q: theta
-            * (1.0 - np.asarray(q, dtype=float)) ** (-1.0 / tail_exp),
-        }
+    def tail_sf(u):
+        return (theta / np.asarray(u, dtype=float)) ** tail_exp
+
+    def head_log_density(log_x):
+        return math.log(rate) - rate * np.exp(log_x)
+
+    def tail_log_density(log_x):
+        return math.log(tail_exp) + tail_exp * math.log(theta) - (tail_exp + 1.0) * log_x
+
+    def head_ppf(q):
+        return -np.log1p(-np.asarray(q, dtype=float)) / rate
+
+    def tail_ppf(q):
+        return theta * (1.0 - np.asarray(q, dtype=float)) ** (-1.0 / tail_exp)
+
     return CompositeSpec(
         head_density=head_density,
         tail_density=tail_density,
@@ -90,24 +98,20 @@ def rough_spec(theta=2.0, rate=0.7, tail_exp=1.3, wired=True) -> CompositeSpec:
         norm_const=c,
         head_cdf=head_cdf,
         tail_cdf=tail_cdf,
+        tail_sf=tail_sf,
+        head_log_density=head_log_density,
+        tail_log_density=tail_log_density,
+        head_ppf=head_ppf,
+        tail_ppf=tail_ppf,
         tail_moment_sup=tail_exp,
-        **extras,
     )
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
         rough_spec(theta=-1.0)
-    good = rough_spec()
     with pytest.raises(ValueError):
-        CompositeSpec(
-            head_density=good.head_density,
-            tail_density=good.tail_density,
-            breakpoint=good.breakpoint,
-            norm_const=1.5,
-            head_cdf=good.head_cdf,
-            tail_cdf=good.tail_cdf,
-        )
+        dataclasses.replace(rough_spec(), norm_const=1.5)
 
 
 def test_total_mass_is_one():
@@ -180,22 +184,17 @@ def test_cdf_limits_and_monotonicity():
 
 
 @given(
+    parent=st.sampled_from(
+        [rough_spec(), exp_pareto_spec(1.0), ig_pareto_spec(1.0)]
+    ),
     u=st.floats(min_value=0.001, max_value=0.999),
     eta=st.floats(min_value=0.3, max_value=4.0),
 )
-def test_quantile_round_trip(u, eta):
-    d = ExponentiatedComposite(rough_spec(), eta)
+def test_quantile_round_trip(parent, u, eta):
+    # every wired ppf, the hand-built one and both families', inverts its cdf
+    d = ExponentiatedComposite(parent, eta)
     y = d.quantile(u)
     assert d.cdf(y) == pytest.approx(u, abs=1e-9)
-
-
-def test_quantile_fallback_inversion_matches_wired():
-    wired = ExponentiatedComposite(rough_spec(wired=True), 1.9)
-    bare = ExponentiatedComposite(rough_spec(wired=False), 1.9)
-    us = np.array([0.05, 0.3, wired.head_mass, 0.7, 0.99])
-    got = bare.quantile(us)
-    want = wired.quantile(us)
-    assert np.allclose(got, want, rtol=1e-9)
 
 
 def test_quantile_rejects_endpoints():
@@ -401,15 +400,7 @@ def test_verify_flags_rough_splice():
 
 def test_verify_flags_bad_normalization():
     spec = rough_spec()
-    bad = CompositeSpec(
-        head_density=spec.head_density,
-        tail_density=spec.tail_density,
-        breakpoint=spec.breakpoint,
-        norm_const=spec.norm_const * 0.9,
-        head_cdf=spec.head_cdf,
-        tail_cdf=spec.tail_cdf,
-        tail_moment_sup=spec.tail_moment_sup,
-    )
+    bad = dataclasses.replace(spec, norm_const=spec.norm_const * 0.9)
     report = verify_composite(ExponentiatedComposite(bad, 1.0))
     assert not report.normalization_ok
 
@@ -436,6 +427,20 @@ def test_exponentiate_composes_through_materialization():
     a = np.array([float(two_step.pdf(v)) for v in ys])
     b = one_step.pdf(ys)
     assert np.allclose(a, b, rtol=1e-12)
+
+
+def test_materialized_log_pdf_matches_direct():
+    # the promoted log densities carry the far tail and the deep head, where
+    # the pieces under- and overflow, through a materialized spec
+    ys = np.array([1e60, 0.05, 0.5, 2.0])
+    for make_spec in (exp_pareto_spec, ig_pareto_spec):
+        spec = make_spec(1.0)
+        two_step = exponentiate(exponentiate(spec, 4.0), 5.0)
+        one_step = exponentiate(spec, 20.0)
+        for method in ("log_pdf", "pdf"):
+            got = getattr(two_step, method)(ys)
+            want = getattr(one_step, method)(ys)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_exponentiate_identity():

@@ -1,4 +1,4 @@
-"""Information criteria and ranking behavior."""
+"""Information criteria."""
 
 import math
 from types import SimpleNamespace
@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as hst
 
-from expcomposite.gof import CRITERIA, GofRow, compare, rankings, score
+from expcomposite.gof import GofRow, score
 from expcomposite.models import ModelId
 
 
@@ -61,43 +61,6 @@ def test_penalties_order_for_large_n():
     row = score(_fit(50.0, 2, 500))  # ln 500 > 2
     assert row.nll * 2 < row.aic < row.bic < row.caic
     assert row.aic < row.aicc < row.bic
-
-
-def test_compare_sorts_by_requested_criterion():
-    # model A wins on nll, model B wins on bic thanks to a smaller p
-    a = score(_fit(100.0, 2, 50, ModelId.EXP_EXP_PARETO))
-    b = score(_fit(101.0, 1, 50, ModelId.EXP_PARETO_1P))
-    assert [r.model for r in compare([a, b], "nll")] == [a.model, b.model]
-    assert [r.model for r in compare([a, b], "bic")] == [b.model, a.model]
-    assert [r.model for r in compare([a, b])] == [b.model, a.model]  # bic default
-
-
-def test_compare_ties_keep_input_order():
-    a = score(_fit(100.0, 2, 50, ModelId.EXP_EXP_PARETO))
-    b = score(_fit(100.0, 2, 50, ModelId.EXP_IG_PARETO))
-    assert [r.model for r in compare([a, b], "aic")] == [a.model, b.model]
-    assert [r.model for r in compare([b, a], "aic")] == [b.model, a.model]
-
-
-def test_compare_rejects_unknown_criterion():
-    row = score(_fit(1.0, 1, 30))
-    with pytest.raises(ValueError, match="criterion"):
-        compare([row], "hqc")
-
-
-def test_rankings_cover_every_criterion():
-    rows = [
-        score(_fit(100.0, 2, 50, ModelId.EXP_EXP_PARETO)),
-        score(_fit(100.9, 1, 50, ModelId.EXP_PARETO_1P)),
-        score(_fit(99.9, 2, 50, ModelId.WEIBULL)),
-    ]
-    table = rankings(rows)
-    assert set(table) == set(CRITERIA)
-    models = {r.model for r in rows}
-    for crit, order in table.items():
-        assert set(order) == models and len(order) == 3
-    assert table["nll"][0] == ModelId.WEIBULL
-    assert table["bic"][0] == ModelId.EXP_PARETO_1P
 
 
 def test_score_reads_duck_typed_fits():

@@ -27,7 +27,6 @@ from expcomposite.models import (
     exp_pareto_spec,
     ig_pareto_normalizer,
     ig_pareto_spec,
-    limited_moment_closed_form,
     moment_closed_form,
 )
 from expcomposite.special import find_root_bracketed, ln_gamma
@@ -331,7 +330,7 @@ LIMITED_FROZEN = (
 
 @pytest.mark.parametrize("model,theta,eta,t,b,want", LIMITED_FROZEN)
 def test_limited_moment_frozen_values(model, theta, eta, t, b, want):
-    assert limited_moment_closed_form(model, theta, eta, t, b) == pytest.approx(
+    assert build(model, theta, eta).limited_moment((t, b)) == pytest.approx(
         want, rel=1e-11
     )
 
@@ -341,13 +340,13 @@ def test_limited_moment_order_zero_is_one():
             (2.25, 2.0, 4.0), (0.5, 5.0, 0.871))
     for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
         for theta, eta, b in grid:
-            assert limited_moment_closed_form(model, theta, eta, 0.0, b) == 1.0
+            assert build(model, theta, eta).limited_moment((0.0, b)) == 1.0
 
 
 @given(theta=hst.floats(0.05, 50.0), eta=hst.floats(0.2, 10.0), b=hst.floats(1e-3, 1e3))
 def test_limited_moment_order_zero_is_exactly_one(theta, eta, b):
     for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
-        assert limited_moment_closed_form(model, theta, eta, 0.0, b) == 1.0
+        assert build(model, theta, eta).limited_moment((0.0, b)) == 1.0
 
 
 # Caps far above the breakpoint, where forming 1 - tail_cdf loses digits.
@@ -385,19 +384,17 @@ def test_limited_moment_smooth_through_tail_exponent():
         (ModelId.EXP_EXP_PARETO, EXP_PARETO.alpha),
         (ModelId.EXP_IG_PARETO, IG_PARETO.alpha - IG_PARETO.k),
     ):
-        at = limited_moment_closed_form(model, 1.0, 1.0, a, 1e12)
+        at = build(model, 1.0, 1.0).limited_moment((a, 1e12))
         for f in (-1e-11, -3e-12, 3e-12, 1e-11):
-            near = limited_moment_closed_form(model, 1.0, 1.0, a * (1.0 + f), 1e12)
+            near = build(model, 1.0, 1.0).limited_moment((a * (1.0 + f), 1e12))
             assert near == pytest.approx(at, rel=1e-9)
 
 
 def test_limited_moment_validations():
     with pytest.raises(ValueError):
-        limited_moment_closed_form(ModelId.EXP_EXP_PARETO, 1.0, 1.0, -0.5, 1.0)
+        build(ModelId.EXP_EXP_PARETO, 1.0, 1.0).limited_moment((-0.5, 1.0))
     with pytest.raises(ValueError):
-        limited_moment_closed_form(ModelId.EXP_EXP_PARETO, 1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        limited_moment_closed_form(ModelId.INVERSE_GAMMA, 1.0, 1.0, 1.0, 1.0)
+        build(ModelId.EXP_EXP_PARETO, 1.0, 1.0).limited_moment((1.0, 0.0))
 
 
 @given(
@@ -410,8 +407,8 @@ def test_limited_moment_validations():
 def test_limited_moment_monotone_in_cap(theta, eta, t, b1, b2):
     lo, hi = sorted((b1, b2))
     for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
-        v_lo = limited_moment_closed_form(model, theta, eta, t, lo)
-        v_hi = limited_moment_closed_form(model, theta, eta, t, hi)
+        v_lo = build(model, theta, eta).limited_moment((t, lo))
+        v_hi = build(model, theta, eta).limited_moment((t, hi))
         assert v_lo >= 0.0
         assert v_lo <= v_hi * (1.0 + 1e-12)
 
@@ -425,7 +422,7 @@ def test_limited_moment_capped_by_raw_moment():
         t = 0.5 * eta * bound
         full = moment_closed_form(model, 1.4, eta, t)
         for b in (0.3, 1.0, 6.0, 50.0):
-            assert limited_moment_closed_form(model, 1.4, eta, t, b) <= full * (1 + 1e-12)
+            assert build(model, 1.4, eta).limited_moment((t, b)) <= full * (1 + 1e-12)
 
 
 # -- baseline densities ----------------------------------------------------
