@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import math
 import sys
@@ -62,47 +62,34 @@ LITERATURE_ROWS = {
 
 @dataclass(frozen=True)
 class ClaimsDataset:
-    """Strictly positive claim amounts plus bookkeeping about their origin."""
+    """Strictly positive, finite claim amounts in file order."""
 
-    values: tuple[float, ...]
-    name: str
-    scale_note: str
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("dataset has no values")
-        if any(not v > 0.0 for v in self.values):
-            raise ValueError("dataset values must be strictly positive")
+    values: np.ndarray  # 1-d float
 
     @property
     def n(self) -> int:
-        return len(self.values)
-
-    def sorted_values(self) -> np.ndarray:
-        """Ascending copy for estimation."""
-        return np.sort(np.asarray(self.values, dtype=float))
+        return self.values.size
 
 
 @dataclass(frozen=True)
 class RunArtifact:
     """Persisted record of one CLI run: command echo, config, results.
 
-    The timestamp stays None in files the CLI writes so that identical
-    invocations produce identical bytes; re-running the stored config
-    through replay_artifact reproduces the results.
+    The timestamp is always null so that identical invocations produce
+    identical bytes; re-running the stored config through replay_artifact
+    reproduces the results.
     """
 
     command: tuple[str, ...]
     config: dict
     results: tuple[dict, ...]
-    timestamp: str | None = None
 
     def to_json(self) -> str:
         payload = {
             "command": list(self.command),
             "config": self.config,
             "results": [dict(r) for r in self.results],
-            "timestamp": self.timestamp,
+            "timestamp": None,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -123,60 +110,60 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"no such file: {path}")
-    with open(p, newline="") as fh:
-        numbered = [
-            (rowno, row)
-            for rowno, row in enumerate(csv.reader(fh), start=1)
-            if any(cell.strip() for cell in row)
-        ]
-    if not numbered:
-        raise ValueError(f"{path}: file has no data rows")
-
     by_name = True
     try:
         idx = int(column)
         by_name = False
     except (TypeError, ValueError):
         pass
-    start = 0
-    first_row = numbered[0][1]
-    if by_name:
-        names = [cell.strip() for cell in first_row]
-        wanted = str(column).strip()
-        if wanted not in names:
-            raise ValueError(f"column {wanted!r} not found in header {names}")
-        idx = names.index(wanted)
-        start = 1
-    else:
-        if idx < 0:
-            raise ValueError(f"column index must be >= 0, got {idx}")
-        cell = first_row[idx].strip() if idx < len(first_row) else ""
-        try:
-            float(cell)
-        except ValueError:
-            start = 1  # first row is a header
 
     values: list[float] = []
-    for rowno, row in numbered[start:]:
-        if idx >= len(row):
-            raise ValueError(f"row {rowno}: no column {idx}")
-        cell = row[idx].strip()
-        try:
-            v = float(cell)
-        except ValueError:
-            raise ValueError(
-                f"row {rowno}: could not parse {cell!r} as a number"
-            ) from None
-        v *= scale
-        if not math.isfinite(v):
-            raise ValueError(f"row {rowno}: value must be finite, got {cell!r}")
-        if not v > 0.0:
-            raise ValueError(f"row {rowno}: values must be strictly positive, got {v:g}")
-        values.append(v)
+    with open(p, newline="") as fh:
+        rows = (
+            (rowno, row)
+            for rowno, row in enumerate(csv.reader(fh), start=1)
+            if any(cell.strip() for cell in row)
+        )
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: file has no data rows")
+        first_row = first[1]
+        if by_name:
+            names = [cell.strip() for cell in first_row]
+            wanted = str(column).strip()
+            if wanted not in names:
+                raise ValueError(f"column {wanted!r} not found in header {names}")
+            idx = names.index(wanted)
+        else:
+            if idx < 0:
+                raise ValueError(f"column index must be >= 0, got {idx}")
+            cell = first_row[idx].strip() if idx < len(first_row) else ""
+            try:
+                float(cell)
+            except ValueError:
+                pass  # first row is a header
+            else:
+                rows = itertools.chain([first], rows)
+
+        for rowno, row in rows:
+            if idx >= len(row):
+                raise ValueError(f"row {rowno}: no column {idx}")
+            cell = row[idx].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"row {rowno}: could not parse {cell!r} as a number"
+                ) from None
+            v *= scale
+            if not math.isfinite(v):
+                raise ValueError(f"row {rowno}: value must be finite, got {cell!r}")
+            if not v > 0.0:
+                raise ValueError(f"row {rowno}: values must be strictly positive, got {v:g}")
+            values.append(v)
     if not values:
         raise ValueError(f"{path}: no numeric data rows after the header")
-    note = f"scaled by {scale:g}" if scale != 1.0 else "unscaled"
-    return ClaimsDataset(values=tuple(values), name=p.stem, scale_note=note)
+    return ClaimsDataset(values=np.array(values))
 
 
 # -- config execution ------------------------------------------------------
@@ -232,7 +219,7 @@ def _exec_fit(config: dict) -> list[dict]:
     dataset = ingest_csv(config["data"], config["column"], config["scale"])
     model = ModelId(config["model"])
     grid = EtaGrid(**config["grid"])
-    result = fit(model, dataset.sorted_values(), grid)
+    result = fit(model, dataset.values, grid)
     return [_fit_record(result, score(result))]
 
 
@@ -240,7 +227,7 @@ def _exec_compare(config: dict) -> list[dict]:
     dataset = ingest_csv(config["data"], config["column"], config["scale"])
     grid = EtaGrid(**config["grid"])
     criterion = _check_criterion(config["criterion"])
-    data = dataset.sorted_values()
+    data = dataset.values
 
     def blank(model_name, source):
         return {
@@ -330,10 +317,7 @@ def _exec_density(config: dict) -> list[dict]:
     pdf = dist.pdf(ys)
     cdf = dist.cdf(ys) if config.get("cdf") else None
     if order is not None:
-        # capping at 0 collapses the variable to 0
-        lm = np.full(ys.shape, 1.0 if order == 0.0 else 0.0)
-        pos = ys > 0.0
-        lm[pos] = dist.limited_moment((order, ys[pos]))
+        lm = dist.limited_moment((order, ys))
     records = []
     for i, y in enumerate(ys):
         rec = {"y": float(y), "pdf": float(pdf[i])}
@@ -348,22 +332,12 @@ def _exec_density(config: dict) -> list[dict]:
 # -- output ----------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path, records: list[dict]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    keys = list(records[0].keys())
-    writer.writerow(keys)
-    for rec in records:
-        writer.writerow([_cell(rec.get(k)) for k in keys])
-    Path(path).write_text(buf.getvalue())
+    # the csv module writes None as an empty cell and a float as its repr
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
 
 
 def _human(value) -> str:

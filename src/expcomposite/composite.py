@@ -24,8 +24,8 @@ composite (see as_composite_spec), which is what makes repeated
 exponentiation close under composition of the exponents.
 
 Piece callables stored on a CompositeSpec must accept scalars or numpy
-arrays.  The quadrature fallback of the partial moments calls them with
-scalars.
+arrays, and every piece is given in closed form: the moment engine only
+does arithmetic on them.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ class LimitedMomentQuery:
     """Order t and cap b of a limited moment E[(Y ^ b)^t].
 
     The cap may be a float or an array of caps.  Order zero is admitted
-    because the answer is then exactly one.
+    because the answer is then exactly one, and so is cap zero, where the
+    capped variable is zero.
     """
 
     order: float
@@ -78,19 +79,18 @@ class LimitedMomentQuery:
     def __post_init__(self) -> None:
         if not 0.0 <= self.order < math.inf:
             raise ValueError(f"limited-moment order must be finite and >= 0, got {self.order}")
-        if not np.all(np.asarray(self.cap, dtype=float) > 0.0):
-            raise ValueError(f"limited-moment cap must be > 0, got {self.cap}")
+        if not np.all(np.asarray(self.cap, dtype=float) >= 0.0):
+            raise ValueError(f"limited-moment cap must be >= 0, got {self.cap}")
 
 
 @dataclass(frozen=True)
 class CompositeSpec:
     """Pieces and auxiliary functions of one composite density.
 
-    Required: the two piece densities, the breakpoint, the normalizing
-    constant, the two cdfs, the tail survival, the two log densities and
-    the two quantile inverses.  Only the partial moments are optional;
-    missing ones fall back to adaptive quadrature, which also serves as the
-    reference the closed forms are tested against.
+    Every field is required: the two piece densities, the breakpoint, the
+    normalizing constant, the two cdfs, the tail survival, the two log
+    densities, the two quantile inverses and the two partial moments, all
+    in closed form.
 
     tail_moment_sup is the supremum of r with E[X^r] finite (the Pareto
     decay exponent of the tail piece).  Moment routines compare against it
@@ -109,9 +109,9 @@ class CompositeSpec:
     tail_log_density: Callable  # log_x -> log f2(x)
     head_ppf: Callable  # inverse of head_cdf
     tail_ppf: Callable  # inverse of tail_cdf
-    head_partial_moment: Callable | None = None  # (u, r) -> int_0^u x^r f1
-    tail_partial_moment: Callable | None = None  # (u, r) -> int_theta^u x^r f2
-    tail_moment_sup: float = math.inf
+    head_partial_moment: Callable  # (u, r) -> int_0^u x^r f1
+    tail_partial_moment: Callable  # (u, r) -> int_theta^u x^r f2
+    tail_moment_sup: float
 
     def __post_init__(self) -> None:
         if not self.breakpoint > 0.0:
@@ -122,54 +122,6 @@ class CompositeSpec:
             )
         if not self.tail_moment_sup > 0.0:
             raise ValueError("tail_moment_sup must be positive")
-
-    # -- partial moments: closed form when wired, else quadrature --------
-
-    def head_partial(self, u, r: float):
-        """int_0^u x^r f1(x) dx, elementwise over u."""
-        if self.head_partial_moment is not None:
-            return self.head_partial_moment(u, r)
-
-        def integrate(v: float) -> float:
-            if v == 0.0:
-                return 0.0
-            return adaptive_quadrature(
-                lambda x: x**r * float(self.head_density(x)), 0.0, v
-            ).value
-
-        return _each(integrate, u)
-
-    def tail_partial(self, u, r: float):
-        """int_theta^u x^r f2(x) dx, elementwise over u."""
-        if self.tail_partial_moment is not None:
-            return self.tail_partial_moment(u, r)
-        theta = self.breakpoint
-
-        def integrate(v: float) -> float:
-            if v == theta:
-                return 0.0
-            if 100.0 < v / theta < math.inf:
-                # x = e^w turns many decades of algebraic decay into a short
-                # exponential-decay integral the adaptive rule certifies easily
-                return adaptive_quadrature(
-                    lambda w: math.exp((r + 1.0) * w) * float(self.tail_density(math.exp(w))),
-                    math.log(theta),
-                    math.log(v),
-                ).value
-            return adaptive_quadrature(
-                lambda x: x**r * float(self.tail_density(x)), theta, v
-            ).value
-
-        return _each(integrate, u)
-
-    def total_mass(self) -> float:
-        """c*F1(theta) + c*(F2(inf) - F2(theta)); one for a valid spec."""
-        f2_inf = float(self.tail_cdf(math.inf))
-        return self.norm_const * (
-            float(self.head_cdf(self.breakpoint))
-            + f2_inf
-            - float(self.tail_cdf(self.breakpoint))
-        )
 
 
 @dataclass(frozen=True)
@@ -322,9 +274,9 @@ class ExponentiatedComposite:
         parent = self.parent
         theta = parent.breakpoint
         return parent.norm_const * (
-            float(parent.head_partial(theta, s))
-            + float(parent.tail_partial(math.inf, s))
-            - float(parent.tail_partial(theta, s))
+            float(parent.head_partial_moment(theta, s))
+            + float(parent.tail_partial_moment(math.inf, s))
+            - float(parent.tail_partial_moment(theta, s))
         )
 
     def limited_moment(self, q):
@@ -339,8 +291,9 @@ class ExponentiatedComposite:
 
         H and T are the head and tail partial moments, S2 = 1 - F2 the tail
         survival, and c times the last bracket is P(Y > b).  Order zero
-        gives exactly one.  Raises OverflowError where b**eta or the result
-        leaves the float range.
+        gives exactly one, and a positive order at cap zero exactly zero.
+        Raises OverflowError where b**eta or the result leaves the float
+        range.
         """
         if not isinstance(q, LimitedMomentQuery):
             q = LimitedMomentQuery(*q)
@@ -364,9 +317,9 @@ class ExponentiatedComposite:
                 float(parent.head_cdf(theta)) - parent.head_cdf(u1) + parent.tail_sf(u2)
             )
             out = c * (
-                parent.head_partial(u1, s)
-                + parent.tail_partial(u2, s)
-                - float(parent.tail_partial(theta, s))
+                parent.head_partial_moment(u1, s)
+                + parent.tail_partial_moment(u2, s)
+                - float(parent.tail_partial_moment(theta, s))
                 + _cap_power_times(b, t, survival)
             )
         if not np.isfinite(out).all():
@@ -390,13 +343,6 @@ def _cap_power_times(b: np.ndarray, t: float, w: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bt = b**t
         return np.where(np.isinf(bt), np.exp(t * np.log(b) + np.log(w)), bt * w)
-
-
-def _each(f: Callable[[float], float], u):
-    """Scalar f over every element of u: a float gives a float, an array an array."""
-    arr, scalar = _as_batch(u)
-    out = np.array([f(float(v)) for v in arr.ravel()], dtype=float).reshape(arr.shape)
-    return _maybe_scalar(out, scalar)
 
 
 def _require_finite_moment(t: float, eta: float, sup: float) -> None:
@@ -501,9 +447,6 @@ def as_composite_spec(d: ExponentiatedComposite) -> CompositeSpec:
         return lambda p: np.asarray(ppf(p)) ** inv
 
     def promote_partial(partial):
-        # optional: a missing one stays missing and falls back to quadrature
-        if partial is None:
-            return None
         return lambda u, r: partial(u**eta, r / eta)
 
     return CompositeSpec(

@@ -32,7 +32,7 @@ from expcomposite.models import (
     moment_closed_form,
 )
 from expcomposite.simulation import Scenario, run_scenario
-from test_composite import moment_numeric, parent_moment
+from test_composite import moment_numeric, parent_moment, quadrature_partials
 from test_estimation import theta_profile_exp_pareto, theta_profile_ig_pareto
 
 BASE_SEED = 20260822
@@ -82,12 +82,10 @@ def test_acceptance_03_closed_forms_match_quadrature():
     )
     for model, make_spec, bound in plans:
         for theta in (0.5, 1.0, 5.0):
-            stripped = dataclasses.replace(
-                make_spec(theta), head_partial_moment=None, tail_partial_moment=None
-            )
+            quad_spec = quadrature_partials(make_spec(theta))
             for eta in (0.5, 0.8, 1.0, 2.0, 5.0):
                 d = build(model, theta, eta)
-                d_quad = ExponentiatedComposite(stripped, eta)
+                d_quad = ExponentiatedComposite(quad_spec, eta)
                 yb = theta ** (1.0 / eta)
                 for t in (0.25, 0.5, 1.0):
                     if t / eta < bound:

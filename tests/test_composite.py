@@ -16,7 +16,13 @@ from expcomposite.composite import (
     verify_composite,
 )
 from expcomposite.models import ModelId, build, exp_pareto_spec, ig_pareto_spec
-from expcomposite.special import QUAD_TOL, adaptive_quadrature
+from expcomposite.special import (
+    QUAD_TOL,
+    _as_batch,
+    _maybe_scalar,
+    adaptive_quadrature,
+    lower_incomplete_gamma,
+)
 
 # -- quadrature oracles for the moment engine ------------------------------
 
@@ -54,10 +60,56 @@ def parent_moment(spec: CompositeSpec, r: float, tol: float = QUAD_TOL) -> float
     return c * (head.value + tail.value)
 
 
+def quadrature_partials(spec: CompositeSpec) -> CompositeSpec:
+    """spec with its partial moments integrated by adaptive quadrature.
+
+    The reference the closed-form partials are checked against.  A tail
+    integral over more than two decades is taken in w = log(x).
+    """
+    theta = spec.breakpoint
+
+    def head(v: float, r: float) -> float:
+        if v == 0.0:
+            return 0.0
+        return adaptive_quadrature(
+            lambda x: x**r * float(spec.head_density(x)), 0.0, v
+        ).value
+
+    def tail(v: float, r: float) -> float:
+        if v == theta:
+            return 0.0
+        if 100.0 < v / theta < math.inf:
+            # x = e^w turns many decades of algebraic decay into a short
+            # exponential-decay integral the adaptive rule certifies easily
+            return adaptive_quadrature(
+                lambda w: math.exp((r + 1.0) * w) * float(spec.tail_density(math.exp(w))),
+                math.log(theta),
+                math.log(v),
+            ).value
+        return adaptive_quadrature(
+            lambda x: x**r * float(spec.tail_density(x)), theta, v
+        ).value
+
+    def elementwise(f):
+        # a float u gives a float, an array an array, like the closed forms
+        def partial(u, r):
+            arr, scalar = _as_batch(u)
+            out = np.array([f(float(v), r) for v in arr.ravel()]).reshape(arr.shape)
+            return _maybe_scalar(out, scalar)
+
+        return partial
+
+    return dataclasses.replace(
+        spec, head_partial_moment=elementwise(head), tail_partial_moment=elementwise(tail)
+    )
+
+
 # A hand-built spliced density that is NOT calibrated for smoothness:
 # exponential head with an arbitrary rate, Pareto tail with an arbitrary
 # exponent.  The machinery contracts (mass, cdf/quantile, partial moments)
-# must hold for it anyway; only verify_composite should complain.
+# must hold for it anyway; only verify_composite should complain.  Its
+# partial moments are closed forms of their own, checked against
+# quadrature_partials.
 
 
 def rough_spec(theta=2.0, rate=0.7, tail_exp=1.3) -> CompositeSpec:
@@ -91,6 +143,16 @@ def rough_spec(theta=2.0, rate=0.7, tail_exp=1.3) -> CompositeSpec:
     def tail_ppf(q):
         return theta * (1.0 - np.asarray(q, dtype=float)) ** (-1.0 / tail_exp)
 
+    def head_partial_moment(u, r):
+        return rate**-r * lower_incomplete_gamma(r + 1.0, rate * np.asarray(u, dtype=float))
+
+    def tail_partial_moment(u, r):
+        u = np.asarray(u, dtype=float)
+        d = r - tail_exp
+        if d == 0.0:
+            return tail_exp * theta**tail_exp * np.log(u / theta)
+        return tail_exp * theta**tail_exp * (u**d - theta**d) / d
+
     return CompositeSpec(
         head_density=head_density,
         tail_density=tail_density,
@@ -103,6 +165,8 @@ def rough_spec(theta=2.0, rate=0.7, tail_exp=1.3) -> CompositeSpec:
         tail_log_density=tail_log_density,
         head_ppf=head_ppf,
         tail_ppf=tail_ppf,
+        head_partial_moment=head_partial_moment,
+        tail_partial_moment=tail_partial_moment,
         tail_moment_sup=tail_exp,
     )
 
@@ -115,20 +179,31 @@ def test_spec_validation():
 
 
 def test_total_mass_is_one():
-    assert rough_spec().total_mass() == pytest.approx(1.0, abs=1e-12)
-    assert rough_spec(theta=0.4, rate=2.2, tail_exp=0.4).total_mass() == pytest.approx(
-        1.0, abs=1e-12
-    )
+    for spec in (rough_spec(), rough_spec(theta=0.4, rate=2.2, tail_exp=0.4)):
+        # c*F1(theta) + c*(F2(inf) - F2(theta))
+        theta = spec.breakpoint
+        mass = spec.norm_const * (
+            float(spec.head_cdf(theta))
+            + float(spec.tail_cdf(math.inf))
+            - float(spec.tail_cdf(theta))
+        )
+        assert mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_limited_moment_query_validation():
     with pytest.raises(ValueError):
         LimitedMomentQuery(order=-0.5, cap=1.0)
-    with pytest.raises(ValueError):
-        LimitedMomentQuery(order=1.0, cap=0.0)
-    for caps in ([1.0, 0.0], [2.0, -1.0], [1.0, math.nan], [math.nan]):
+    for cap in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            LimitedMomentQuery(order=1.0, cap=cap)
+    for caps in ([2.0, -1.0], [1.0, math.nan], [math.nan]):
         with pytest.raises(ValueError):
             LimitedMomentQuery(order=1.0, cap=np.array(caps))
+    # cap zero is admitted: the capped variable is zero there
+    d = ExponentiatedComposite(rough_spec(), 1.4)
+    assert d.limited_moment(LimitedMomentQuery(order=1.0, cap=0.0)) == 0.0
+    got = d.limited_moment(LimitedMomentQuery(order=1.0, cap=np.array([1.0, 0.0])))
+    assert got[0] == d.limited_moment((1.0, 1.0)) and got[1] == 0.0
 
 
 def test_limited_moment_query_requires_finite_order():
@@ -242,19 +317,22 @@ def test_sample_maps_under_powers(model, theta, eta, a, n, seed):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=0.0)
 
 
-def test_partial_moment_quadrature_fallback():
+def test_rough_spec_partials_match_quadrature():
     spec = rough_spec()
-    # no closed-form partials wired: the methods must integrate
-    u, r = 1.2, 0.7
-    got = spec.head_partial(u, r)
-    want = adaptive_quadrature(lambda x: x**r * float(spec.head_density(x)), 0.0, u)
-    assert got == pytest.approx(want.value, rel=1e-9)
-    u2 = 4.5
-    got2 = spec.tail_partial(u2, r)
-    want2 = adaptive_quadrature(
-        lambda x: x**r * float(spec.tail_density(x)), spec.breakpoint, u2
-    )
-    assert got2 == pytest.approx(want2.value, rel=1e-9)
+    quad = quadrature_partials(spec)
+    theta = spec.breakpoint
+    for r in (0.0, 0.7, 1.3, 2.5):
+        for u in (0.0, 0.3, 1.2, theta):
+            got = float(spec.head_partial_moment(u, r))
+            assert got == pytest.approx(float(quad.head_partial_moment(u, r)), rel=1e-9)
+        # the last cap takes the oracle's log-substitution branch
+        for u in (theta, 4.5, 60.0, 1e5):
+            got = float(spec.tail_partial_moment(u, r))
+            assert got == pytest.approx(float(quad.tail_partial_moment(u, r)), rel=1e-9)
+        if r < spec.tail_moment_sup:
+            got = float(spec.tail_partial_moment(math.inf, r))
+            want = float(quad.tail_partial_moment(math.inf, r))
+            assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_moment_numeric_vs_parent_moment():
@@ -264,7 +342,10 @@ def test_moment_numeric_vs_parent_moment():
         d = ExponentiatedComposite(spec, eta)
         want = parent_moment(spec, t / eta)
         assert moment_numeric(d, t) == pytest.approx(want, rel=1e-7)
-        assert d.moment(t) == pytest.approx(want, rel=1e-7)  # quadrature partials
+        assert d.moment(t) == pytest.approx(want, rel=1e-7)
+        assert ExponentiatedComposite(quadrature_partials(spec), eta).moment(
+            t
+        ) == pytest.approx(want, rel=1e-7)
 
 
 def test_moment_divergence_guard():
@@ -286,6 +367,28 @@ def test_limited_moment_order_zero_is_one():
         assert d.limited_moment(LimitedMomentQuery(0.0, cap)) == pytest.approx(
             1.0, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("model", [ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO, None])
+def test_limited_moment_at_cap_zero_is_exact(model):
+    # E[(Y ^ 0)^t] is +0.0 for t > 0 and 1.0 for t = 0, scalar or array,
+    # without a floating-point warning
+    for theta in (0.05, 1.0, 40.0):
+        for eta in (0.2, 1.0, 7.5):
+            if model is None:
+                d = ExponentiatedComposite(rough_spec(theta=theta), eta)
+            else:
+                d = build(model, theta, eta)
+            for t in (0.0, 0.3, 1.0, 5.0):
+                want = 1.0 if t == 0.0 else 0.0
+                with np.errstate(all="raise"):
+                    scalar = d.limited_moment((t, 0.0))
+                    array = d.limited_moment((t, np.array([0.0, d.breakpoint, 0.0])))
+                assert isinstance(scalar, float)
+                assert math.copysign(1.0, scalar) == 1.0 and scalar == want
+                assert array[0] == array[2] == want
+                assert math.copysign(1.0, array[0]) == 1.0
+                assert array[1] == d.limited_moment((t, d.breakpoint))
 
 
 def test_limited_moment_accepts_tuple():
@@ -322,12 +425,9 @@ def test_limited_moment_array_matches_scalar_calls(theta, eta, t, caps):
 def test_limited_moment_closed_partials_match_quadrature(theta, eta, t, ratio):
     for make_spec in (exp_pareto_spec, ig_pareto_spec):
         spec = make_spec(theta)
-        stripped = dataclasses.replace(
-            spec, head_partial_moment=None, tail_partial_moment=None
-        )
         b = ratio * spec.breakpoint ** (1.0 / eta)
         closed = ExponentiatedComposite(spec, eta).limited_moment((t, b))
-        quad = ExponentiatedComposite(stripped, eta).limited_moment((t, b))
+        quad = ExponentiatedComposite(quadrature_partials(spec), eta).limited_moment((t, b))
         assert closed == pytest.approx(quad, rel=1e-8)
 
 
@@ -363,7 +463,6 @@ def test_limited_moment_grows_to_full_moment():
     d = ExponentiatedComposite(rough_spec(tail_exp=1.3), 2.0)
     t = 1.0  # t / eta = 0.5 < 1.3, the full moment exists
     full = moment_numeric(d, t)
-    # last cap spans many decades, exercising the log-substitution fallback
     caps = [2.0, 8.0, 32.0, 128.0, 100000.0]
     vals = [d.limited_moment(LimitedMomentQuery(t, b)) for b in caps]
     assert all(x < y for x, y in zip(vals, vals[1:]))

@@ -394,7 +394,8 @@ def test_limited_moment_validations():
     with pytest.raises(ValueError):
         build(ModelId.EXP_EXP_PARETO, 1.0, 1.0).limited_moment((-0.5, 1.0))
     with pytest.raises(ValueError):
-        build(ModelId.EXP_EXP_PARETO, 1.0, 1.0).limited_moment((1.0, 0.0))
+        build(ModelId.EXP_EXP_PARETO, 1.0, 1.0).limited_moment((1.0, -1.0))
+    assert build(ModelId.EXP_EXP_PARETO, 1.0, 1.0).limited_moment((1.0, 0.0)) == 0.0
 
 
 @given(
