@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimation import BaselineFitResult, EtaGrid, FitFailureError, fit
-from .gof import CRITERIA, _check_criterion, score
+from .gof import CRITERIA, score
 from .models import ModelId, build
 from .simulation import Scenario, reproduce_recovery_tables, run_scenario
 
@@ -168,10 +168,11 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
 
 # -- config execution ------------------------------------------------------
 #
-# Each subcommand reduces its flags to a JSON-safe config dict, and
-# _run_config turns a config into result records.  replay_artifact goes
-# through the same function, so a persisted config reruns on the exact
-# code path that produced it.
+# _config reduces a command line's flags to a JSON-safe config dict, and
+# _run_config turns a config into result records.  Every check of a config
+# lives in the _exec_* step, and replay_artifact goes through the same
+# function, so a persisted config reruns on the exact code path that
+# produced it and is refused with the same message as the command line.
 
 
 def _run_config(config: dict) -> list[dict]:
@@ -224,9 +225,19 @@ def _exec_fit(config: dict) -> list[dict]:
 
 
 def _exec_compare(config: dict) -> list[dict]:
+    models = config["models"]
+    if len(models) < 2:
+        raise ValueError("compare needs at least two models")
+    for i, name in enumerate(models):
+        if name not in ALL_MODEL_CHOICES:
+            raise ValueError(f"unknown model {name!r}; choices: {ALL_MODEL_CHOICES}")
+        if name in models[:i]:
+            raise ValueError(f"model {name!r} is listed twice")
     dataset = ingest_csv(config["data"], config["column"], config["scale"])
     grid = EtaGrid(**config["grid"])
-    criterion = _check_criterion(config["criterion"])
+    criterion = config["criterion"]
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     data = dataset.values
 
     def blank(model_name, source):
@@ -237,7 +248,7 @@ def _exec_compare(config: dict) -> list[dict]:
         }
 
     records = []
-    for name in config["models"]:
+    for name in models:
         model = ModelId(name)
         rec = blank(name, "fitted")
         try:
@@ -274,6 +285,11 @@ def _exec_simulate(config: dict) -> list[dict]:
         tables = reproduce_recovery_tables(config["seed"], r=config["r"])
         reports = [report for table in tables for report in table]
     else:
+        missing = [f"--{key}" for key in ("eta", "theta", "n") if config.get(key) is None]
+        if missing:
+            raise ValueError(
+                f"simulate needs {' '.join(missing)} unless --paper-tables is given"
+            )
         scenario = Scenario(
             model=ModelId(config["model"]),
             true_eta=config["eta"],
@@ -369,15 +385,13 @@ def _emit(args, argv: list[str], config: dict, records: list[dict]) -> int:
         _print_block(records[0])
     else:
         _print_table(records)
-    out = getattr(args, "out", None)
-    if out:
-        _write_csv(out, records)
-    json_path = getattr(args, "json", None)
-    if json_path:
+    if args.out:
+        _write_csv(args.out, records)
+    if args.json:
         artifact = RunArtifact(
             command=tuple(argv), config=config, results=tuple(records)
         )
-        Path(json_path).write_text(artifact.to_json())
+        Path(args.json).write_text(artifact.to_json())
     return 0
 
 
@@ -424,10 +438,6 @@ def _add_data_flags(sub) -> None:
                      help="multiply parsed values by this factor")
 
 
-def _grid_config(args) -> dict:
-    return {"lower": args.eta_min, "upper": args.eta_max}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="expcomposite",
@@ -441,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--model", required=True, choices=ALL_MODEL_CHOICES)
     _add_grid_flags(p_fit)
     _add_io_flags(p_fit)
-    p_fit.set_defaults(handler=cmd_fit)
 
     p_cmp = subs.add_parser("compare", help="fit several models and rank them")
     _add_data_flags(p_cmp)
@@ -454,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "for the named dataset")
     _add_grid_flags(p_cmp)
     _add_io_flags(p_cmp)
-    p_cmp.set_defaults(handler=cmd_compare)
 
     p_sim = subs.add_parser("simulate", help="estimator-recovery study")
     p_sim.add_argument("--model", choices=COMPOSITE_CHOICES, default="exp-exp-pareto")
@@ -467,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the full 12-scenario recovery grid instead "
                        "of a single scenario")
     _add_io_flags(p_sim)
-    p_sim.set_defaults(handler=cmd_simulate)
 
     p_den = subs.add_parser("density", help="emit density curve points as CSV")
     p_den.add_argument("--model", required=True, choices=COMPOSITE_CHOICES)
@@ -480,80 +487,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.add_argument("--limited-moment", type=float, metavar="ORDER",
                        help="add a column with E[min(Y, y)^ORDER] at each y")
     _add_io_flags(p_den)
-    p_den.set_defaults(handler=cmd_density)
 
     return parser
 
 
-def cmd_fit(args, argv: list[str]) -> int:
-    config = {
-        "subcommand": "fit",
-        "data": args.data,
-        "column": args.column,
-        "scale": args.scale,
-        "model": args.model,
-        "grid": _grid_config(args),
-    }
-    return _emit(args, argv, config, _run_config(config))
-
-
-def cmd_compare(args, argv: list[str]) -> int:
-    models = [name.strip() for name in args.models.split(",") if name.strip()]
-    if len(models) < 2:
-        raise ValueError("compare needs at least two models")
-    for i, name in enumerate(models):
-        if name not in ALL_MODEL_CHOICES:
-            raise ValueError(f"unknown model {name!r}; choices: {ALL_MODEL_CHOICES}")
-        if name in models[:i]:
-            raise ValueError(f"model {name!r} is listed twice")
-    config = {
-        "subcommand": "compare",
-        "data": args.data,
-        "column": args.column,
-        "scale": args.scale,
-        "models": models,
-        "criterion": args.criterion,
-        "literature": args.literature,
-        "grid": _grid_config(args),
-    }
-    return _emit(args, argv, config, _run_config(config))
-
-
-def cmd_simulate(args, argv: list[str]) -> int:
-    config = {
-        "subcommand": "simulate",
-        "r": args.r,
-        "seed": args.seed,
-    }
-    if args.paper_tables:
-        config["recovery_grid"] = True
+def _config(args) -> dict:
+    """The JSON-safe config of one parsed command line; checked by _exec_*."""
+    config = {"subcommand": args.subcommand}
+    if args.subcommand in ("fit", "compare"):
+        config.update(data=args.data, column=args.column, scale=args.scale,
+                      grid={"lower": args.eta_min, "upper": args.eta_max})
+    if args.subcommand == "fit":
+        config["model"] = args.model
+    elif args.subcommand == "compare":
+        config.update(
+            models=[name.strip() for name in args.models.split(",") if name.strip()],
+            criterion=args.criterion,
+            literature=args.literature,
+        )
+    elif args.subcommand == "simulate":
+        config.update(r=args.r, seed=args.seed)
+        if args.paper_tables:
+            config["recovery_grid"] = True
+        else:
+            config.update(model=args.model, eta=args.eta, theta=args.theta, n=args.n)
     else:
-        missing = [
-            flag
-            for flag, value in (("--eta", args.eta), ("--theta", args.theta), ("--n", args.n))
-            if value is None
-        ]
-        if missing:
-            raise ValueError(
-                f"simulate needs {' '.join(missing)} unless --paper-tables is given"
-            )
-        config.update(model=args.model, eta=args.eta, theta=args.theta, n=args.n)
-    return _emit(args, argv, config, _run_config(config))
-
-
-def cmd_density(args, argv: list[str]) -> int:
-    config = {
-        "subcommand": "density",
-        "model": args.model,
-        "theta": args.theta,
-        "eta": args.eta,
-        "lo": args.lo,
-        "hi": args.hi,
-        "points": args.points,
-        "cdf": bool(args.cdf),
-        "limited_moment": args.limited_moment,
-    }
-    return _emit(args, argv, config, _run_config(config))
+        config.update(model=args.model, theta=args.theta, eta=args.eta, lo=args.lo,
+                      hi=args.hi, points=args.points, cdf=args.cdf,
+                      limited_moment=args.limited_moment)
+    return config
 
 
 def main(argv=None) -> int:
@@ -564,7 +526,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        return args.handler(args, argv)
+        config = _config(args)
+        return _emit(args, argv, config, _run_config(config))
     except FitFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -201,6 +201,10 @@ class ExponentiatedComposite:
                 continue
             log_y = np.log(arr[mask])
             out[mask] = log_c + log_piece(eta * log_y) + log_eta + (eta - 1.0) * log_y
+        zero = arr == 0.0
+        if zero.any():
+            at_zero = self._pdf_at_zero()
+            out[zero] = math.log(at_zero) if at_zero > 0.0 else -math.inf
         out[np.isnan(arr)] = np.nan
         return _maybe_scalar(out, scalar)
 

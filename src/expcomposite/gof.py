@@ -54,10 +54,3 @@ def score(fit) -> GofRow:
         caic=2.0 * nll + p * (log_n + 1.0),
         n=n,
     )
-
-
-def _check_criterion(criterion: str) -> str:
-    if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    return criterion
-

@@ -27,7 +27,6 @@ from scipy import special as _special
 from .composite import CompositeSpec, ExponentiatedComposite
 from .special import (
     _on_support,
-    ln_gamma,
     lower_incomplete_gamma,
     upper_incomplete_gamma,
 )
@@ -128,7 +127,7 @@ def exp_pareto_normalizer() -> float:
 
 def ig_pareto_normalizer() -> float:
     """Exact c = Gamma(alpha) / (Gamma(alpha) + Gamma(alpha, k))."""
-    g = math.exp(ln_gamma(IG_PARETO.alpha))
+    g = math.exp(math.lgamma(IG_PARETO.alpha))
     gk = upper_incomplete_gamma(IG_PARETO.alpha, IG_PARETO.k)
     return g / (g + gk)
 
@@ -147,7 +146,7 @@ def ig_pareto_spec(theta: float) -> CompositeSpec:
     k = IG_PARETO.k
     beta = k * theta
     log_beta = math.log(beta)
-    lg = ln_gamma(alpha)
+    lg = math.lgamma(alpha)
 
     def head_density(x):
         return _on_support(
@@ -363,7 +362,7 @@ class InverseGammaDensity:
             self.shape * math.log(self.scale)
             - (self.shape + 1.0) * np.log(yp)
             - self.scale / yp
-            - ln_gamma(self.shape)
+            - math.lgamma(self.shape)
         )
 
     def pdf(self, y):

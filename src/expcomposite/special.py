@@ -23,7 +23,6 @@ __all__ = [
     "QuadratureError",
     "BracketError",
     "QuadratureResult",
-    "ln_gamma",
     "upper_incomplete_gamma",
     "lower_incomplete_gamma",
     "adaptive_quadrature",
@@ -58,13 +57,6 @@ class QuadratureResult:
             raise ValueError("abs_error_estimate must be nonnegative")
         if self.evaluations < 1:
             raise ValueError("evaluations must be at least 1")
-
-
-def ln_gamma(a: float) -> float:
-    """Natural log of Gamma(a) for a > 0."""
-    if not a > 0.0:
-        raise ValueError(f"ln_gamma requires a > 0, got {a}")
-    return math.lgamma(a)
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -234,4 +226,10 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> fl
         raise BracketError(
             f"f({lo})={flo:.6e} and f({hi})={fhi:.6e} do not bracket a root"
         )
-    return float(_optimize.brentq(f, lo, hi, xtol=1e-300, rtol=ROOT_RTOL))
+    # brentq starts by evaluating both ends; hand it the values found above
+    ends = {lo: flo, hi: fhi}
+
+    def g(x):
+        return ends.pop(x) if x in ends else f(x)
+
+    return float(_optimize.brentq(g, lo, hi, xtol=1e-300, rtol=ROOT_RTOL))

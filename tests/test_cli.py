@@ -455,13 +455,60 @@ def test_json_artifact_and_replay(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_simulate_artifact_replays_identically(tmp_path, capsys):
-    art = tmp_path / "sim.json"
-    assert main(["simulate", "--eta", "0.8", "--theta", "1.0", "--n", "40",
-                 "--r", "2", "--seed", "5", "--json", str(art)]) == 0
+# one command line per subcommand; "{data}" stands for the claims CSV
+REPLAY_ARGV = {
+    "fit": ["fit", "{data}", "--model", "exp-exp-pareto"],
+    "compare": ["compare", "{data}", "--models", "exp-pareto-1p,weibull",
+                "--literature", "danish"],
+    "simulate": ["simulate", "--eta", "0.8", "--theta", "1.0", "--n", "40",
+                 "--r", "2", "--seed", "5"],
+    "density": ["density", "--model", "exp-ig-pareto", "--theta", "1.3", "--lo", "0",
+                "--hi", "6", "--points", "20", "--cdf", "--limited-moment", "0.5"],
+}
+
+
+def with_data(argv, data):
+    return [str(data) if arg == "{data}" else arg for arg in argv]
+
+
+@pytest.mark.parametrize("subcommand", sorted(REPLAY_ARGV))
+def test_artifact_replays_identically(tmp_path, capsys, subcommand):
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
+    art = tmp_path / "run.json"
+    assert main(with_data(REPLAY_ARGV[subcommand], data) + ["--json", str(art)]) == 0
     payload = json.loads(art.read_text())
     assert list(replay_artifact(art).results) == payload["results"]
     capsys.readouterr()
+
+
+# a bad command line, and the edit (None deletes the key) that makes the
+# config of a good one of the same subcommand just as bad
+@pytest.mark.parametrize("bad_argv,edit", [
+    (["compare", "{data}", "--models", ","], {"models": []}),
+    (["compare", "{data}", "--models", "weibull"], {"models": ["weibull"]}),
+    (["compare", "{data}", "--models", "weibull,weibull"], {"models": ["weibull", "weibull"]}),
+    (["compare", "{data}", "--models", "weibull,gamma"], {"models": ["weibull", "gamma"]}),
+    (["simulate", "--theta", "1.0", "--n", "40"], {"eta": None}),
+], ids=["no-models", "one-model", "repeated-model", "unknown-model", "simulate-without-eta"])
+def test_replay_refuses_what_main_refuses(tmp_path, capsys, bad_argv, edit):
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
+    assert main(with_data(bad_argv, data)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    message = err[len("error: "):].rstrip("\n")
+    art = tmp_path / "run.json"
+    assert main(with_data(REPLAY_ARGV[bad_argv[0]], data) + ["--json", str(art)]) == 0
+    capsys.readouterr()
+    payload = json.loads(art.read_text())
+    for key, value in edit.items():
+        if value is None:
+            del payload["config"][key]
+        else:
+            payload["config"][key] = value
+    art.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as info:
+        replay_artifact(art)
+    assert str(info.value) == message
 
 
 def test_artifact_bytes_are_reproducible(tmp_path, capsys):

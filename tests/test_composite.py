@@ -484,6 +484,21 @@ def test_log_pdf_survives_underflow():
     assert math.isfinite(lp) and lp < -700.0
 
 
+@pytest.mark.parametrize("model", [ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO])
+@pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+def test_log_pdf_at_zero_matches_pdf(model, eta):
+    # the exponential head has f(0) > 0, so pdf(0) is inf, c f(0) or 0 as
+    # eta is below, at or above 1; the inverse gamma head vanishes at 0
+    d = build(model, 1.3, eta)
+    with np.errstate(divide="ignore"):
+        expected = float(np.log(d.pdf(0.0)))
+    assert d.log_pdf(0.0) == expected
+    assert d.log_pdf(-0.0) == expected
+    out = d.log_pdf(np.array([-0.0, 0.0, 1.0]))
+    assert out[0] == out[1] == expected
+    assert out[2] == d.log_pdf(1.0)
+
+
 def test_verify_passes_calibrated_models():
     assert verify_composite(build(ModelId.EXP_IG_PARETO, 1.0, 1.0)).passed
     assert verify_composite(build(ModelId.EXP_EXP_PARETO, 3.0, 2.0)).passed

@@ -29,7 +29,7 @@ from expcomposite.models import (
     ig_pareto_spec,
     moment_closed_form,
 )
-from expcomposite.special import find_root_bracketed, ln_gamma
+from expcomposite.special import find_root_bracketed
 
 C_EXP = 0.57446386862890377
 C_IG = 0.71138399605635839
@@ -49,7 +49,7 @@ def exp_pareto_alpha_exact() -> float:
 def ig_pareto_k_exact(alpha: float = IG_PARETO.alpha) -> float:
     """Machine-precision k solving the continuity condition
     k^alpha e^-k / Gamma(alpha) = alpha - k for the given alpha."""
-    g = math.exp(ln_gamma(alpha))
+    g = math.exp(math.lgamma(alpha))
     return find_root_bracketed(
         lambda k: k**alpha * math.exp(-k) / g - (alpha - k), 0.05, 0.3
     )

@@ -10,7 +10,6 @@ from expcomposite.special import (
     QuadratureResult,
     adaptive_quadrature,
     find_root_bracketed,
-    ln_gamma,
     lower_incomplete_gamma,
     upper_incomplete_gamma,
 )
@@ -32,17 +31,6 @@ LOWER_GAMMA_ORACLE = {
     (2.0, 3.5): 0.8641117745995668,
     (1.349976, 1.349976): 0.5472945531794325,
 }
-
-
-def test_ln_gamma_matches_lgamma():
-    for a in (0.05, 0.308298, 1.0, 2.5, 17.0):
-        assert ln_gamma(a) == math.lgamma(a)
-
-
-def test_ln_gamma_rejects_nonpositive():
-    for a in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            ln_gamma(a)
 
 
 @pytest.mark.parametrize("key,expected", sorted(UPPER_GAMMA_ORACLE.items()))
@@ -143,6 +131,18 @@ def test_quadrature_result_validation():
 def test_root_cosine():
     root = find_root_bracketed(math.cos, 0.0, 3.0)
     assert root == pytest.approx(math.pi / 2.0, rel=1e-13)
+
+
+def test_root_evaluates_each_end_once():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.cos(x)
+
+    assert find_root_bracketed(f, 0.0, 3.0) == find_root_bracketed(math.cos, 0.0, 3.0)
+    assert calls.count(0.0) == 1
+    assert calls.count(3.0) == 1
 
 
 def test_root_endpoint_shortcut():
