@@ -19,7 +19,6 @@ from .composite import (
 )
 from .estimation import (
     BaselineFitResult,
-    EtaGrid,
     FitFailureError,
     FitResult,
     fit,
@@ -51,7 +50,6 @@ __all__ = [
     "CompositeSpec",
     "CRITERIA",
     "EXP_PARETO",
-    "EtaGrid",
     "ExponentiatedComposite",
     "FitFailureError",
     "FitResult",

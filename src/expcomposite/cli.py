@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import BaselineFitResult, EtaGrid, FitFailureError, fit
+from .estimation import BaselineFitResult, FitFailureError, fit
 from .gof import CRITERIA, score
 from .models import ModelId, build
 from .simulation import Scenario, reproduce_recovery_tables, run_scenario
@@ -176,6 +176,8 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
 
 
 def _run_config(config: dict) -> list[dict]:
+    if "grid" in config:
+        raise ValueError("config key 'grid' is not supported: the exponent search has no bounds")
     sub = config["subcommand"]
     if sub == "fit":
         return _exec_fit(config)
@@ -216,11 +218,16 @@ def _fit_record(result, row) -> dict:
     return rec
 
 
+def _model(name, choices: list[str]) -> ModelId:
+    if name not in choices:
+        raise ValueError(f"unknown model {name!r}; choices: {choices}")
+    return ModelId(name)
+
+
 def _exec_fit(config: dict) -> list[dict]:
+    model = _model(config["model"], ALL_MODEL_CHOICES)
     dataset = ingest_csv(config["data"], config["column"], config["scale"])
-    model = ModelId(config["model"])
-    grid = EtaGrid(**config["grid"])
-    result = fit(model, dataset.values, grid)
+    result = fit(model, dataset.values)
     return [_fit_record(result, score(result))]
 
 
@@ -229,16 +236,16 @@ def _exec_compare(config: dict) -> list[dict]:
     if len(models) < 2:
         raise ValueError("compare needs at least two models")
     for i, name in enumerate(models):
-        if name not in ALL_MODEL_CHOICES:
-            raise ValueError(f"unknown model {name!r}; choices: {ALL_MODEL_CHOICES}")
+        _model(name, ALL_MODEL_CHOICES)
         if name in models[:i]:
             raise ValueError(f"model {name!r} is listed twice")
-    dataset = ingest_csv(config["data"], config["column"], config["scale"])
-    grid = EtaGrid(**config["grid"])
     criterion = config["criterion"]
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    data = dataset.values
+    lit = config.get("literature")
+    if lit and lit not in LITERATURE_ROWS:
+        raise ValueError(f"literature rows exist for {sorted(LITERATURE_ROWS)}, got {lit!r}")
+    data = ingest_csv(config["data"], config["column"], config["scale"]).values
 
     def blank(model_name, source):
         return {
@@ -252,7 +259,7 @@ def _exec_compare(config: dict) -> list[dict]:
         model = ModelId(name)
         rec = blank(name, "fitted")
         try:
-            row = score(fit(model, data, grid))
+            row = score(fit(model, data))
         except (FitFailureError, ValueError) as exc:
             rec["status"] = "failed"
             rec["note"] = str(exc)
@@ -260,16 +267,10 @@ def _exec_compare(config: dict) -> list[dict]:
             rec.update(p=row.p, nll=row.nll, aic=row.aic, bic=row.bic,
                        aicc=row.aicc, caic=row.caic)
         records.append(rec)
-    lit = config.get("literature")
-    if lit:
-        if lit not in LITERATURE_ROWS:
-            raise ValueError(
-                f"literature rows exist for {sorted(LITERATURE_ROWS)}, got {lit!r}"
-            )
-        for base in LITERATURE_ROWS[lit]:
-            rec = blank(base["model"], "literature")
-            rec.update({k: base[k] for k in ("p", "nll", "aic", "bic", "aicc", "caic")})
-            records.append(rec)
+    for base in LITERATURE_ROWS[lit] if lit else ():
+        rec = blank(base["model"], "literature")
+        rec.update({k: base[k] for k in ("p", "nll", "aic", "bic", "aicc", "caic")})
+        records.append(rec)
 
     scored = [r for r in records if r["status"] == "ok"]
     if not scored:
@@ -291,7 +292,7 @@ def _exec_simulate(config: dict) -> list[dict]:
                 f"simulate needs {' '.join(missing)} unless --paper-tables is given"
             )
         scenario = Scenario(
-            model=ModelId(config["model"]),
+            model=_model(config["model"], COMPOSITE_CHOICES),
             true_eta=config["eta"],
             true_theta=config["theta"],
             n=config["n"],
@@ -318,9 +319,7 @@ def _exec_simulate(config: dict) -> list[dict]:
 
 
 def _exec_density(config: dict) -> list[dict]:
-    model = ModelId(config["model"])
-    if not model.is_composite:
-        raise ValueError("density curves are emitted for the composite models")
+    model = _model(config["model"], COMPOSITE_CHOICES)
     theta, eta = config["theta"], config["eta"]
     lo, hi, points = config["lo"], config["hi"], config["points"]
     if not (0.0 <= lo < hi < math.inf):
@@ -425,11 +424,6 @@ def _add_io_flags(sub) -> None:
     sub.add_argument("--json", metavar="PATH", help="write a JSON run artifact")
 
 
-def _add_grid_flags(sub) -> None:
-    sub.add_argument("--eta-min", type=float, default=0.05, help="exponent search lower bound")
-    sub.add_argument("--eta-max", type=float, default=20.0, help="exponent search upper bound")
-
-
 def _add_data_flags(sub) -> None:
     sub.add_argument("data", help="CSV file with one claim per row")
     sub.add_argument("--column", default="0",
@@ -448,24 +442,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = subs.add_parser("fit", help="fit one model to a claims CSV")
     _add_data_flags(p_fit)
-    p_fit.add_argument("--model", required=True, choices=ALL_MODEL_CHOICES)
-    _add_grid_flags(p_fit)
+    p_fit.add_argument("--model", required=True,
+                       help=f"model to fit, one of {', '.join(ALL_MODEL_CHOICES)}")
     _add_io_flags(p_fit)
 
     p_cmp = subs.add_parser("compare", help="fit several models and rank them")
     _add_data_flags(p_cmp)
     p_cmp.add_argument("--models", default=DEFAULT_COMPARE_MODELS,
                        help="comma-separated model list (default: all)")
-    p_cmp.add_argument("--criterion", choices=list(CRITERIA), default="bic",
-                       help="ranking criterion (default bic)")
-    p_cmp.add_argument("--literature", choices=sorted(LITERATURE_ROWS),
+    p_cmp.add_argument("--criterion", default="bic",
+                       help=f"ranking criterion, one of {', '.join(CRITERIA)} (default bic)")
+    p_cmp.add_argument("--literature",
                        help="append published four-parameter reference rows "
-                       "for the named dataset")
-    _add_grid_flags(p_cmp)
+                       f"for the named dataset, one of {', '.join(sorted(LITERATURE_ROWS))}")
     _add_io_flags(p_cmp)
 
     p_sim = subs.add_parser("simulate", help="estimator-recovery study")
-    p_sim.add_argument("--model", choices=COMPOSITE_CHOICES, default="exp-exp-pareto")
+    p_sim.add_argument("--model", default="exp-exp-pareto",
+                       help=f"true model, one of {', '.join(COMPOSITE_CHOICES)}")
     p_sim.add_argument("--eta", type=float, help="true exponent")
     p_sim.add_argument("--theta", type=float, help="true breakpoint parameter")
     p_sim.add_argument("--n", type=int, help="sample size per replicate")
@@ -477,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p_sim)
 
     p_den = subs.add_parser("density", help="emit density curve points as CSV")
-    p_den.add_argument("--model", required=True, choices=COMPOSITE_CHOICES)
+    p_den.add_argument("--model", required=True,
+                       help=f"one of {', '.join(COMPOSITE_CHOICES)}")
     p_den.add_argument("--theta", type=float, required=True)
     p_den.add_argument("--eta", type=float, default=1.0)
     p_den.add_argument("--lo", type=float, required=True, help="range start, >= 0")
@@ -495,8 +490,7 @@ def _config(args) -> dict:
     """The JSON-safe config of one parsed command line; checked by _exec_*."""
     config = {"subcommand": args.subcommand}
     if args.subcommand in ("fit", "compare"):
-        config.update(data=args.data, column=args.column, scale=args.scale,
-                      grid={"lower": args.eta_min, "upper": args.eta_max})
+        config.update(data=args.data, column=args.column, scale=args.scale)
     if args.subcommand == "fit":
         config["model"] = args.model
     elif args.subcommand == "compare":

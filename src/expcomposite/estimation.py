@@ -35,14 +35,18 @@ from .special import BracketError, find_root_bracketed
 
 __all__ = [
     "BaselineFitResult",
-    "EtaGrid",
     "FitFailureError",
     "FitResult",
     "fit",
 ]
 
-# Log-spaced exponents of the coarse pass that brackets the profile's peaks.
-_COARSE_POINTS = 40
+# Log-spaced exponents (first, last, count) of the coarse pass that brackets
+# the profile's peaks, and of the wide pass run when the coarse pass's best
+# exponent is one of its ends: both about 16 exponents per decade.  Neither
+# end of the wide pass admits a split on float data: past 1e20 every z < 1
+# gives z^eta == 0, below 1e-20 every z^eta rounds to 1.
+_COARSE_PASS = (0.05, 20.0, 40)
+_WIDE_PASS = (1e-20, 1e20, 640)
 # Cells (exponents x observations) per block of the profile scan: a block's
 # float temporary (one row beyond n = 8192) stays in cache and in the memory
 # the C heap keeps between calls.  Temporaries past the heap-trim threshold
@@ -53,22 +57,6 @@ _SCAN_BLOCK = 8192
 class FitFailureError(RuntimeError):
     """Raised when no candidate exponent admits a valid breakpoint split, or
     the fitted breakpoint parameter leaves the normal float range."""
-
-
-@dataclass(frozen=True)
-class EtaGrid:
-    """Bounds of the search over the transform exponent."""
-
-    lower: float = 0.05
-    upper: float = 20.0
-
-    def __post_init__(self) -> None:
-        if not self.lower > 0.0:
-            raise ValueError(f"grid lower bound must be > 0, got {self.lower}")
-        if not self.lower < self.upper < math.inf:
-            raise ValueError(
-                f"grid upper bound must be finite and exceed the lower bound, got {self.upper}"
-            )
 
 
 @dataclass(frozen=True)
@@ -250,16 +238,20 @@ def _score(family, eta, logz, prefix_log):
     return score(eta, th, head_dot, head_log, float(prefix_log[-1]) - head_log, n)
 
 
-def _search(family, grid, logz, prefix_log):
-    """(eta, m) maximizing the profile likelihood in the grid bounds, or None.
+def _search(family, logz, prefix_log):
+    """(eta, m) maximizing the profile likelihood, or None.
 
-    Each local peak of the coarse pass is bracketed by its neighbours and
-    the profile score solved there; the best root wins unless the best
-    coarse exponent is better.  A peak at a bound has no sign change in
-    its bracket, so the fit returns the bound itself.
+    The coarse pass scans 0.05 to 20; when its best exponent is an end, or
+    none has a valid split (argmax of all -inf is 0), the wide pass over
+    1e-20 to 1e20 replaces it.  Each local peak of the pass is bracketed by
+    its neighbours and the profile score solved there; the best root wins
+    unless the best scanned exponent is better.
     """
-    etas = np.geomspace(grid.lower, grid.upper, _COARSE_POINTS)
+    etas = np.geomspace(*_COARSE_PASS)
     ll, m, found = _scan(family, etas, logz, prefix_log)
+    if int(np.argmax(ll)) in (0, etas.size - 1):
+        etas = np.geomspace(*_WIDE_PASS)
+        ll, m, found = _scan(family, etas, logz, prefix_log)
     if not found.any():
         return None
     left = np.concatenate(([-np.inf], ll[:-1]))
@@ -280,14 +272,13 @@ def _search(family, grid, logz, prefix_log):
     return max(fits, key=lambda f: f[0])[1:]
 
 
-def fit(model: ModelId, y, grid: EtaGrid | None = None):
+def fit(model: ModelId, y):
     """Fit a model by maximum likelihood.
 
-    Composite models maximize the profile likelihood over the exponent
-    within the grid bounds and return a FitResult whose nll is recomputed
-    from the fitted density on the original data scale.  One-parameter
-    variants pin the exponent to 1 and ignore the grid, as do the Weibull
-    and inverse-gamma baselines, which return a BaselineFitResult instead.
+    Composite models maximize the profile likelihood over the exponent and
+    return a FitResult whose nll is recomputed from the fitted density on
+    the original data scale.  One-parameter variants pin the exponent to 1.
+    The Weibull and inverse-gamma baselines return a BaselineFitResult.
 
     Raises FitFailureError when no exponent admits a valid split, or when
     the profiled theta at the fitted exponent leaves the normal float
@@ -301,6 +292,9 @@ def fit(model: ModelId, y, grid: EtaGrid | None = None):
         raise ValueError("observations must be finite")
     if not arr[0] > 0.0:
         raise ValueError("observations must be strictly positive")
+    # the composite and Weibull fits take logs of y / max(y), so it must stay normal
+    if not arr[0] / arr[-1] >= sys.float_info.min:
+        raise ValueError("observations must span less than the float range (min / max underflows)")
 
     if model is ModelId.WEIBULL:
         return _fit_weibull(arr)
@@ -308,7 +302,6 @@ def fit(model: ModelId, y, grid: EtaGrid | None = None):
         return _fit_inverse_gamma(arr)
 
     family = model.composite_family
-    grid = EtaGrid() if grid is None else grid
     logz = np.log(arr / float(arr[-1]))
     prefix_log = np.concatenate(([0.0], np.cumsum(logz)))
 
@@ -321,11 +314,10 @@ def fit(model: ModelId, y, grid: EtaGrid | None = None):
             )
         eta_hat, m_hat = fixed, int(m[0])
     else:
-        best = _search(family, grid, logz, prefix_log)
+        best = _search(family, logz, prefix_log)
         if best is None:
             raise FitFailureError(
-                f"{model.value}: no exponent in [{grid.lower}, {grid.upper}] "
-                "admits a valid breakpoint split"
+                f"{model.value}: no exponent admits a valid breakpoint split"
             )
         eta_hat, m_hat = best
 

@@ -1,7 +1,7 @@
 """Estimator-recovery studies: simulate, refit, aggregate.
 
 Each replicate draws a fresh sample from the true model with seed
-base_seed + replicate index and refits it over the default exponent bounds.
+base_seed + replicate index and refits it by maximum likelihood.
 Replicates whose fit fails are counted and excluded from the aggregates;
 a scenario aborts only when more than 10% of its replicates fail.
 Aggregation runs in replicate order, so reports are deterministic for a

@@ -13,7 +13,7 @@ import pytest
 
 import expcomposite.cli as cli
 from expcomposite.cli import LITERATURE_ROWS, ingest_csv, main, replay_artifact
-from expcomposite.estimation import EtaGrid, FitFailureError, fit
+from expcomposite.estimation import FitFailureError, fit
 from expcomposite.gof import CRITERIA, score
 from expcomposite.models import ModelId, build
 from expcomposite.simulation import Scenario, run_scenario
@@ -119,7 +119,7 @@ def test_fit_csv_matches_library(tmp_path, capsys):
     rows = read_out(out)
     assert len(rows) == 1
     row = rows[0]
-    res = fit(ModelId.EXP_EXP_PARETO, CLAIMS, EtaGrid())
+    res = fit(ModelId.EXP_EXP_PARETO, CLAIMS)
     gof = score(res)
     # repr round trip keeps the CSV floats exact
     assert float(row["theta"]) == res.theta
@@ -153,20 +153,6 @@ def test_fit_baseline_reports_shape_scale(tmp_path):
     assert row["theta"] == "" and row["eta"] == "" and row["m"] == ""
 
 
-def test_fit_respects_grid_flags(tmp_path):
-    data = write_csv(tmp_path / "claims.csv", CLAIMS)
-    out = tmp_path / "fit.csv"
-    # the default fit's exponent lies below 1.0, so the bounds move the result
-    argv = ["fit", "--model", "exp-exp-pareto", str(data), "--eta-min", "1.0",
-            "--eta-max", "1.5", "--out", str(out)]
-    assert main(argv) == 0
-    row = read_out(out)[0]
-    grid = EtaGrid(lower=1.0, upper=1.5)
-    res = fit(ModelId.EXP_EXP_PARETO, CLAIMS, grid)
-    assert float(row["eta"]) == res.eta
-    assert res.eta != fit(ModelId.EXP_EXP_PARETO, CLAIMS).eta
-
-
 def test_fit_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0\nnope\n")
@@ -175,9 +161,6 @@ def test_fit_exit_codes(tmp_path, capsys):
     flat = write_csv(tmp_path / "flat.csv", [5.0] * 12)
     assert main(["fit", "--model", "exp-exp-pareto", str(flat)]) == 2
     assert "error" in capsys.readouterr().err
-    data = write_csv(tmp_path / "claims.csv", CLAIMS)
-    assert main(["fit", "--model", "exp-exp-pareto", str(data), "--eta-max", "inf"]) == 1
-    assert "finite" in capsys.readouterr().err
 
 
 def test_fit_rejects_unknown_model(tmp_path, capsys):
@@ -242,10 +225,10 @@ def test_compare_literature_rows_are_injected_not_computed(tmp_path, capsys):
 def test_compare_reports_partial_failures(tmp_path, capsys, monkeypatch):
     real_fit = fit
 
-    def failing(model, y, grid=None):
+    def failing(model, y):
         if model is ModelId.EXP_IG_PARETO:
             raise FitFailureError("forced failure")
-        return real_fit(model, y, grid)
+        return real_fit(model, y)
 
     monkeypatch.setattr(cli, "fit", failing)
     data = write_csv(tmp_path / "claims.csv", CLAIMS)
@@ -263,7 +246,7 @@ def test_compare_reports_partial_failures(tmp_path, capsys, monkeypatch):
 
 def test_compare_ties_keep_input_order(tmp_path, capsys, monkeypatch):
     # every model scores the same: the ranking must not reorder them
-    def same_fit(model, y, grid=None):
+    def same_fit(model, y):
         return SimpleNamespace(model=model, nll=100.0, p=2, n=50)
 
     monkeypatch.setattr(cli, "fit", same_fit)
@@ -449,7 +432,7 @@ def test_json_artifact_and_replay(tmp_path, capsys):
     assert payload["timestamp"] is None
     assert payload["command"] == argv
     assert payload["config"]["model"] == "exp-exp-pareto"
-    assert payload["config"]["grid"] == {"lower": 0.05, "upper": 20.0}
+    assert "grid" not in payload["config"]
     replayed = replay_artifact(art)
     assert list(replayed.results) == payload["results"]
     capsys.readouterr()
@@ -489,7 +472,21 @@ def test_artifact_replays_identically(tmp_path, capsys, subcommand):
     (["compare", "{data}", "--models", "weibull,weibull"], {"models": ["weibull", "weibull"]}),
     (["compare", "{data}", "--models", "weibull,gamma"], {"models": ["weibull", "gamma"]}),
     (["simulate", "--theta", "1.0", "--n", "40"], {"eta": None}),
-], ids=["no-models", "one-model", "repeated-model", "unknown-model", "simulate-without-eta"])
+    (["fit", "{data}", "--model", "gamma"], {"model": "gamma"}),
+    (["simulate", "--model", "gamma", "--eta", "0.8", "--theta", "1.0", "--n", "40"],
+     {"model": "gamma"}),
+    (["simulate", "--model", "weibull", "--eta", "0.8", "--theta", "1.0", "--n", "40"],
+     {"model": "weibull"}),
+    (["density", "--model", "gamma", "--theta", "1.3", "--lo", "0", "--hi", "6"],
+     {"model": "gamma"}),
+    (["density", "--model", "weibull", "--theta", "1.3", "--lo", "0", "--hi", "6"],
+     {"model": "weibull"}),
+    (["compare", "{data}", "--criterion", "hqc"], {"criterion": "hqc"}),
+    (["compare", "{data}", "--literature", "swedish"], {"literature": "swedish"}),
+], ids=["no-models", "one-model", "repeated-model", "unknown-model", "simulate-without-eta",
+        "fit-unknown-model", "simulate-unknown-model", "simulate-baseline-model",
+        "density-unknown-model", "density-baseline-model", "unknown-criterion",
+        "unknown-literature"])
 def test_replay_refuses_what_main_refuses(tmp_path, capsys, bad_argv, edit):
     data = write_csv(tmp_path / "claims.csv", CLAIMS)
     assert main(with_data(bad_argv, data)) == 1
@@ -509,6 +506,20 @@ def test_replay_refuses_what_main_refuses(tmp_path, capsys, bad_argv, edit):
     with pytest.raises(ValueError) as info:
         replay_artifact(art)
     assert str(info.value) == message
+
+
+def test_replay_refuses_a_config_with_exponent_bounds(tmp_path, capsys):
+    # an artifact written when the exponent search took bounds fails loudly
+    # rather than replaying without them
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
+    art = tmp_path / "run.json"
+    assert main(with_data(REPLAY_ARGV["fit"], data) + ["--json", str(art)]) == 0
+    capsys.readouterr()
+    payload = json.loads(art.read_text())
+    payload["config"]["grid"] = {"lower": 0.05, "upper": 20.0}
+    art.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="'grid'"):
+        replay_artifact(art)
 
 
 def test_artifact_bytes_are_reproducible(tmp_path, capsys):

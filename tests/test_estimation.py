@@ -10,7 +10,6 @@ from scipy.special import digamma
 
 from expcomposite import estimation
 from expcomposite.estimation import (
-    EtaGrid,
     FitFailureError,
     _exp_theta,
     _ig_theta,
@@ -209,6 +208,10 @@ def test_fit_input_validation():
         fit(ModelId.EXP_EXP_PARETO, bad)
     with pytest.raises(ValueError):
         fit(ModelId.EXP_EXP_PARETO, np.r_[SAMPLE[:20], -1.0])
+    # SAMPLE ** 40 spans more than 1e-308 from its minimum to its maximum
+    for model in ModelId:
+        with pytest.raises(ValueError, match="float range"):
+            fit(model, SAMPLE**40)
 
 
 def test_fit_failure_on_degenerate_data():
@@ -312,18 +315,18 @@ def _oracle_nlls(model, profile, y, etas):
 def test_fit_beats_the_scalar_reference_grid():
     # the fitted nll is at most the oracle's nll at every exponent the old
     # 0.05 grid search scanned: its coarse pass and its two tenfold
-    # refinement rounds around the incumbent
-    grid = EtaGrid(lower=0.5, upper=1.45)
+    # refinement rounds around the incumbent, over 0.5 to 1.45
+    lower, upper = 0.5, 1.45
     for model, profile, data in FAMILY_CASES:
         y = np.sort(data)
-        nlls = _oracle_nlls(model, profile, y, old_grid_points(grid.lower, grid.upper))
+        nlls = _oracle_nlls(model, profile, y, old_grid_points(lower, upper))
         step = 0.05
         for _ in range(2):
             incumbent = min(nlls, key=nlls.get)
             step /= 10.0
-            cand = np.clip(incumbent + step * np.arange(-10, 11), grid.lower, grid.upper)
+            cand = np.clip(incumbent + step * np.arange(-10, 11), lower, upper)
             nlls.update(_oracle_nlls(model, profile, y, np.unique(cand)))
-        res = fit(model, data, grid=grid)
+        res = fit(model, data)
         assert all(res.nll <= v + 1e-12 * abs(v) for v in nlls.values())
         # the scan's split at the fitted exponent is the oracle's split
         m, th = detect_m(res.eta, y, profile)
@@ -376,8 +379,8 @@ def _oracle_profile_ll(model, profile, y, eta):
 def test_profile_score_vanishes_at_the_fit(model, profile, data):
     family = model.composite_family
     res = fit(model, data)
-    grid = EtaGrid()
-    assert grid.lower < res.eta < grid.upper  # an interior maximum
+    first, last, _ = estimation._COARSE_PASS
+    assert first < res.eta < last  # an interior maximum of the coarse pass
     score, size = _oracle_score(family, res.eta, data)
     # zero to rounding: the sum of terms of size ~size lands within a few
     # ulps of that size, plus the root's own tolerance times the curvature
@@ -399,12 +402,41 @@ def test_refinement_never_hurts():
         assert fit(model, data).nll <= min(coarse.values()) + 1e-9
 
 
-def test_a_peak_at_a_bound_returns_the_bound():
-    # the profile still rises at the upper bound: the last bracket has no
-    # sign change and the fit keeps the bound itself
-    y = build(ModelId.EXP_EXP_PARETO, 1.0, 30.0).sample(200, seed=1)
-    assert fit(ModelId.EXP_EXP_PARETO, y).eta == 20.0
-    assert fit(ModelId.EXP_EXP_PARETO, y, EtaGrid(upper=12.5)).eta == 12.5
+def test_a_peak_beyond_the_coarse_pass_is_the_mle():
+    # Peaks past the coarse pass's ends: 20 for the eta=30 samples and their
+    # square roots, 0.05 for SAMPLE (eta 0.8) raised to the 20th power, as
+    # (SAMPLE**10)**2.  The wide pass finds them: y^a fits to eta/a, and the
+    # profile score vanishes at every fit.
+    samples = (
+        build(ModelId.EXP_EXP_PARETO, 1.0, 30.0).sample(200, seed=1),
+        build(ModelId.EXP_IG_PARETO, 1.0, 30.0).sample(200, seed=1),
+        SAMPLE**10,
+    )
+    for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
+        family = model.composite_family
+        for y in samples:
+            eta = fit(model, y).eta
+            for a in (1.0, 0.5, 2.0):
+                res = fit(model, y**a)
+                assert res.eta == pytest.approx(eta / a, rel=1e-12)
+                score, size = _oracle_score(family, res.eta, y**a)
+                assert abs(score) <= 1e-13 * size
+
+
+@pytest.mark.parametrize("model,profile,data", FAMILY_CASES)
+def test_an_interior_peak_scans_the_coarse_pass_only(monkeypatch, model, profile, data):
+    # the wide pass runs only when the coarse pass's best exponent is an
+    # end; an interior fit scans 40 exponents once, then one per root
+    rows = []
+    real_scan = estimation._scan
+
+    def recording_scan(family, etas, logz, prefix_log):
+        rows.append(etas.size)
+        return real_scan(family, etas, logz, prefix_log)
+
+    monkeypatch.setattr(estimation, "_scan", recording_scan)
+    fit(model, data)
+    assert rows[0] == 40 and set(rows[1:]) == {1}
 
 
 @settings(max_examples=30, deadline=None)
@@ -448,7 +480,7 @@ def test_search_solves_every_peak_of_a_bimodal_profile(first, gap, heights):
         mp.setattr(estimation, "_scan", fake_scan)
         mp.setattr(estimation, "_score", lambda family, eta, logz, pl: score(eta))
         mp.setattr(estimation, "find_root_bracketed", recording_root)
-        eta, m = estimation._search("exp", EtaGrid(), None, None)
+        eta, m = estimation._search("exp", None, None)
     assert len(brackets) == 2
     for (lo, hi), c in zip(brackets, centres):
         assert lo < math.exp(c) < hi
@@ -558,18 +590,6 @@ def test_scan_picks_the_unique_valid_split(family, true_eta, eta, n, seed):
         assert int(m_sel[0]) == valid[0] and math.isfinite(ll[0])
     else:
         assert ll[0] == -math.inf
-
-
-# -- exponent grid ---------------------------------------------------------
-
-
-def test_eta_grid_validation():
-    with pytest.raises(ValueError):
-        EtaGrid(lower=0.0)
-    with pytest.raises(ValueError):
-        EtaGrid(lower=2.0, upper=1.0)
-    with pytest.raises(ValueError):
-        EtaGrid(upper=math.inf)
 
 
 # -- baseline fitters ------------------------------------------------------

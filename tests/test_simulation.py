@@ -80,11 +80,11 @@ def test_failures_within_budget_are_excluded(monkeypatch):
     real_fit = fit
     calls = []
 
-    def flaky(model, y, grid=None):
+    def flaky(model, y):
         calls.append(1)
         if len(calls) == 1:  # first replicate only
             raise FitFailureError("forced")
-        return real_fit(model, y, grid)
+        return real_fit(model, y)
 
     monkeypatch.setattr(sim, "fit", flaky)
     sc = _scenario(r=10, n=40, base_seed=77)
@@ -97,7 +97,7 @@ def test_failures_within_budget_are_excluded(monkeypatch):
 
 
 def test_excessive_failures_abort(monkeypatch):
-    def always_fail(model, y, grid=None):
+    def always_fail(model, y):
         raise FitFailureError("forced")
 
     monkeypatch.setattr(sim, "fit", always_fail)
@@ -109,11 +109,11 @@ def test_exactly_ten_percent_failures_pass(monkeypatch):
     real_fit = fit
     calls = []
 
-    def flaky(model, y, grid=None):
+    def flaky(model, y):
         calls.append(1)
         if len(calls) == 1:
             raise FitFailureError("forced")
-        return real_fit(model, y, grid)
+        return real_fit(model, y)
 
     monkeypatch.setattr(sim, "fit", flaky)
     report = run_scenario(_scenario(r=10, n=40, base_seed=77))
