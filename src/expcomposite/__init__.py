@@ -11,10 +11,8 @@ from .composite import (
     CompositeSpec,
     ExponentiatedComposite,
     InfiniteMomentError,
-    LimitedMomentQuery,
     VerificationReport,
     as_composite_spec,
-    exponentiate,
     verify_composite,
 )
 from .estimation import (
@@ -57,7 +55,6 @@ __all__ = [
     "IG_PARETO",
     "InfiniteMomentError",
     "InverseGammaDensity",
-    "LimitedMomentQuery",
     "ModelId",
     "Scenario",
     "SimulationFailureError",
@@ -67,7 +64,6 @@ __all__ = [
     "as_composite_spec",
     "build",
     "exp_pareto_normalizer",
-    "exponentiate",
     "fit",
     "ig_pareto_normalizer",
     "moment_closed_form",

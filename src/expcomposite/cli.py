@@ -329,19 +329,13 @@ def _exec_density(config: dict) -> list[dict]:
     order = config.get("limited_moment")
     dist = build(model, theta, eta)
     ys = np.linspace(lo, hi, points)
-    pdf = dist.pdf(ys)
-    cdf = dist.cdf(ys) if config.get("cdf") else None
+    columns = {"y": ys, "pdf": dist.pdf(ys)}
+    if config.get("cdf"):
+        columns["cdf"] = dist.cdf(ys)
     if order is not None:
-        lm = dist.limited_moment((order, ys))
-    records = []
-    for i, y in enumerate(ys):
-        rec = {"y": float(y), "pdf": float(pdf[i])}
-        if cdf is not None:
-            rec["cdf"] = float(cdf[i])
-        if order is not None:
-            rec[f"limited_moment_t{order:g}"] = float(lm[i])
-        records.append(rec)
-    return records
+        columns[f"limited_moment_t{order:g}"] = dist.limited_moment(order, ys)
+    names = list(columns)
+    return [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
 # -- output ----------------------------------------------------------------

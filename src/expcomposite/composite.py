@@ -21,7 +21,14 @@ exponentiated composite with density
 
 and piece boundary theta**(1/eta).  The transformed density is itself a
 composite (see as_composite_spec), which is what makes repeated
-exponentiation close under composition of the exponents.
+exponentiation close under composition of the exponents:
+ExponentiatedComposite(as_composite_spec(d), a) is Y**(1/a) for Y ~ d.
+
+Each formula is written once.  _power_density and _power_log_density
+carry a parent piece to Y, for the densities here and for the pieces
+as_composite_spec materializes.  pdf, log_pdf and cdf split y between
+head and tail in one place, and the raw moment E[Y^t] is the limited
+moment E[min(Y, b)^t] at the cap b = inf.
 
 Piece callables stored on a CompositeSpec must accept scalars or numpy
 arrays, and every piece is given in closed form: the moment engine only
@@ -40,11 +47,9 @@ from .special import _as_batch, _maybe_scalar, adaptive_quadrature
 
 __all__ = [
     "InfiniteMomentError",
-    "LimitedMomentQuery",
     "CompositeSpec",
     "ExponentiatedComposite",
     "VerificationReport",
-    "exponentiate",
     "as_composite_spec",
     "verify_composite",
 ]
@@ -62,25 +67,6 @@ NORMALIZATION_TOL = 1e-5
 
 class InfiniteMomentError(ValueError):
     """Requested moment diverges: t/eta reaches the tail decay exponent."""
-
-
-@dataclass(frozen=True)
-class LimitedMomentQuery:
-    """Order t and cap b of a limited moment E[(Y ^ b)^t].
-
-    The cap may be a float or an array of caps.  Order zero is admitted
-    because the answer is then exactly one, and so is cap zero, where the
-    capped variable is zero.
-    """
-
-    order: float
-    cap: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.order < math.inf:
-            raise ValueError(f"limited-moment order must be finite and >= 0, got {self.order}")
-        if not np.all(np.asarray(self.cap, dtype=float) >= 0.0):
-            raise ValueError(f"limited-moment cap must be >= 0, got {self.cap}")
 
 
 @dataclass(frozen=True)
@@ -140,12 +126,6 @@ class ExponentiatedComposite:
         """Piece boundary of the transformed density, theta**(1/eta)."""
         return self.parent.breakpoint ** (1.0 / self.exponent)
 
-    @property
-    def head_mass(self) -> float:
-        return self.parent.norm_const * float(
-            self.parent.head_cdf(self.parent.breakpoint)
-        )
-
     # -- density ----------------------------------------------------------
 
     def _pdf_at_zero(self) -> float:
@@ -159,76 +139,68 @@ class ExponentiatedComposite:
             return self.parent.norm_const * f10
         return math.inf if f10 > 0.0 else 0.0
 
-    def _transformed(self, piece: Callable, y):
-        """c * f(y**eta) * eta * y**(eta - 1) for one parent piece f."""
-        eta = self.exponent
-        with np.errstate(over="ignore", invalid="ignore"):
-            dens = np.asarray(piece(y**eta), dtype=float)
-        return _power_jacobian_times(self.parent.norm_const * dens, y, eta)
+    def _by_piece(self, y, head: Callable, tail: Callable, fill: float, at_zero: Callable):
+        """Elementwise over y: head(y) on (0, breakpoint), tail(y) from the
+        breakpoint on, at_zero() at y = 0, fill below zero and NaN at NaN."""
+        arr, scalar = _as_batch(y)
+        out = np.full(arr.shape, fill)
+        yb = self.breakpoint
+        for mask, formula in (((arr > 0.0) & (arr < yb), head), (arr >= yb, tail)):
+            if mask.any():
+                out[mask] = formula(arr[mask])
+        zero = arr == 0.0
+        if zero.any():
+            out[zero] = at_zero()
+        out[np.isnan(arr)] = np.nan
+        return _maybe_scalar(out, scalar)
 
     def pdf(self, y):
         """Density of Y; zero for y < 0, tail branch at exactly y = breakpoint."""
-        arr, scalar = _as_batch(y)
-        out = np.zeros(arr.shape)
-        yb = self.breakpoint
-        head = (arr > 0.0) & (arr < yb)
-        tail = arr >= yb
-        if head.any():
-            out[head] = self._transformed(self.parent.head_density, arr[head])
-        if tail.any():
-            out[tail] = self._transformed(self.parent.tail_density, arr[tail])
-        zero = arr == 0.0
-        if zero.any():
-            out[zero] = self._pdf_at_zero()
-        out[np.isnan(arr)] = np.nan
-        return _maybe_scalar(out, scalar)
+        parent, eta = self.parent, self.exponent
+        c = parent.norm_const
+        return self._by_piece(
+            y,
+            lambda a: _power_density(parent.head_density, a, eta, c),
+            lambda a: _power_density(parent.tail_density, a, eta, c),
+            0.0,
+            self._pdf_at_zero,
+        )
 
     def log_pdf(self, y):
         """log pdf(y) in log space; -inf where the density vanishes."""
-        arr, scalar = _as_batch(y)
-        out = np.full(arr.shape, -math.inf)
-        eta = self.exponent
-        log_c = math.log(self.parent.norm_const)
-        log_eta = math.log(eta)
-        yb = self.breakpoint
-        head = (arr > 0.0) & (arr < yb)
-        tail = arr >= yb
-        for mask, log_piece in (
-            (head, self.parent.head_log_density),
-            (tail, self.parent.tail_log_density),
-        ):
-            if not mask.any():
-                continue
-            log_y = np.log(arr[mask])
-            out[mask] = log_c + log_piece(eta * log_y) + log_eta + (eta - 1.0) * log_y
-        zero = arr == 0.0
-        if zero.any():
-            at_zero = self._pdf_at_zero()
-            out[zero] = math.log(at_zero) if at_zero > 0.0 else -math.inf
-        out[np.isnan(arr)] = np.nan
-        return _maybe_scalar(out, scalar)
+        parent, eta = self.parent, self.exponent
+        log_c = math.log(parent.norm_const)
+
+        def at_zero() -> float:
+            at = self._pdf_at_zero()
+            return math.log(at) if at > 0.0 else -math.inf
+
+        return self._by_piece(
+            y,
+            lambda a: _power_log_density(parent.head_log_density, np.log(a), eta, log_c),
+            lambda a: _power_log_density(parent.tail_log_density, np.log(a), eta, log_c),
+            -math.inf,
+            at_zero,
+        )
 
     # -- distribution function and inverse --------------------------------
 
     def cdf(self, y):
-        arr, scalar = _as_batch(y)
-        out = np.zeros(arr.shape)
-        eta = self.exponent
-        c = self.parent.norm_const
-        yb = self.breakpoint
-        theta = self.parent.breakpoint
-        f1_theta = float(self.parent.head_cdf(theta))
-        f2_theta = float(self.parent.tail_cdf(theta))
-        head = (arr > 0.0) & (arr < yb)
-        tail = arr >= yb
-        if head.any():
-            out[head] = c * self.parent.head_cdf(arr[head] ** eta)
-        if tail.any():
-            out[tail] = c * f1_theta + c * (
-                self.parent.tail_cdf(arr[tail] ** eta) - f2_theta
-            )
-        out[np.isnan(arr)] = np.nan
-        return _maybe_scalar(np.clip(out, 0.0, 1.0), scalar)
+        parent, eta = self.parent, self.exponent
+        c = parent.norm_const
+        theta = parent.breakpoint
+        f1_theta = float(parent.head_cdf(theta))
+        f2_theta = float(parent.tail_cdf(theta))
+        # c <= 1 keeps the head inside [0, 1]; the tail's sum can round past 1
+        return self._by_piece(
+            y,
+            lambda a: c * parent.head_cdf(a**eta),
+            lambda a: np.clip(
+                c * f1_theta + c * (parent.tail_cdf(a**eta) - f2_theta), 0.0, 1.0
+            ),
+            0.0,
+            lambda: 0.0,
+        )
 
     def quantile(self, u):
         """Inverse cdf on (0, 1) through the parent's piece quantiles.
@@ -238,16 +210,17 @@ class ExponentiatedComposite:
         arr, scalar = _as_batch(u)
         if not np.all((arr > 0.0) & (arr < 1.0)):
             raise ValueError("quantile requires probabilities strictly inside (0, 1)")
-        c = self.parent.norm_const
-        hm = self.head_mass
-        f2_theta = float(self.parent.tail_cdf(self.parent.breakpoint))
+        parent = self.parent
+        c = parent.norm_const
+        head_mass = c * float(parent.head_cdf(parent.breakpoint))
+        f2_theta = float(parent.tail_cdf(parent.breakpoint))
         x = np.empty(arr.shape)
-        head = arr < hm
+        head = arr < head_mass
         tail = ~head
         if head.any():
-            x[head] = self.parent.head_ppf(arr[head] / c)
+            x[head] = parent.head_ppf(arr[head] / c)
         if tail.any():
-            x[tail] = self.parent.tail_ppf((arr[tail] - hm) / c + f2_theta)
+            x[tail] = parent.tail_ppf((arr[tail] - head_mass) / c + f2_theta)
         with np.errstate(over="ignore"):
             y = x ** (1.0 / self.exponent)
         if not np.all(np.isfinite(y)):
@@ -266,54 +239,51 @@ class ExponentiatedComposite:
     # -- moments -----------------------------------------------------------
 
     def moment(self, t: float) -> float:
-        """E[Y^t] from the parent's partial moments, s = t/eta:
+        """E[Y^t], the limited moment at an infinite cap.
 
-            c * [H(theta, s) + T(inf, s) - T(theta, s)]
-
-        H and T are the head and tail partial moments.  Raises
-        InfiniteMomentError when t/eta reaches the tail exponent.
+        Raises ValueError for t <= 0 and InfiniteMomentError when t/eta
+        reaches the tail exponent.
         """
         _require_finite_moment(t, self.exponent, self.parent.tail_moment_sup)
-        s = t / self.exponent
-        parent = self.parent
-        theta = parent.breakpoint
-        return parent.norm_const * (
-            float(parent.head_partial_moment(theta, s))
-            + float(parent.tail_partial_moment(math.inf, s))
-            - float(parent.tail_partial_moment(theta, s))
-        )
+        return self.limited_moment(t, math.inf)
 
-    def limited_moment(self, q):
-        """E[(Y ^ b)^t], elementwise over the cap b like pdf and cdf.
+    def limited_moment(self, t: float, b):
+        """E[(Y ^ b)^t] of order t, elementwise over the cap b like pdf and cdf.
 
-        Accepts a LimitedMomentQuery or an (order, cap) pair.  With
-        s = t/eta, u1 = min(b**eta, theta) and u2 = max(b**eta, theta), one
-        identity covers caps on both sides of the breakpoint:
+        With s = t/eta, u1 = min(b**eta, theta) and u2 = max(b**eta, theta),
+        one identity covers caps on both sides of the breakpoint:
 
             c * [H(u1, s) + T(u2, s) - T(theta, s)
                  + b**t * (F1(theta) - F1(u1) + S2(u2))]
 
         H and T are the head and tail partial moments, S2 = 1 - F2 the tail
-        survival, and c times the last bracket is P(Y > b).  Order zero
-        gives exactly one, and a positive order at cap zero exactly zero.
-        Raises OverflowError where b**eta or the result leaves the float
-        range.
+        survival, and c times the last bracket is P(Y > b).  At b = inf
+        that bracket is exactly zero and the identity is the raw moment.
+        Order zero gives exactly one, and a positive order at cap zero
+        exactly zero.  Raises ValueError for a negative or infinite order
+        or a negative cap, InfiniteMomentError for an infinite cap at an
+        order whose moment diverges, and OverflowError where a finite
+        b**eta or the result leaves the float range.
         """
-        if not isinstance(q, LimitedMomentQuery):
-            q = LimitedMomentQuery(*q)
-        t = q.order
-        b, scalar = _as_batch(q.cap)
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"limited-moment order must be finite and >= 0, got {t}")
+        arr, scalar = _as_batch(b)
+        if not np.all(arr >= 0.0):
+            raise ValueError(f"limited-moment cap must be >= 0, got {b}")
+        b = arr
         if t == 0.0:
             return _maybe_scalar(np.ones(b.shape), scalar)
         eta = self.exponent
-        s = t / eta
         parent = self.parent
+        if np.isinf(b).any():
+            _require_finite_moment(t, eta, parent.tail_moment_sup)
+        s = t / eta
         theta = parent.breakpoint
         c = parent.norm_const
         # an overflow in here leaves a non-finite value, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             x = b**eta
-            if np.isinf(x).any():  # would pass for an infinite cap
+            if (np.isinf(x) & np.isfinite(b)).any():
                 raise OverflowError(f"cap**{eta:g} exceeds the float range")
             u1 = np.minimum(x, theta)
             u2 = np.maximum(x, theta)
@@ -331,22 +301,36 @@ class ExponentiatedComposite:
         return _maybe_scalar(out, scalar)
 
 
-def _power_jacobian_times(dens, y, eta: float):
-    """dens * eta * y**(eta - 1): a density of X = Y**eta carried to Y.
+def _power_density(piece: Callable, y, eta: float, c: float):
+    """c * f(y**eta) * eta * y**(eta - 1): a density f of X = Y**eta carried to Y.
 
     y**eta can overflow (or the jacobian blow up at tiny y when eta < 1)
     while the density underflows to 0; the density always wins, so a
     vanished density forces a zero product instead of 0 * inf = nan.
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        dens = c * np.asarray(piece(y**eta), dtype=float)
         return np.where(dens == 0.0, 0.0, dens * eta * y ** (eta - 1.0))
 
 
+def _power_log_density(log_piece: Callable, log_y, eta: float, log_c: float):
+    """The log of _power_density from log y, given the log density of X.
+
+    At y = inf the density has vanished, so the answer is -inf even where
+    the jacobian's log climbs to +inf and the sum would be nan.
+    """
+    with np.errstate(invalid="ignore"):
+        out = log_c + log_piece(eta * log_y) + math.log(eta) + (eta - 1.0) * log_y
+    return np.where(np.isposinf(log_y), -math.inf, out)
+
+
 def _cap_power_times(b: np.ndarray, t: float, w: np.ndarray) -> np.ndarray:
-    """b**t * w, through logs where b**t alone overflows but the product need not."""
+    """b**t * w, through logs where b**t alone overflows but the product need
+    not; zero where w is, so an infinite cap with no mass beyond adds 0."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bt = b**t
-        return np.where(np.isinf(bt), np.exp(t * np.log(b) + np.log(w)), bt * w)
+        out = np.where(np.isinf(bt), np.exp(t * np.log(b) + np.log(w)), bt * w)
+    return np.where(w == 0.0, 0.0, out)
 
 
 def _require_finite_moment(t: float, eta: float, sup: float) -> None:
@@ -394,8 +378,9 @@ def verify_composite(d: ExponentiatedComposite) -> VerificationReport:
     normalization defect.  Always returns the diagnostics; the fixed
     thresholds only classify them."""
     u = d.breakpoint
-    g1 = lambda y: float(d._transformed(d.parent.head_density, y))
-    g2 = lambda y: float(d._transformed(d.parent.tail_density, y))
+    eta, c = d.exponent, d.parent.norm_const
+    g1 = lambda y: float(_power_density(d.parent.head_density, y, eta, c))
+    g2 = lambda y: float(_power_density(d.parent.tail_density, y, eta, c))
     g1u = g1(u)
     g2u = g2(u)
     denom = g1u if g1u > 0.0 else 1.0
@@ -432,17 +417,10 @@ def as_composite_spec(d: ExponentiatedComposite) -> CompositeSpec:
     inv = 1.0 / eta
 
     def promote(piece):
-        def density(y):
-            y = np.asarray(y)
-            with np.errstate(over="ignore", invalid="ignore"):
-                dens = piece(y**eta)
-            return _power_jacobian_times(dens, y, eta)
-
-        return density
+        return lambda y: _power_density(piece, np.asarray(y), eta, 1.0)
 
     def promote_log(log_piece):
-        log_eta = math.log(eta)
-        return lambda log_y: log_piece(eta * log_y) + log_eta + (eta - 1.0) * log_y
+        return lambda log_y: _power_log_density(log_piece, log_y, eta, 0.0)
 
     def promote_cdf(cdf):
         return lambda u: cdf(np.asarray(u) ** eta)
@@ -470,15 +448,3 @@ def as_composite_spec(d: ExponentiatedComposite) -> CompositeSpec:
         tail_moment_sup=eta * parent.tail_moment_sup,
     )
 
-
-def exponentiate(parent, eta: float) -> ExponentiatedComposite:
-    """Distribution of X**(1/eta).
-
-    Accepts a CompositeSpec or an already exponentiated composite; the
-    latter is first materialized back into piece form, so composing two
-    exponentiations exercises the closure rather than a shortcut on the
-    exponents.
-    """
-    if isinstance(parent, ExponentiatedComposite):
-        return ExponentiatedComposite(as_composite_spec(parent), eta)
-    return ExponentiatedComposite(parent, eta)

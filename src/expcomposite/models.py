@@ -238,6 +238,14 @@ def _nonnegative(a: np.ndarray) -> np.ndarray:
     return a >= 0.0
 
 
+def _finite_positive(a: np.ndarray) -> np.ndarray:
+    return (a > 0.0) & (a < math.inf)
+
+
+def _finite_nonnegative(a: np.ndarray) -> np.ndarray:
+    return (a >= 0.0) & (a < math.inf)
+
+
 def _pareto_tail(theta: float, exponent: float) -> dict:
     """The CompositeSpec tail fields of a Pareto tail on [theta, inf).
 
@@ -324,9 +332,9 @@ class WeibullDensity:
             )
 
         # at y = 0 the formula gives the density's limit: 1/scale for shape
-        # 1, inf below and 0 above
+        # 1, inf below and 0 above; at y = inf it would give inf * 0
         with np.errstate(divide="ignore"):
-            return _on_support(y, _nonnegative, density)
+            return _on_support(y, _finite_nonnegative, density)
 
     def log_pdf(self, y):
         def log_density(yp):
@@ -338,7 +346,7 @@ class WeibullDensity:
                 - np.exp(self.shape * log_z)
             )
 
-        return _on_support(y, _positive, log_density, fill=-math.inf)
+        return _on_support(y, _finite_positive, log_density, fill=-math.inf)
 
     def cdf(self, y):
         return _on_support(
@@ -380,29 +388,19 @@ class InverseGammaDensity:
 # -- catalog entry points --------------------------------------------------
 
 
-def build(model: ModelId, theta: float, eta: float = 1.0):
-    """Instantiate a model.
+def build(model: ModelId, theta: float, eta: float = 1.0) -> ExponentiatedComposite:
+    """The composite family `model` at breakpoint theta and exponent eta.
 
-    Composite families take (theta, eta) and return an
-    ExponentiatedComposite; the one-parameter variants require eta == 1.
-    Baselines reinterpret the two positional parameters as (shape, scale)
-    and return a plain density object.
+    The one-parameter variants require eta == 1.  A baseline id raises
+    ValueError: WeibullDensity and InverseGammaDensity take their own
+    (shape, scale).
     """
-    if model is ModelId.WEIBULL:
-        return WeibullDensity(shape=theta, scale=eta)
-    if model is ModelId.INVERSE_GAMMA:
-        return InverseGammaDensity(shape=theta, scale=eta)
     family = model.composite_family
     spec = ig_pareto_spec(theta) if family == "ig" else exp_pareto_spec(theta)
     fixed = model.fixed_exponent
     if fixed is not None and eta != fixed:
         raise ValueError(f"{model.value} fixes eta = {fixed}, got {eta}")
     return ExponentiatedComposite(spec, eta)
-
-
-def _require_composite(model: ModelId) -> None:
-    if not model.is_composite:
-        raise ValueError(f"closed forms are defined for composite families, not {model}")
 
 
 def moment_closed_form(model: ModelId, theta: float, eta: float, t: float) -> float:
@@ -412,6 +410,5 @@ def moment_closed_form(model: ModelId, theta: float, eta: float, t: float) -> fl
     (alpha - k for the inverse gamma head family, alpha for the
     exponential one); otherwise InfiniteMomentError, boundary included.
     """
-    _require_composite(model)
     return build(model, theta, eta).moment(t)
 

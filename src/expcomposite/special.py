@@ -70,7 +70,7 @@ def _maybe_scalar(out: np.ndarray, scalar: bool):
 
 
 def _on_support(x, support: Callable, f: Callable, fill: float = 0.0):
-    """f on the elements of x where support(x) holds, fill elsewhere.
+    """f on the elements of x where support(x) holds, NaN at NaN, fill elsewhere.
 
     A float x gives a float, an array an array.
     """
@@ -78,6 +78,7 @@ def _on_support(x, support: Callable, f: Callable, fill: float = 0.0):
     out = np.full(arr.shape, fill)
     mask = support(arr)
     out[mask] = f(arr[mask])
+    out[np.isnan(arr)] = np.nan
     return _maybe_scalar(out, scalar)
 
 

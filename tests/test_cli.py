@@ -391,7 +391,7 @@ def test_density_cdf_and_limited_moment_columns(tmp_path, capsys):
     for r in rows[1:]:
         y = float(r["y"])
         assert float(r["cdf"]) == dist.cdf(y)
-        want = build(ModelId.EXP_IG_PARETO, 1.2, 1.5).limited_moment((1.0, y))
+        want = build(ModelId.EXP_IG_PARETO, 1.2, 1.5).limited_moment(1.0, y)
         assert float(r["limited_moment_t1"]) == want
     capsys.readouterr()
 

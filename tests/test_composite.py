@@ -9,10 +9,8 @@ from expcomposite.composite import (
     CompositeSpec,
     ExponentiatedComposite,
     InfiniteMomentError,
-    LimitedMomentQuery,
     _require_finite_moment,
     as_composite_spec,
-    exponentiate,
     verify_composite,
 )
 from expcomposite.models import ModelId, build, exp_pareto_spec, ig_pareto_spec
@@ -191,24 +189,25 @@ def test_total_mass_is_one():
 
 
 def test_limited_moment_query_validation():
-    with pytest.raises(ValueError):
-        LimitedMomentQuery(order=-0.5, cap=1.0)
-    for cap in (-1.0, math.nan):
-        with pytest.raises(ValueError):
-            LimitedMomentQuery(order=1.0, cap=cap)
-    for caps in ([2.0, -1.0], [1.0, math.nan], [math.nan]):
-        with pytest.raises(ValueError):
-            LimitedMomentQuery(order=1.0, cap=np.array(caps))
-    # cap zero is admitted: the capped variable is zero there
     d = ExponentiatedComposite(rough_spec(), 1.4)
-    assert d.limited_moment(LimitedMomentQuery(order=1.0, cap=0.0)) == 0.0
-    got = d.limited_moment(LimitedMomentQuery(order=1.0, cap=np.array([1.0, 0.0])))
-    assert got[0] == d.limited_moment((1.0, 1.0)) and got[1] == 0.0
+    with pytest.raises(ValueError, match="order must be finite and >= 0"):
+        d.limited_moment(-0.5, 1.0)
+    for cap in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            d.limited_moment(1.0, cap)
+    for caps in ([2.0, -1.0], [1.0, math.nan], [math.nan]):
+        with pytest.raises(ValueError, match="cap must be >= 0"):
+            d.limited_moment(1.0, np.array(caps))
+    # cap zero is admitted: the capped variable is zero there
+    assert d.limited_moment(1.0, 0.0) == 0.0
+    got = d.limited_moment(1.0, np.array([1.0, 0.0]))
+    assert got[0] == d.limited_moment(1.0, 1.0) and got[1] == 0.0
 
 
 def test_limited_moment_query_requires_finite_order():
+    d = ExponentiatedComposite(rough_spec(), 1.4)
     with pytest.raises(ValueError, match="finite"):
-        LimitedMomentQuery(order=math.inf, cap=1.0)
+        d.limited_moment(math.inf, 1.0)
 
 
 def test_exponent_validation():
@@ -364,7 +363,7 @@ def test_moment_divergence_guard():
 def test_limited_moment_order_zero_is_one():
     d = ExponentiatedComposite(rough_spec(), 1.4)
     for cap in (0.2, d.breakpoint, 9.0):
-        assert d.limited_moment(LimitedMomentQuery(0.0, cap)) == pytest.approx(
+        assert d.limited_moment(0.0, cap) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -382,19 +381,13 @@ def test_limited_moment_at_cap_zero_is_exact(model):
             for t in (0.0, 0.3, 1.0, 5.0):
                 want = 1.0 if t == 0.0 else 0.0
                 with np.errstate(all="raise"):
-                    scalar = d.limited_moment((t, 0.0))
-                    array = d.limited_moment((t, np.array([0.0, d.breakpoint, 0.0])))
+                    scalar = d.limited_moment(t, 0.0)
+                    array = d.limited_moment(t, np.array([0.0, d.breakpoint, 0.0]))
                 assert isinstance(scalar, float)
                 assert math.copysign(1.0, scalar) == 1.0 and scalar == want
                 assert array[0] == array[2] == want
                 assert math.copysign(1.0, array[0]) == 1.0
-                assert array[1] == d.limited_moment((t, d.breakpoint))
-
-
-def test_limited_moment_accepts_tuple():
-    d = ExponentiatedComposite(rough_spec(), 1.4)
-    q = LimitedMomentQuery(0.5, 2.0)
-    assert d.limited_moment((0.5, 2.0)) == d.limited_moment(q)
+                assert array[1] == d.limited_moment(t, d.breakpoint)
 
 
 @given(
@@ -410,9 +403,9 @@ def test_limited_moment_array_matches_scalar_calls(theta, eta, t, caps):
     for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
         d = build(model, theta, eta)
         bs = np.array([*caps, d.breakpoint])
-        got = d.limited_moment((t, bs))
+        got = d.limited_moment(t, bs)
         assert isinstance(got, np.ndarray) and got.shape == bs.shape
-        assert got.tolist() == [d.limited_moment((t, float(b))) for b in bs]
+        assert got.tolist() == [d.limited_moment(t, float(b)) for b in bs]
 
 
 @given(
@@ -426,8 +419,8 @@ def test_limited_moment_closed_partials_match_quadrature(theta, eta, t, ratio):
     for make_spec in (exp_pareto_spec, ig_pareto_spec):
         spec = make_spec(theta)
         b = ratio * spec.breakpoint ** (1.0 / eta)
-        closed = ExponentiatedComposite(spec, eta).limited_moment((t, b))
-        quad = ExponentiatedComposite(quadrature_partials(spec), eta).limited_moment((t, b))
+        closed = ExponentiatedComposite(spec, eta).limited_moment(t, b)
+        quad = ExponentiatedComposite(quadrature_partials(spec), eta).limited_moment(t, b)
         assert closed == pytest.approx(quad, rel=1e-8)
 
 
@@ -436,7 +429,7 @@ def test_limited_moment_vs_quadrature_all_branches():
     yb = d.breakpoint
     t = 0.75
     for cap in (0.5 * yb, yb, 2.0 * yb):
-        got = d.limited_moment(LimitedMomentQuery(t, cap))
+        got = d.limited_moment(t, cap)
         head = adaptive_quadrature(
             lambda y: y**t * float(d.pdf(y)),
             0.0,
@@ -452,11 +445,44 @@ def test_limited_moment_branch_continuity():
     yb = d.breakpoint
     t = 1.2
     eps = 1e-9
-    below = d.limited_moment(LimitedMomentQuery(t, yb * (1.0 - eps)))
-    at = d.limited_moment(LimitedMomentQuery(t, yb))
-    above = d.limited_moment(LimitedMomentQuery(t, yb * (1.0 + eps)))
+    below = d.limited_moment(t, yb * (1.0 - eps))
+    at = d.limited_moment(t, yb)
+    above = d.limited_moment(t, yb * (1.0 + eps))
     assert below == pytest.approx(at, rel=1e-7)
     assert above == pytest.approx(at, rel=1e-7)
+
+
+@pytest.mark.parametrize("model", [ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO])
+def test_limited_moment_at_infinite_cap_is_the_moment(model):
+    # E[(Y ^ inf)^t] = E[Y^t] by bytes: at b = inf the survival term adds
+    # exactly zero to the three partial-moment terms
+    for theta, eta in ((0.3, 0.7), (1.0, 1.0), (4.0, 3.5)):
+        d = build(model, theta, eta)
+        parent = d.parent
+        for frac in (0.05, 0.4, 0.95):
+            t = frac * eta * parent.tail_moment_sup
+            s = t / eta
+            partials = parent.norm_const * (
+                float(parent.head_partial_moment(parent.breakpoint, s))
+                + float(parent.tail_partial_moment(math.inf, s))
+                - float(parent.tail_partial_moment(parent.breakpoint, s))
+            )
+            at_inf = d.limited_moment(t, math.inf)
+            in_array = d.limited_moment(t, np.array([1.0, math.inf]))[1]
+            assert isinstance(at_inf, float)
+            assert at_inf.hex() == d.moment(t).hex() == float(in_array).hex()
+            assert at_inf.hex() == partials.hex()
+
+
+def test_infinite_cap_at_divergent_order_raises():
+    d = build(ModelId.EXP_EXP_PARETO, 1.0, 2.0)
+    t = 2.0 * d.parent.tail_moment_sup  # t/eta reaches the tail exponent
+    for cap in (math.inf, np.array([1.0, math.inf])):
+        with pytest.raises(InfiniteMomentError):
+            d.limited_moment(t, cap)
+    # a finite cap has a finite limited moment at any order
+    assert math.isfinite(d.limited_moment(t, 1e6))
+    assert d.limited_moment(0.0, math.inf) == 1.0
 
 
 def test_limited_moment_grows_to_full_moment():
@@ -464,7 +490,7 @@ def test_limited_moment_grows_to_full_moment():
     t = 1.0  # t / eta = 0.5 < 1.3, the full moment exists
     full = moment_numeric(d, t)
     caps = [2.0, 8.0, 32.0, 128.0, 100000.0]
-    vals = [d.limited_moment(LimitedMomentQuery(t, b)) for b in caps]
+    vals = [d.limited_moment(t, b) for b in caps]
     assert all(x < y for x, y in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(full, rel=1e-2)
 
@@ -534,9 +560,9 @@ def test_as_composite_spec_round_trip():
 
 def test_exponentiate_composes_through_materialization():
     spec = exp_pareto_spec(2.0)
-    inner = exponentiate(spec, 1.6)
-    two_step = exponentiate(inner, 2.0)
-    one_step = exponentiate(spec, 3.2)
+    inner = ExponentiatedComposite(spec, 1.6)
+    two_step = ExponentiatedComposite(as_composite_spec(inner), 2.0)
+    one_step = ExponentiatedComposite(spec, 3.2)
     ys = np.array([0.3, 0.9, 1.1, 2.0, 5.0])
     a = np.array([float(two_step.pdf(v)) for v in ys])
     b = one_step.pdf(ys)
@@ -549,8 +575,10 @@ def test_materialized_log_pdf_matches_direct():
     ys = np.array([1e60, 0.05, 0.5, 2.0])
     for make_spec in (exp_pareto_spec, ig_pareto_spec):
         spec = make_spec(1.0)
-        two_step = exponentiate(exponentiate(spec, 4.0), 5.0)
-        one_step = exponentiate(spec, 20.0)
+        two_step = ExponentiatedComposite(
+            as_composite_spec(ExponentiatedComposite(spec, 4.0)), 5.0
+        )
+        one_step = ExponentiatedComposite(spec, 20.0)
         for method in ("log_pdf", "pdf"):
             got = getattr(two_step, method)(ys)
             want = getattr(one_step, method)(ys)
@@ -559,7 +587,7 @@ def test_materialized_log_pdf_matches_direct():
 
 def test_exponentiate_identity():
     spec = ig_pareto_spec(1.0)
-    d = exponentiate(spec, 1.0)
+    d = ExponentiatedComposite(spec, 1.0)
     ys = np.array([0.2, 1.0, 4.0])
     assert np.allclose(d.pdf(ys), spec.norm_const * np.where(
         ys < spec.breakpoint, spec.head_density(ys), spec.tail_density(ys)

@@ -19,7 +19,9 @@ from expcomposite.estimation import (
 from expcomposite.models import (
     EXP_PARETO,
     IG_PARETO,
+    InverseGammaDensity,
     ModelId,
+    WeibullDensity,
     build,
     exp_pareto_spec,
     ig_pareto_spec,
@@ -601,7 +603,7 @@ def test_weibull_fit_matches_scipy():
     assert loc == 0.0
     assert res.shape == pytest.approx(c, rel=1e-5)
     assert res.scale == pytest.approx(scale, rel=1e-5)
-    dens = build(ModelId.WEIBULL, res.shape, res.scale)
+    dens = WeibullDensity(res.shape, res.scale)
     assert res.nll == pytest.approx(-float(np.sum(dens.log_pdf(SAMPLE))), rel=1e-12)
     assert (res.n, res.p) == (200, 2)
 
@@ -620,5 +622,5 @@ def test_inverse_gamma_fit_matches_scipy():
     assert math.log(res.shape) - float(digamma(res.shape)) - rhs == pytest.approx(
         0.0, abs=1e-12
     )
-    dens = build(ModelId.INVERSE_GAMMA, res.shape, res.scale)
+    dens = InverseGammaDensity(res.shape, res.scale)
     assert res.nll == pytest.approx(-float(np.sum(dens.log_pdf(SAMPLE_IG))), rel=1e-12)

@@ -127,19 +127,15 @@ def test_build_rejects_bad_parameters():
     with pytest.raises(ValueError):
         build(ModelId.EXP_PARETO_1P, 1.0, 2.0)  # exponent is pinned at 1
     with pytest.raises(ValueError):
-        build(ModelId.WEIBULL, -1.0, 1.0)
+        WeibullDensity(-1.0, 1.0)
+    for baseline in (ModelId.WEIBULL, ModelId.INVERSE_GAMMA):
+        with pytest.raises(ValueError, match="not a composite family"):
+            build(baseline, 1.7, 2.5)  # baselines take their own (shape, scale)
     for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
         with pytest.raises(ValueError, match="finite"):
             build(model, math.inf, 1.0)
         with pytest.raises(ValueError, match="finite"):
             build(model, 1.0, math.inf)
-
-
-def test_build_baselines_take_shape_scale():
-    w = build(ModelId.WEIBULL, 1.7, 2.5)
-    assert isinstance(w, WeibullDensity) and (w.shape, w.scale) == (1.7, 2.5)
-    g = build(ModelId.INVERSE_GAMMA, 3.0, 0.5)
-    assert isinstance(g, InverseGammaDensity) and (g.shape, g.scale) == (3.0, 0.5)
 
 
 def test_calibrated_specs_verify():
@@ -258,6 +254,44 @@ def test_baseline_pieces_frozen(density, method, want):
     assert [getattr(density, method)(y) for y in (-1.0, 0.0, 0.5, 2.0)] == want
 
 
+# one density object per model id, named for stable test ids; the
+# composites at exponents below, at and above 1, where the sign of the
+# jacobian's log changes
+EDGE_DENSITIES = {
+    **{f"{m.value}-eta{eta:g}": build(m, 1.3, eta)
+       for m in (ModelId.EXP_IG_PARETO, ModelId.EXP_EXP_PARETO) for eta in (0.5, 1.0, 2.0)},
+    "ig-pareto-1p": build(ModelId.IG_PARETO_1P, 1.3),
+    "exp-pareto-1p": build(ModelId.EXP_PARETO_1P, 1.3),
+    **{f"weibull-shape{shape:g}": WeibullDensity(shape, 2.5) for shape in (0.5, 1.0, 1.7)},
+    "inverse-gamma": InverseGammaDensity(3.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_DENSITIES)
+def test_densities_at_inf_and_nan(name):
+    # +inf is past all mass and NaN stays NaN, scalar or array; a nan from
+    # inf * 0 or inf - inf would raise a RuntimeWarning here
+    density = EDGE_DENSITIES[name]
+    want = {"pdf": 0.0, "log_pdf": -math.inf, "cdf": 1.0}
+    for method, at_inf in want.items():
+        f = getattr(density, method)
+        assert f(math.inf) == at_inf
+        assert math.isnan(f(math.nan))
+        got = f(np.array([math.inf, math.nan, -math.inf]))
+        assert got[0] == at_inf and math.isnan(got[1])
+        assert got[2] == (-math.inf if method == "log_pdf" else 0.0)
+
+
+@pytest.mark.parametrize("family", ["ig", "exp"])
+def test_spec_pieces_keep_nan(family):
+    make, theta, _ = PIECE_SPECS[family]
+    spec = make(theta)
+    for piece in ("head_density", "tail_density", "head_cdf", "tail_cdf", "tail_sf"):
+        assert math.isnan(getattr(spec, piece)(math.nan)), piece
+    for piece in ("head_partial_moment", "tail_partial_moment"):
+        assert math.isnan(getattr(spec, piece)(math.nan, 0.1)), piece
+
+
 # -- closed-form moments ---------------------------------------------------
 
 
@@ -330,7 +364,7 @@ LIMITED_FROZEN = (
 
 @pytest.mark.parametrize("model,theta,eta,t,b,want", LIMITED_FROZEN)
 def test_limited_moment_frozen_values(model, theta, eta, t, b, want):
-    assert build(model, theta, eta).limited_moment((t, b)) == pytest.approx(
+    assert build(model, theta, eta).limited_moment(t, b) == pytest.approx(
         want, rel=1e-11
     )
 
@@ -340,13 +374,13 @@ def test_limited_moment_order_zero_is_one():
             (2.25, 2.0, 4.0), (0.5, 5.0, 0.871))
     for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
         for theta, eta, b in grid:
-            assert build(model, theta, eta).limited_moment((0.0, b)) == 1.0
+            assert build(model, theta, eta).limited_moment(0.0, b) == 1.0
 
 
 @given(theta=hst.floats(0.05, 50.0), eta=hst.floats(0.2, 10.0), b=hst.floats(1e-3, 1e3))
 def test_limited_moment_order_zero_is_exactly_one(theta, eta, b):
     for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
-        assert build(model, theta, eta).limited_moment((0.0, b)) == 1.0
+        assert build(model, theta, eta).limited_moment(0.0, b) == 1.0
 
 
 # Caps far above the breakpoint, where forming 1 - tail_cdf loses digits.
@@ -364,17 +398,17 @@ LARGE_CAP_FROZEN = (
 @pytest.mark.parametrize("model,theta,eta,t,b,want", LARGE_CAP_FROZEN)
 def test_limited_moment_large_caps(model, theta, eta, t, b, want):
     d = build(model, theta, eta)
-    assert d.limited_moment((t, b)) == pytest.approx(want, rel=1e-12)
+    assert d.limited_moment(t, b) == pytest.approx(want, rel=1e-12)
 
 
 def test_limited_moment_cap_power_overflow_raises():
     d = build(ModelId.EXP_EXP_PARETO, 1.0, 2.0)
     with pytest.raises(OverflowError):
-        d.limited_moment((1.0, 1e200))  # b**eta overflows
+        d.limited_moment(1.0, 1e200)  # b**eta overflows
     with pytest.raises(OverflowError):
-        d.limited_moment((1.0, np.array([2.0, 1e200])))
+        d.limited_moment(1.0, np.array([2.0, 1e200]))
     with pytest.raises(OverflowError):
-        d.limited_moment((400.0, 1e10))  # the limited moment itself overflows
+        d.limited_moment(400.0, 1e10)  # the limited moment itself overflows
 
 
 def test_limited_moment_smooth_through_tail_exponent():
@@ -384,18 +418,18 @@ def test_limited_moment_smooth_through_tail_exponent():
         (ModelId.EXP_EXP_PARETO, EXP_PARETO.alpha),
         (ModelId.EXP_IG_PARETO, IG_PARETO.alpha - IG_PARETO.k),
     ):
-        at = build(model, 1.0, 1.0).limited_moment((a, 1e12))
+        at = build(model, 1.0, 1.0).limited_moment(a, 1e12)
         for f in (-1e-11, -3e-12, 3e-12, 1e-11):
-            near = build(model, 1.0, 1.0).limited_moment((a * (1.0 + f), 1e12))
+            near = build(model, 1.0, 1.0).limited_moment(a * (1.0 + f), 1e12)
             assert near == pytest.approx(at, rel=1e-9)
 
 
 def test_limited_moment_validations():
     with pytest.raises(ValueError):
-        build(ModelId.EXP_EXP_PARETO, 1.0, 1.0).limited_moment((-0.5, 1.0))
+        build(ModelId.EXP_EXP_PARETO, 1.0, 1.0).limited_moment(-0.5, 1.0)
     with pytest.raises(ValueError):
-        build(ModelId.EXP_EXP_PARETO, 1.0, 1.0).limited_moment((1.0, -1.0))
-    assert build(ModelId.EXP_EXP_PARETO, 1.0, 1.0).limited_moment((1.0, 0.0)) == 0.0
+        build(ModelId.EXP_EXP_PARETO, 1.0, 1.0).limited_moment(1.0, -1.0)
+    assert build(ModelId.EXP_EXP_PARETO, 1.0, 1.0).limited_moment(1.0, 0.0) == 0.0
 
 
 @given(
@@ -408,8 +442,8 @@ def test_limited_moment_validations():
 def test_limited_moment_monotone_in_cap(theta, eta, t, b1, b2):
     lo, hi = sorted((b1, b2))
     for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
-        v_lo = build(model, theta, eta).limited_moment((t, lo))
-        v_hi = build(model, theta, eta).limited_moment((t, hi))
+        v_lo = build(model, theta, eta).limited_moment(t, lo)
+        v_hi = build(model, theta, eta).limited_moment(t, hi)
         assert v_lo >= 0.0
         assert v_lo <= v_hi * (1.0 + 1e-12)
 
@@ -423,7 +457,7 @@ def test_limited_moment_capped_by_raw_moment():
         t = 0.5 * eta * bound
         full = moment_closed_form(model, 1.4, eta, t)
         for b in (0.3, 1.0, 6.0, 50.0):
-            assert build(model, 1.4, eta).limited_moment((t, b)) <= full * (1 + 1e-12)
+            assert build(model, 1.4, eta).limited_moment(t, b) <= full * (1 + 1e-12)
 
 
 # -- baseline densities ----------------------------------------------------
