@@ -71,27 +71,29 @@ class ClaimsDataset:
         return self.values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunArtifact:
     """Persisted record of one CLI run: command echo, config, results.
 
     The timestamp is always null so that identical invocations produce
     identical bytes; re-running the stored config through replay_artifact
-    reproduces the results.
+    reproduces the results.  The results are held as columns, a name ->
+    cells mapping in which a float column is a numpy array.
     """
 
     command: tuple[str, ...]
     config: dict
-    results: tuple[dict, ...]
+    columns: dict
+
+    @property
+    def results(self) -> tuple[dict, ...]:
+        """The result records, one dict per row."""
+        cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values())
+        return tuple(dict(zip(self.columns, row)) for row in zip(*cells))
 
     def to_json(self) -> str:
-        payload = {
-            "command": list(self.command),
-            "config": self.config,
-            "results": [dict(r) for r in self.results],
-            "timestamp": None,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        spelled = [_machine_cells(column)[1] for column in self.columns.values()]
+        return "".join(_artifact_chunks(self.command, self.config, list(self.columns), spelled))
 
 
 # -- ingestion -------------------------------------------------------------
@@ -169,13 +171,15 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
 # -- config execution ------------------------------------------------------
 #
 # _config reduces a command line's flags to a JSON-safe config dict, and
-# _run_config turns a config into result records.  Every check of a config
-# lives in the _exec_* step, and replay_artifact goes through the same
+# _run_config turns a config into result columns: a name -> cells mapping,
+# every column of one length, in which a float column is a numpy array and
+# any other column a list of None, str, int or float cells.  Every check of
+# a config lives in the _exec_* step, and replay_artifact goes through the same
 # function, so a persisted config reruns on the exact code path that
 # produced it and is refused with the same message as the command line.
 
 
-def _run_config(config: dict) -> list[dict]:
+def _run_config(config: dict) -> dict:
     if "grid" in config:
         raise ValueError("config key 'grid' is not supported: the exponent search has no bounds")
     sub = config["subcommand"]
@@ -218,20 +222,24 @@ def _fit_record(result, row) -> dict:
     return rec
 
 
+def _as_columns(records: list[dict]) -> dict:
+    return {name: [rec[name] for rec in records] for name in records[0]}
+
+
 def _model(name, choices: list[str]) -> ModelId:
     if name not in choices:
         raise ValueError(f"unknown model {name!r}; choices: {choices}")
     return ModelId(name)
 
 
-def _exec_fit(config: dict) -> list[dict]:
+def _exec_fit(config: dict) -> dict:
     model = _model(config["model"], ALL_MODEL_CHOICES)
     dataset = ingest_csv(config["data"], config["column"], config["scale"])
     result = fit(model, dataset.values)
-    return [_fit_record(result, score(result))]
+    return _as_columns([_fit_record(result, score(result))])
 
 
-def _exec_compare(config: dict) -> list[dict]:
+def _exec_compare(config: dict) -> dict:
     models = config["models"]
     if len(models) < 2:
         raise ValueError("compare needs at least two models")
@@ -278,10 +286,10 @@ def _exec_compare(config: dict) -> list[dict]:
     scored.sort(key=lambda r: r[criterion])
     for rank, rec in enumerate(scored, start=1):
         rec["rank"] = rank
-    return scored + [r for r in records if r["status"] == "failed"]
+    return _as_columns(scored + [r for r in records if r["status"] == "failed"])
 
 
-def _exec_simulate(config: dict) -> list[dict]:
+def _exec_simulate(config: dict) -> dict:
     if config.get("recovery_grid"):
         tables = reproduce_recovery_tables(config["seed"], r=config["r"])
         reports = [report for table in tables for report in table]
@@ -300,7 +308,7 @@ def _exec_simulate(config: dict) -> list[dict]:
             base_seed=config["seed"],
         )
         reports = [run_scenario(scenario)]
-    return [
+    return _as_columns([
         {
             "model": rep.scenario.model.value,
             "true_eta": rep.scenario.true_eta,
@@ -315,10 +323,10 @@ def _exec_simulate(config: dict) -> list[dict]:
             "failures": rep.failures,
         }
         for rep in reports
-    ]
+    ])
 
 
-def _exec_density(config: dict) -> list[dict]:
+def _exec_density(config: dict) -> dict:
     model = _model(config["model"], COMPOSITE_CHOICES)
     theta, eta = config["theta"], config["eta"]
     lo, hi, points = config["lo"], config["hi"], config["points"]
@@ -334,19 +342,19 @@ def _exec_density(config: dict) -> list[dict]:
         columns["cdf"] = dist.cdf(ys)
     if order is not None:
         columns[f"limited_moment_t{order:g}"] = dist.limited_moment(order, ys)
-    names = list(columns)
-    return [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns.values()))]
+    return columns
 
 
 # -- output ----------------------------------------------------------------
+#
+# Each column is formatted once, and the table, the CSV and the JSON
+# artifact each fill one template per row with the formatted cells.  A cell
+# reads as the csv and json modules would write it: f"{v:.6g}" in the table,
+# repr in the CSV (None empty), and json.dumps in the JSON artifact, where
+# inf is Infinity and nan is NaN.
 
-
-def _write_csv(path, records: list[dict]) -> None:
-    # the csv module writes None as an empty cell and a float as its repr
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(records[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(records)
+# json's spelling of the floats that repr writes as inf, -inf and nan
+_JSON_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _human(value) -> str:
@@ -357,34 +365,92 @@ def _human(value) -> str:
     return str(value)
 
 
-def _print_table(records: list[dict]) -> None:
-    keys = list(records[0].keys())
-    cells = [keys] + [[_human(rec.get(k)) for k in keys] for rec in records]
-    widths = [max(len(row[j]) for row in cells) for j in range(len(keys))]
-    for row in cells:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+def _csv_cell(value) -> str:
+    # the csv module's minimal quoting: a cell holding a comma, a quote or a
+    # line break is quoted, with its quotes doubled.  A bare carriage return
+    # is quoted too, which the csv module of Python 3.11 does not do.
+    text = "" if value is None else repr(value) if isinstance(value, float) else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _print_block(record: dict) -> None:
-    width = max(len(k) for k in record)
-    for key, value in record.items():
-        if value is None:
-            continue
-        print(f"{key.ljust(width)}  {_human(value)}")
+def _table_cells(column) -> list[str]:
+    if isinstance(column, np.ndarray):
+        return [f"{v:.6g}" for v in column.tolist()]
+    return [_human(v) for v in column]
 
 
-def _emit(args, argv: list[str], config: dict, records: list[dict]) -> int:
+def _machine_cells(column) -> tuple[list[str], list[str]]:
+    """The CSV and JSON cells of one result column.
+
+    The cells of a float array share one float repr.
+    """
+    if isinstance(column, np.ndarray):
+        text = list(map(float.__repr__, column.tolist()))
+        if np.isfinite(column).all():
+            return text, text
+        return text, [_JSON_NONFINITE.get(c, c) for c in text]
+    return [_csv_cell(v) for v in column], [json.dumps(v) for v in column]
+
+
+def _print_table(columns: dict) -> None:
+    table = [_table_cells(column) for column in columns.values()]
+    widths = [max(len(name), *map(len, cells)) for name, cells in zip(columns, table)]
+    line = "  ".join(f"%-{w}s" for w in widths)
+    rows = itertools.chain([tuple(columns)], zip(*table))
+    sys.stdout.writelines((line % row).rstrip() + "\n" for row in rows)
+
+
+def _print_block(columns: dict) -> None:
+    width = max(map(len, columns))
+    for name, (value,) in columns.items():
+        if value is not None:
+            print(f"{name.ljust(width)}  {_human(value)}")
+
+
+def _write_csv(path, names: list[str], cells: list[list[str]]) -> None:
+    line = ",".join(["%s"] * len(names)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(line % tuple(map(_csv_cell, names)))
+        fh.writelines(map(line.__mod__, zip(*cells)))
+
+
+def _artifact_chunks(command, config: dict, names: list[str], spelled: list[list[str]]):
+    """json.dumps(payload, indent=2, sort_keys=True) and a newline, in chunks.
+
+    json writes the command and the config; each record is one template,
+    its keys sorted, filled with the JSON cells of that row.
+    """
+    payload = {"command": list(command), "config": config, "results": [], "timestamp": None}
+    # the only key at an indent of two spaces named "results" is the payload's
+    head, _, tail = json.dumps(payload, indent=2, sort_keys=True).partition(
+        '\n  "results": []'
+    )
+    order = sorted(range(len(names)), key=names.__getitem__)
+    fields = ",\n".join(
+        f"      {json.dumps(names[j]).replace('%', '%%')}: %s" for j in order
+    )
+    record = "\n    {\n" + fields + "\n    }"
+    rows = zip(*(spelled[j] for j in order))
+    yield f'{head}\n  "results": [' + record % next(rows)
+    yield from map(("," + record).__mod__, rows)
+    yield f"\n  ]{tail}\n"
+
+
+def _emit(args, argv: list[str], config: dict, columns: dict) -> int:
     if config["subcommand"] == "fit":
-        _print_block(records[0])
+        _print_block(columns)
     else:
-        _print_table(records)
-    if args.out:
-        _write_csv(args.out, records)
-    if args.json:
-        artifact = RunArtifact(
-            command=tuple(argv), config=config, results=tuple(records)
-        )
-        Path(args.json).write_text(artifact.to_json())
+        _print_table(columns)
+    if args.out or args.json:
+        names = list(columns)
+        cells, spelled = zip(*map(_machine_cells, columns.values()))
+        if args.out:
+            _write_csv(args.out, names, cells)
+        if args.json:
+            with open(args.json, "w") as fh:
+                fh.writelines(_artifact_chunks(argv, config, names, spelled))
     return 0
 
 
@@ -395,11 +461,10 @@ def replay_artifact(path) -> RunArtifact:
     """
     payload = json.loads(Path(path).read_text())
     config = payload["config"]
-    records = _run_config(config)
     return RunArtifact(
         command=tuple(payload.get("command", ())),
         config=config,
-        results=tuple(records),
+        columns=_run_config(config),
     )
 
 

@@ -238,10 +238,6 @@ def _nonnegative(a: np.ndarray) -> np.ndarray:
     return a >= 0.0
 
 
-def _finite_positive(a: np.ndarray) -> np.ndarray:
-    return (a > 0.0) & (a < math.inf)
-
-
 def _finite_nonnegative(a: np.ndarray) -> np.ndarray:
     return (a >= 0.0) & (a < math.inf)
 
@@ -339,14 +335,19 @@ class WeibullDensity:
     def log_pdf(self, y):
         def log_density(yp):
             log_z = np.log(yp) - math.log(self.scale)
+            # at shape 1 the power term is 0 even at y = 0, where 0 * -inf
+            # would give nan
+            power = (self.shape - 1.0) * log_z if self.shape != 1.0 else 0.0
             return (
                 math.log(self.shape)
                 - math.log(self.scale)
-                + (self.shape - 1.0) * log_z
+                + power
                 - np.exp(self.shape * log_z)
             )
 
-        return _on_support(y, _finite_positive, log_density, fill=-math.inf)
+        # log(pdf(0)): +inf below shape 1, -log(scale) at shape 1, -inf above
+        with np.errstate(divide="ignore"):
+            return _on_support(y, _finite_nonnegative, log_density, fill=-math.inf)
 
     def cdf(self, y):
         return _on_support(

@@ -1,7 +1,9 @@
 """Command-line surface: ingestion, subcommands, exit codes, artifacts."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -10,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import expcomposite.cli as cli
 from expcomposite.cli import LITERATURE_ROWS, ingest_csv, main, replay_artifact
@@ -556,6 +560,161 @@ def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
     }
     assert got == PINNED_SHA256
     capsys.readouterr()
+
+
+# sha256 of the stdout of the two commands above, and of the outputs of a
+# curve whose pdf is inf at y = 0, recorded before the writers took columns:
+# the table, and the CSV and JSON spelling of a non-finite cell, must not
+# change one byte
+PINNED_STDOUT_SHA256 = {
+    "density": "98120f070b0c98f7b2ec633b0b3646ba9298917f925e496e47d95b91e71dd0dd",
+    "compare": "f78874183de0cc77328ff50dd4b9a5334408b4086c39fd5f286dfff7fce080ec",
+}
+INFINITE_CELL_ARGV = ["density", "--model", "exp-exp-pareto", "--theta", "1", "--eta", "0.8",
+                      "--lo", "0", "--hi", "6", "--points", "300", "--cdf",
+                      "--limited-moment", "0.5"]
+PINNED_NONFINITE_SHA256 = {
+    "stdout": "cf6c2ba9aeb4894c99355c7594d4a7e012f0a203b9887514bd512132a2bb699a",
+    "inf.csv": "677b5e0a096e9a98948521ef4fc8fdc128ee532e11e48f68d6afece2675af77c",
+    "inf.json": "bbb0735322a3b432df18d2d926d8011d5731d0bf8ac013dd6e605488f35d9a93",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()
+
+
+def test_cli_stdout_and_nonfinite_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_csv(tmp_path / "claims.csv", build(ModelId.EXP_IG_PARETO, 1.0, 2.0).sample(400, seed=5))
+    capsys.readouterr()
+    assert main(["density", "--model", "exp-ig-pareto", "--theta", "1.3", "--eta", "0.7",
+                 "--lo", "0", "--hi", "6", "--points", "300", "--cdf",
+                 "--limited-moment", "0.5"]) == 0
+    stdout = {"density": sha256(capsys.readouterr().out)}
+    assert main(["compare", "claims.csv", "--literature", "danish"]) == 0
+    stdout["compare"] = sha256(capsys.readouterr().out)
+    assert stdout == PINNED_STDOUT_SHA256
+    assert main(INFINITE_CELL_ARGV + ["--out", "inf.csv", "--json", "inf.json"]) == 0
+    got = {"stdout": sha256(capsys.readouterr().out)}
+    got.update((name, sha256((tmp_path / name).read_bytes())) for name in ("inf.csv", "inf.json"))
+    assert got == PINNED_NONFINITE_SHA256
+    # the cell itself, in each spelling
+    assert (tmp_path / "inf.csv").read_text().splitlines()[1].startswith("0.0,inf,")
+    assert '"pdf": Infinity,' in (tmp_path / "inf.json").read_text()
+
+
+def test_infinite_cell_replays(tmp_path, capsys):
+    art = tmp_path / "inf.json"
+    assert main(INFINITE_CELL_ARGV + ["--json", str(art)]) == 0
+    capsys.readouterr()
+    stored = json.loads(art.read_text())["results"]
+    assert stored[0]["pdf"] == math.inf
+    replayed = replay_artifact(art)
+    assert list(replayed.results) == stored
+    assert replayed.results[0]["pdf"] == math.inf
+    # the replayed artifact writes the stored bytes back
+    assert replayed.to_json() == art.read_text()
+
+
+def test_csv_cells_are_quoted_as_the_csv_module_quotes_them(tmp_path, capsys, monkeypatch):
+    # one quoting cause per cell: a comma, a quote, a line break, none
+    messages = {
+        ModelId.WEIBULL: "bad split, rescale",
+        ModelId.INVERSE_GAMMA: 'theta is "inf"',
+        ModelId.EXP_IG_PARETO: "no split\nrescale",
+        ModelId.IG_PARETO_1P: "100% of rows",
+    }
+
+    def failing(model, y):
+        if model in messages:
+            raise FitFailureError(messages[model])
+        return fit(model, y)
+
+    monkeypatch.setattr(cli, "fit", failing)
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
+    out = tmp_path / "cmp.csv"
+    models = ",".join(["exp-pareto-1p"] + [m.value for m in messages])
+    assert main(["compare", str(data), "--models", models, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert {ModelId(r["model"]): r["note"] for r in read_out(out)[1:]} == messages
+    with open(out, newline="") as fh:
+        cells = list(csv.reader(fh))
+    with open(tmp_path / "rewritten.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(cells)
+    assert (tmp_path / "rewritten.csv").read_bytes() == out.read_bytes()
+
+
+# The record-at-a-time writers that the column writers replaced, kept as the
+# reference: the stdout, the CSV and the JSON artifact of any columns must
+# equal theirs byte for byte.
+def reference_outputs(command, config, records):
+    def human(value):
+        if value is None:
+            return ""
+        return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        if config["subcommand"] == "fit":
+            width = max(len(k) for k in records[0])
+            for key, value in records[0].items():
+                if value is not None:
+                    print(f"{key.ljust(width)}  {human(value)}")
+        else:
+            keys = list(records[0])
+            cells = [keys] + [[human(rec[k]) for k in keys] for rec in records]
+            widths = [max(len(row[j]) for row in cells) for j in range(len(keys))]
+            for row in cells:
+                print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    table = io.StringIO(newline="")
+    writer = csv.DictWriter(table, fieldnames=list(records[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
+    payload = {"command": list(command), "config": config, "results": records,
+               "timestamp": None}
+    return stdout.getvalue(), table.getvalue(), json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# the csv module of Python 3.11 leaves a lone carriage return unquoted, and
+# later versions quote it; the writer here always quotes it.  Every result
+# has at least two columns, so the csv module's quoting of a row that is one
+# empty cell never applies.
+TEXT = st.text(st.characters(blacklist_characters="\r"), max_size=8)
+CELL = st.one_of(st.none(), TEXT, st.booleans(), st.integers(), st.floats())
+
+
+@st.composite
+def result_columns(draw):
+    subcommand = draw(st.sampled_from(["fit", "density"]))
+    rows = 1 if subcommand == "fit" else draw(st.integers(1, 12))
+    names = draw(st.lists(st.text(st.characters(blacklist_characters="\r"), min_size=1,
+                                  max_size=6), min_size=2, max_size=5, unique=True))
+    columns = {
+        name: draw(st.one_of(
+            hnp.arrays(np.float64, rows, elements=st.floats()),
+            st.lists(CELL, min_size=rows, max_size=rows),
+        ))
+        for name in names
+    }
+    return {"subcommand": subcommand}, columns
+
+
+@given(result_columns())
+def test_column_writers_match_the_record_writers(tmp_path_factory, drawn):
+    config, columns = drawn
+    work = tmp_path_factory.mktemp("writers")
+    args = SimpleNamespace(out=work / "out.csv", json=work / "out.json")
+    argv = ["density", "--out", "out.csv"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli._emit(args, argv, config, columns) == 0
+    artifact = cli.RunArtifact(tuple(argv), config, columns)
+    want = reference_outputs(argv, config, list(artifact.results))
+    with open(args.out, newline="") as fh:
+        written = fh.read()
+    assert (stdout.getvalue(), written, args.json.read_text()) == want
+    assert artifact.to_json() == want[2]
 
 
 # -- top-level parser ------------------------------------------------------

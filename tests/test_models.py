@@ -491,6 +491,18 @@ def test_weibull_edge_conventions():
     assert InverseGammaDensity(2.0, 1.0).cdf(-3.0) == 0.0
 
 
+@pytest.mark.parametrize("shape,want", [(0.5, math.inf), (1.0, -math.log(1.5)), (2.0, -math.inf)])
+def test_weibull_log_pdf_at_zero_is_the_log_of_pdf(shape, want):
+    # pdf(0) is inf below shape 1, 1/scale at shape 1 and 0 above
+    w = WeibullDensity(shape, 1.5)
+    with np.errstate(divide="ignore"):
+        log_of_pdf = np.log(w.pdf(0.0))
+    for y in (0.0, -0.0):
+        assert w.log_pdf(y) == want
+        assert w.log_pdf(np.array([y, 1.0]))[0] == want
+    assert want == pytest.approx(log_of_pdf, rel=1e-15)
+
+
 def test_baseline_validations():
     with pytest.raises(ValueError):
         WeibullDensity(0.0, 1.0)
