@@ -526,6 +526,45 @@ def test_replay_refuses_a_config_with_exponent_bounds(tmp_path, capsys):
         replay_artifact(art)
 
 
+# the config that --json writes for each command line, recorded when this
+# test was written; "{data}" stands for the claims CSV, passed as a relative
+# path.  Compared as sorted JSON text, so 1.0 and 1 or True and 1 differ.
+PINNED_CONFIGS = [
+    (["fit", "{data}", "--model", "exp-exp-pareto"],
+     {"subcommand": "fit", "data": "claims.csv", "column": "0", "scale": 1.0,
+      "model": "exp-exp-pareto"}),
+    (["compare", "{data}"],
+     {"subcommand": "compare", "data": "claims.csv", "column": "0", "scale": 1.0,
+      "models": ["exp-ig-pareto", "exp-exp-pareto", "ig-pareto-1p", "exp-pareto-1p",
+                 "weibull", "inverse-gamma"],
+      "criterion": "bic", "literature": None}),
+    (["compare", "{data}", "--models", " exp-pareto-1p, ,weibull"],
+     {"subcommand": "compare", "data": "claims.csv", "column": "0", "scale": 1.0,
+      "models": ["exp-pareto-1p", "weibull"], "criterion": "bic", "literature": None}),
+    (["simulate", "--eta", "0.8", "--theta", "1.0", "--n", "40", "--r", "2", "--seed", "5"],
+     {"subcommand": "simulate", "model": "exp-exp-pareto", "eta": 0.8, "theta": 1.0,
+      "n": 40, "r": 2, "seed": 5}),
+    (["simulate", "--paper-tables", "--r", "2", "--seed", "3"],
+     {"subcommand": "simulate", "r": 2, "seed": 3, "recovery_grid": True}),
+    (["density", "--model", "exp-ig-pareto", "--theta", "1.3", "--lo", "0", "--hi", "6",
+      "--points", "20"],
+     {"subcommand": "density", "model": "exp-ig-pareto", "theta": 1.3, "eta": 1.0,
+      "lo": 0.0, "hi": 6.0, "points": 20, "cdf": False, "limited_moment": None}),
+]
+
+
+@pytest.mark.parametrize("argv,config", PINNED_CONFIGS,
+                         ids=["fit", "compare-default", "compare-models", "simulate",
+                              "simulate-paper-tables", "density-bare"])
+def test_artifact_config_is_pinned(tmp_path, monkeypatch, capsys, argv, config):
+    monkeypatch.chdir(tmp_path)
+    write_csv(tmp_path / "claims.csv", CLAIMS)
+    assert main(with_data(argv, "claims.csv") + ["--json", "run.json"]) == 0
+    capsys.readouterr()
+    written = json.loads((tmp_path / "run.json").read_text())["config"]
+    assert json.dumps(written, sort_keys=True) == json.dumps(config, sort_keys=True)
+
+
 def test_artifact_bytes_are_reproducible(tmp_path, capsys):
     data = write_csv(tmp_path / "claims.csv", CLAIMS)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
