@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimation import BaselineFitResult, FitFailureError, fit
+from .estimation import FitFailureError, fit
 from .gof import CRITERIA, score
 from .models import ModelId, build
 from .simulation import Scenario, reproduce_recovery_tables, run_scenario
@@ -39,7 +39,8 @@ __all__ = [
 
 COMPOSITE_CHOICES = [m.value for m in ModelId if m.is_composite]
 ALL_MODEL_CHOICES = [m.value for m in ModelId]
-DEFAULT_COMPARE_MODELS = ",".join(ALL_MODEL_CHOICES)
+# the fields that score a compare row, fitted or quoted from the literature
+SCORED = ("p", *CRITERIA)
 
 # Published reference fits of two four-parameter composite models on the two
 # classic claims datasets.  Quoted from the literature, labeled as such in
@@ -170,56 +171,43 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
 
 # -- config execution ------------------------------------------------------
 #
-# _config reduces a command line's flags to a JSON-safe config dict, and
-# _run_config turns a config into result columns: a name -> cells mapping,
-# every column of one length, in which a float column is a numpy array and
-# any other column a list of None, str, int or float cells.  Every check of
-# a config lives in the _exec_* step, and replay_artifact goes through the same
-# function, so a persisted config reruns on the exact code path that
+# A config is the parsed command line: each flag's argparse dest is its
+# config key, and _config only drops --out and --json (and, under
+# --paper-tables, the single-scenario keys).  _run_config turns a config
+# into result columns: a name -> cells mapping, every column of one length,
+# in which a float column is a numpy array and any other column a list of
+# None, str, int or float cells.  It dispatches through the one _EXEC table
+# for both main and replay_artifact, and every check of a config lives in
+# the _exec_* step, so a persisted config reruns on the exact code path that
 # produced it and is refused with the same message as the command line.
+
+
+class _Config(dict):
+    """A config whose missing key is refused with a ValueError naming it."""
+
+    def __missing__(self, key):
+        raise ValueError(f"config has no key {key!r}")
 
 
 def _run_config(config: dict) -> dict:
     if "grid" in config:
         raise ValueError("config key 'grid' is not supported: the exponent search has no bounds")
+    config = _Config(config)
     sub = config["subcommand"]
-    if sub == "fit":
-        return _exec_fit(config)
-    if sub == "compare":
-        return _exec_compare(config)
-    if sub == "simulate":
-        return _exec_simulate(config)
-    if sub == "density":
-        return _exec_density(config)
-    raise ValueError(f"unknown subcommand in config: {sub!r}")
+    if not isinstance(sub, str) or sub not in _EXEC:
+        raise ValueError(f"unknown subcommand in config: {sub!r}")
+    return _EXEC[sub](config)
 
 
 def _fit_record(result, row) -> dict:
-    rec = {
+    # a parameter the fitted model does not have is None: a composite has no
+    # shape or scale, a baseline no theta, eta, m or breakpoint
+    return {
         "model": result.model.value,
-        "theta": None,
-        "eta": None,
-        "m": None,
-        "breakpoint": None,
-        "shape": None,
-        "scale": None,
-        "nll": row.nll,
-        "n": row.n,
-        "p": row.p,
-        "aic": row.aic,
-        "bic": row.bic,
-        "aicc": row.aicc,
-        "caic": row.caic,
+        **{k: getattr(result, k, None)
+           for k in ("theta", "eta", "m", "breakpoint", "shape", "scale")},
+        **{k: getattr(row, k) for k in ("nll", "n", "p", "aic", "bic", "aicc", "caic")},
     }
-    if isinstance(result, BaselineFitResult):
-        rec["shape"] = result.shape
-        rec["scale"] = result.scale
-    else:
-        rec["theta"] = result.theta
-        rec["eta"] = result.eta
-        rec["m"] = result.m
-        rec["breakpoint"] = result.breakpoint
-    return rec
 
 
 def _as_columns(records: list[dict]) -> dict:
@@ -256,11 +244,8 @@ def _exec_compare(config: dict) -> dict:
     data = ingest_csv(config["data"], config["column"], config["scale"]).values
 
     def blank(model_name, source):
-        return {
-            "rank": None, "model": model_name, "source": source,
-            "p": None, "nll": None, "aic": None, "bic": None,
-            "aicc": None, "caic": None, "status": "ok", "note": "",
-        }
+        return {"rank": None, "model": model_name, "source": source,
+                **dict.fromkeys(SCORED), "status": "ok", "note": ""}
 
     records = []
     for name in models:
@@ -272,16 +257,16 @@ def _exec_compare(config: dict) -> dict:
             rec["status"] = "failed"
             rec["note"] = str(exc)
         else:
-            rec.update(p=row.p, nll=row.nll, aic=row.aic, bic=row.bic,
-                       aicc=row.aicc, caic=row.caic)
+            rec.update((k, getattr(row, k)) for k in SCORED)
         records.append(rec)
     for base in LITERATURE_ROWS[lit] if lit else ():
         rec = blank(base["model"], "literature")
-        rec.update({k: base[k] for k in ("p", "nll", "aic", "bic", "aicc", "caic")})
+        rec.update((k, base[k]) for k in SCORED)
         records.append(rec)
 
     scored = [r for r in records if r["status"] == "ok"]
-    if not scored:
+    # published rows are not fits: they cannot stand in for a failed one
+    if all(r["source"] == "literature" for r in scored):
         raise FitFailureError("every requested model failed to fit")
     scored.sort(key=lambda r: r[criterion])
     for rank, rec in enumerate(scored, start=1):
@@ -311,16 +296,10 @@ def _exec_simulate(config: dict) -> dict:
     return _as_columns([
         {
             "model": rep.scenario.model.value,
-            "true_eta": rep.scenario.true_eta,
-            "true_theta": rep.scenario.true_theta,
-            "n": rep.scenario.n,
-            "r": rep.scenario.r,
-            "base_seed": rep.scenario.base_seed,
-            "eta_mean": rep.eta_mean,
-            "theta_mean": rep.theta_mean,
-            "eta_sd": rep.eta_sd,
-            "theta_sd": rep.theta_sd,
-            "failures": rep.failures,
+            **{k: getattr(rep.scenario, k)
+               for k in ("true_eta", "true_theta", "n", "r", "base_seed")},
+            **{k: getattr(rep, k)
+               for k in ("eta_mean", "theta_mean", "eta_sd", "theta_sd", "failures")},
         }
         for rep in reports
     ])
@@ -343,6 +322,10 @@ def _exec_density(config: dict) -> dict:
     if order is not None:
         columns[f"limited_moment_t{order:g}"] = dist.limited_moment(order, ys)
     return columns
+
+
+_EXEC = {"fit": _exec_fit, "compare": _exec_compare,
+         "simulate": _exec_simulate, "density": _exec_density}
 
 
 # -- output ----------------------------------------------------------------
@@ -460,7 +443,9 @@ def replay_artifact(path) -> RunArtifact:
     Determinism means the new results equal the stored ones.
     """
     payload = json.loads(Path(path).read_text())
-    config = payload["config"]
+    config = payload.get("config")
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: the artifact holds no config")
     return RunArtifact(
         command=tuple(payload.get("command", ())),
         config=config,
@@ -491,6 +476,10 @@ def _add_data_flags(sub) -> None:
                      help="multiply parsed values by this factor")
 
 
+def _model_list(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="expcomposite",
@@ -507,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = subs.add_parser("compare", help="fit several models and rank them")
     _add_data_flags(p_cmp)
-    p_cmp.add_argument("--models", default=DEFAULT_COMPARE_MODELS,
+    p_cmp.add_argument("--models", type=_model_list, default=",".join(ALL_MODEL_CHOICES),
                        help="comma-separated model list (default: all)")
     p_cmp.add_argument("--criterion", default="bic",
                        help=f"ranking criterion, one of {', '.join(CRITERIA)} (default bic)")
@@ -524,7 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, help="sample size per replicate")
     p_sim.add_argument("--r", type=int, default=2000, help="replicates (default 2000)")
     p_sim.add_argument("--seed", type=int, default=1, help="base seed (default 1)")
-    p_sim.add_argument("--paper-tables", action="store_true",
+    # absent rather than False without the flag, as a scenario config has no such key
+    p_sim.add_argument("--paper-tables", dest="recovery_grid", action="store_true",
+                       default=argparse.SUPPRESS,
                        help="run the full 12-scenario recovery grid instead "
                        "of a single scenario")
     _add_io_flags(p_sim)
@@ -547,27 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args) -> dict:
     """The JSON-safe config of one parsed command line; checked by _exec_*."""
-    config = {"subcommand": args.subcommand}
-    if args.subcommand in ("fit", "compare"):
-        config.update(data=args.data, column=args.column, scale=args.scale)
-    if args.subcommand == "fit":
-        config["model"] = args.model
-    elif args.subcommand == "compare":
-        config.update(
-            models=[name.strip() for name in args.models.split(",") if name.strip()],
-            criterion=args.criterion,
-            literature=args.literature,
-        )
-    elif args.subcommand == "simulate":
-        config.update(r=args.r, seed=args.seed)
-        if args.paper_tables:
-            config["recovery_grid"] = True
-        else:
-            config.update(model=args.model, eta=args.eta, theta=args.theta, n=args.n)
-    else:
-        config.update(model=args.model, theta=args.theta, eta=args.eta, lo=args.lo,
-                      hi=args.hi, points=args.points, cdf=args.cdf,
-                      limited_moment=args.limited_moment)
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "json")}
+    if config.get("recovery_grid"):
+        # the grid fixes its own scenarios, so their flags stay out of the config
+        config = {k: config[k] for k in ("subcommand", "r", "seed", "recovery_grid")}
     return config
 
 

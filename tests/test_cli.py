@@ -298,6 +298,17 @@ def test_compare_total_failure_exits_two(tmp_path, capsys):
     assert "every requested model failed" in capsys.readouterr().err
 
 
+def test_compare_total_failure_exits_two_with_literature_rows(tmp_path, capsys):
+    # published rows are quoted, not fitted: they do not make a run succeed
+    flat = write_csv(tmp_path / "flat.csv", [5.0] * 12)
+    code = main(["compare", str(flat), "--models", "exp-exp-pareto,exp-ig-pareto",
+                 "--literature", "danish"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "every requested model failed" in captured.err
+
+
 def test_compare_needs_two_models(tmp_path, capsys):
     data = write_csv(tmp_path / "claims.csv", CLAIMS)
     assert main(["compare", str(data), "--models", "exp-exp-pareto"]) == 1
@@ -510,6 +521,48 @@ def test_replay_refuses_what_main_refuses(tmp_path, capsys, bad_argv, edit):
     with pytest.raises(ValueError) as info:
         replay_artifact(art)
     assert str(info.value) == message
+
+
+# every key an _exec_* step reads as config[key], per command line
+REQUIRED_KEYS = {
+    "fit": ("subcommand", "model", "data", "column", "scale"),
+    "compare": ("subcommand", "models", "criterion", "data", "column", "scale"),
+    "simulate": ("subcommand", "model", "r", "seed"),
+    "density": ("subcommand", "model", "theta", "eta", "lo", "hi", "points"),
+    "grid": ("subcommand", "r", "seed"),
+}
+REQUIRED_ARGV = {**REPLAY_ARGV, "grid": ["simulate", "--paper-tables", "--r", "2"]}
+
+
+@pytest.mark.parametrize("argv_name,key", [
+    (name, key) for name, keys in REQUIRED_KEYS.items() for key in keys
+])
+def test_replay_refuses_a_missing_key_by_name(tmp_path, capsys, argv_name, key):
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
+    art = tmp_path / "run.json"
+    assert main(with_data(REQUIRED_ARGV[argv_name], data) + ["--json", str(art)]) == 0
+    capsys.readouterr()
+    payload = json.loads(art.read_text())
+    del payload["config"][key]
+    art.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"config has no key '{key}'"):
+        replay_artifact(art)
+
+
+@pytest.mark.parametrize("subcommand", ["frobnicate", ["fit"]])
+def test_replay_refuses_an_unknown_subcommand(tmp_path, subcommand):
+    art = tmp_path / "run.json"
+    art.write_text(json.dumps({"config": {"subcommand": subcommand}}))
+    with pytest.raises(ValueError, match="unknown subcommand in config"):
+        replay_artifact(art)
+
+
+@pytest.mark.parametrize("payload", [{"command": ["fit"]}, {"config": None}, {"config": []}])
+def test_replay_refuses_an_artifact_without_a_config(tmp_path, payload):
+    art = tmp_path / "run.json"
+    art.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="holds no config"):
+        replay_artifact(art)
 
 
 def test_replay_refuses_a_config_with_exponent_bounds(tmp_path, capsys):
