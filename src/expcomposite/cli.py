@@ -178,8 +178,9 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
 # in which a float column is a numpy array and any other column a list of
 # None, str, int or float cells.  It dispatches through the one _EXEC table
 # for both main and replay_artifact, and every check of a config lives in
-# the _exec_* step, so a persisted config reruns on the exact code path that
-# produced it and is refused with the same message as the command line.
+# _run_config or the _exec_* step, so a persisted config reruns on the exact
+# code path that produced it and is refused with the same message as the
+# command line.
 
 
 class _Config(dict):
@@ -189,13 +190,22 @@ class _Config(dict):
         raise ValueError(f"config has no key {key!r}")
 
 
-def _run_config(config: dict) -> dict:
+def _run_config(config: dict, parser) -> dict:
     if "grid" in config:
         raise ValueError("config key 'grid' is not supported: the exponent search has no bounds")
     config = _Config(config)
     sub = config["subcommand"]
     if not isinstance(sub, str) or sub not in _EXEC:
         raise ValueError(f"unknown subcommand in config: {sub!r}")
+    # argparse gives main's config the type each flag declares; a stored
+    # config is checked against the same declarations.  An int stands for a
+    # float, as on the command line, and a flag whose default is None may
+    # hold None.  A missing key passes here and is refused where it is read.
+    for a in parser._actions[-1].choices[sub]._actions:
+        if a.type in (int, float) and not isinstance(
+            config.get(a.dest, 0), (a.type, int, type(a.default))
+        ):
+            raise ValueError(f"config key {a.dest!r} must be a {a.type.__name__}")
     return _EXEC[sub](config)
 
 
@@ -449,7 +459,7 @@ def replay_artifact(path) -> RunArtifact:
     return RunArtifact(
         command=tuple(payload.get("command", ())),
         config=config,
-        columns=_run_config(config),
+        columns=_run_config(config, build_parser()),
     )
 
 
@@ -554,7 +564,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         config = _config(args)
-        return _emit(args, argv, config, _run_config(config))
+        return _emit(args, argv, config, _run_config(config, parser))
     except FitFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,7 @@ from .models import (
     exp_pareto_normalizer,
     ig_pareto_normalizer,
 )
-from .special import BracketError, find_root_bracketed
+from .special import find_root_bracketed
 
 __all__ = [
     "BaselineFitResult",
@@ -164,9 +164,11 @@ def _ig_score(eta, th, inv_dot, head_log, tail_log, n):
     return n / eta + (head_log + tail_log) - (alpha + 1.0) * head_log + k * th * inv_dot - tail
 
 
+# Each family's log normalizer is computed once, at import: the ig one
+# evaluates an incomplete gamma.
 _FAMILIES = {
-    "exp": (exp_pareto_normalizer, _exp_theta, _exp_loglik, _exp_score),
-    "ig": (ig_pareto_normalizer, _ig_theta, _ig_loglik, _ig_score),
+    "exp": (math.log(exp_pareto_normalizer()), _exp_theta, _exp_loglik, _exp_score),
+    "ig": (math.log(ig_pareto_normalizer()), _ig_theta, _ig_loglik, _ig_score),
 }
 
 
@@ -190,7 +192,7 @@ def _scan(family, etas, logz, prefix_log):
     valid.  The rows are scanned in blocks of about _SCAN_BLOCK cells, so
     the temporaries stay small whatever n and the number of exponents are.
     """
-    normalizer, profile, loglik, _ = _FAMILIES[family]
+    log_norm, profile, loglik, _ = _FAMILIES[family]
     n = logz.size
     found = np.empty(etas.size, dtype=bool)
     first = np.empty(etas.size, dtype=np.intp)
@@ -199,10 +201,11 @@ def _scan(family, etas, logz, prefix_log):
     for lo in range(0, etas.size, rows):
         block = slice(lo, lo + rows)
         E = np.outer(etas[block], logz)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             W = np.exp(E)
-            # head power sums of z^eta (exp) or z^-eta (ig, built in E's buffer)
-            power = W if family == "exp" else np.exp(np.negative(E, out=E), out=E)
+            # head power sums of z^eta (exp) or 1 / z^eta (ig, built in E's
+            # buffer): the powers _score sums, so both see the same sums
+            power = W if family == "exp" else np.divide(1.0, W, out=E)
             S = np.cumsum(power, axis=1)
         found[block], first[block] = _first_split(profile, S, W, n)
         head_sum[block] = S[np.arange(S.shape[0]), first[block]]
@@ -212,7 +215,7 @@ def _scan(family, etas, logz, prefix_log):
         # the same elementwise formula as Th, so th is Th at the chosen split
         th = profile(head_sum, m, n)
         head_log = prefix_log[m]
-        ll0 = n * math.log(normalizer()) + n * np.log(etas) + (etas - 1.0) * total_log
+        ll0 = n * log_norm + n * np.log(etas) + (etas - 1.0) * total_log
         ll = loglik(ll0, etas, m, th, head_sum, head_log, total_log - head_log, n)
     return np.where(found, ll, -np.inf), m, found
 
@@ -263,7 +266,7 @@ def _search(family, logz, prefix_log):
             root = find_root_bracketed(
                 lambda eta: _score(family, eta, logz, prefix_log), float(lo), float(hi)
             )
-        except BracketError:
+        except ValueError:  # brentq refuses it: the score has one sign there
             continue
         ll_root, m_root, _ = _scan(family, np.array([root]), logz, prefix_log)
         fits.append((ll_root[0], root, int(m_root[0])))
@@ -296,10 +299,13 @@ def fit(model: ModelId, y):
     if not arr[0] / arr[-1] >= sys.float_info.min:
         raise ValueError("observations must span less than the float range (min / max underflows)")
 
-    if model is ModelId.WEIBULL:
-        return _fit_weibull(arr)
-    if model is ModelId.INVERSE_GAMMA:
-        return _fit_inverse_gamma(arr)
+    if not model.is_composite:
+        fit_shape_scale, density = _BASELINES[model]
+        shape, scale = fit_shape_scale(arr)
+        nll = -float(np.sum(density(shape=shape, scale=scale).log_pdf(arr)))
+        return BaselineFitResult(
+            model=model, shape=shape, scale=scale, nll=nll, n=n, p=model.param_count
+        )
 
     family = model.composite_family
     logz = np.log(arr / float(arr[-1]))
@@ -322,16 +328,13 @@ def fit(model: ModelId, y):
         eta_hat, m_hat = best
 
     # The search ran on y / max(y); on the data's own scale the head power
-    # sum can overflow or underflow (an ig sum of 0 divides by zero).  A
+    # sum can overflow or underflow (an ig sum of 0 gives theta = inf).  A
     # subnormal theta is refused too: the exp head rate (alpha+1)/theta
     # overflows there.
     profile = _FAMILIES[family][1]
     power = eta_hat if family == "exp" else -eta_hat
-    with np.errstate(over="ignore"):
-        try:
-            theta_hat = profile(float(np.sum(arr[:m_hat] ** power)), m_hat, n)
-        except ZeroDivisionError:
-            theta_hat = math.inf
+    with np.errstate(over="ignore", divide="ignore"):
+        theta_hat = float(profile(np.sum(arr[:m_hat] ** power), m_hat, n))
     if not sys.float_info.min <= theta_hat < math.inf:
         raise FitFailureError(
             f"{model.value}: the profiled theta = y_b^eta at eta={eta_hat:g} "
@@ -374,10 +377,9 @@ def _bracket(f, lo, hi, *, factor, sign, name):
     return lo, hi
 
 
-def _fit_weibull(arr: np.ndarray) -> BaselineFitResult:
+def _fit_weibull(arr: np.ndarray) -> tuple[float, float]:
     # Shape score is increasing in the shape; data rescaled by the maximum
     # so z**shape stays bounded while the bracket expands.
-    n = arr.size
     s = float(arr[-1])
     z = arr / s
     logz = np.log(z)
@@ -390,18 +392,13 @@ def _fit_weibull(arr: np.ndarray) -> BaselineFitResult:
     lo, hi = _bracket(score, 0.5, 2.0, factor=2.0, sign=1.0, name="weibull")
     shape = find_root_bracketed(score, lo, hi)
     scale = s * float(np.mean(z**shape)) ** (1.0 / shape)
-    dens = WeibullDensity(shape=shape, scale=scale)
-    nll = -float(np.sum(dens.log_pdf(arr)))
-    return BaselineFitResult(
-        model=ModelId.WEIBULL, shape=shape, scale=scale, nll=nll, n=n, p=2
-    )
+    return shape, scale
 
 
-def _fit_inverse_gamma(arr: np.ndarray) -> BaselineFitResult:
+def _fit_inverse_gamma(arr: np.ndarray) -> tuple[float, float]:
     # log(a) - digamma(a) falls from +inf to 0, so the shape equation
     # log(a) - digamma(a) = log(mean(1/y)) + mean(log y) has a unique root
     # whenever the right side is positive (strict unless y is constant).
-    n = arr.size
     mean_inv = float(np.mean(1.0 / arr))
     mean_log = float(np.mean(np.log(arr)))
     rhs = math.log(mean_inv) + mean_log
@@ -414,8 +411,11 @@ def _fit_inverse_gamma(arr: np.ndarray) -> BaselineFitResult:
     lo, hi = _bracket(h, 0.5, 10.0, factor=10.0, sign=-1.0, name="inverse gamma")
     shape = find_root_bracketed(h, lo, hi)
     scale = shape / mean_inv
-    dens = InverseGammaDensity(shape=shape, scale=scale)
-    nll = -float(np.sum(dens.log_pdf(arr)))
-    return BaselineFitResult(
-        model=ModelId.INVERSE_GAMMA, shape=shape, scale=scale, nll=nll, n=n, p=2
-    )
+    return shape, scale
+
+
+# baseline id -> (its (shape, scale) fit, its density)
+_BASELINES = {
+    ModelId.WEIBULL: (_fit_weibull, WeibullDensity),
+    ModelId.INVERSE_GAMMA: (_fit_inverse_gamma, InverseGammaDensity),
+}

@@ -21,7 +21,6 @@ from scipy import special as _special
 
 __all__ = [
     "QuadratureError",
-    "BracketError",
     "QuadratureResult",
     "upper_incomplete_gamma",
     "lower_incomplete_gamma",
@@ -40,10 +39,6 @@ _LOG_DBL_MAX = math.log(math.sqrt(2.0) * 2.0**1022)  # ~709.08, safely below ove
 
 class QuadratureError(RuntimeError):
     """Quadrature failed to reach the requested tolerance within budget."""
-
-
-class BracketError(ValueError):
-    """Root bracket endpoints do not straddle a sign change."""
 
 
 @dataclass(frozen=True)
@@ -212,25 +207,12 @@ def adaptive_quadrature(
 def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of f in [lo, hi]; endpoints must straddle a sign change.
 
-    Brent-style interpolation with a bisection safeguard, so convergence is
-    guaranteed on a valid bracket.
+    scipy's brentq alone checks the bracket: it evaluates each end once,
+    returns an end where f is 0, and raises ValueError where f is NaN or
+    has the same sign at both ends, even when the product of the two end
+    values underflows.  Brent-style interpolation with a bisection
+    safeguard then converges on a valid bracket.
     """
     if not lo < hi:
         raise ValueError(f"find_root_bracketed requires lo < hi, got [{lo}, {hi}]")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise BracketError(
-            f"f({lo})={flo:.6e} and f({hi})={fhi:.6e} do not bracket a root"
-        )
-    # brentq starts by evaluating both ends; hand it the values found above
-    ends = {lo: flo, hi: fhi}
-
-    def g(x):
-        return ends.pop(x) if x in ends else f(x)
-
-    return float(_optimize.brentq(g, lo, hi, xtol=1e-300, rtol=ROOT_RTOL))
+    return float(_optimize.brentq(f, lo, hi, xtol=1e-300, rtol=ROOT_RTOL))

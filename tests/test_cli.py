@@ -549,6 +549,25 @@ def test_replay_refuses_a_missing_key_by_name(tmp_path, capsys, argv_name, key):
         replay_artifact(art)
 
 
+@pytest.mark.parametrize("argv_name,key,value", [
+    ("density", "points", "20"),
+    ("density", "theta", "1"),
+    ("simulate", "r", 2.5),
+])
+def test_replay_refuses_a_value_of_the_wrong_type_by_name(tmp_path, capsys, argv_name,
+                                                          key, value):
+    # argparse converts each value main sees; a hand-edited config is refused
+    # with a ValueError naming the key, not a TypeError from inside _exec_*
+    art = tmp_path / "run.json"
+    assert main(REPLAY_ARGV[argv_name] + ["--json", str(art)]) == 0
+    capsys.readouterr()
+    payload = json.loads(art.read_text())
+    payload["config"][key] = value
+    art.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        replay_artifact(art)
+
+
 @pytest.mark.parametrize("subcommand", ["frobnicate", ["fit"]])
 def test_replay_refuses_an_unknown_subcommand(tmp_path, subcommand):
     art = tmp_path / "run.json"

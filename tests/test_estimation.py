@@ -492,6 +492,54 @@ def test_search_solves_every_peak_of_a_bimodal_profile(first, gap, heights):
     assert abs(math.log(eta) - centres[int(np.argmax(heights))]) < width
 
 
+@pytest.mark.parametrize("heights", [(3.0, 1.0), (1.0, 3.0)])
+def test_search_skips_a_peak_whose_score_keeps_one_sign(heights):
+    # The same two-bump profile, but below the midpoint of the bumps the
+    # score reads +1: the first peak's bracket holds no sign change.  The
+    # search skips it and keeps the other root, or the best scanned
+    # exponent where that is higher.
+    width = 0.3
+    centres = (math.log(0.2), math.log(0.2) + 2.5)
+    midpoint = math.exp(sum(centres) / 2.0)
+
+    def ell(eta):
+        u = np.log(eta)
+        return sum(h * np.exp(-0.5 * ((u - c) / width) ** 2) for h, c in zip(heights, centres))
+
+    def score(eta):
+        if eta < midpoint:
+            return 1.0
+        u = math.log(eta)
+        du = sum(
+            -h * (u - c) / width**2 * math.exp(-0.5 * ((u - c) / width) ** 2)
+            for h, c in zip(heights, centres)
+        )
+        return du / eta
+
+    def fake_scan(family, etas, logz, prefix_log):
+        return ell(etas), np.ones(etas.size, dtype=np.intp), np.ones(etas.size, dtype=bool)
+
+    brackets, roots = [], []
+
+    def recording_root(f, lo, hi):
+        brackets.append((lo, hi))
+        roots.append(real_root(f, lo, hi))
+        return roots[-1]
+
+    real_root = estimation.find_root_bracketed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "_scan", fake_scan)
+        mp.setattr(estimation, "_score", lambda family, eta, logz, pl: score(eta))
+        mp.setattr(estimation, "find_root_bracketed", recording_root)
+        eta, m = estimation._search("exp", None, None)
+    assert len(brackets) == 2 and brackets[0][1] < midpoint < brackets[1][0]
+    assert len(roots) == 1 and abs(math.log(roots[0]) - centres[1]) < width
+    etas = np.geomspace(*estimation._COARSE_PASS)
+    best = float(etas[np.argmax(ell(etas))])
+    assert eta == (best if heights[0] > heights[1] else roots[0])
+    assert m == 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     family=hst.sampled_from(["exp", "ig"]),

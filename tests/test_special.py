@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from expcomposite.special import (
-    BracketError,
     QuadratureError,
     QuadratureResult,
     adaptive_quadrature,
@@ -151,8 +150,24 @@ def test_root_endpoint_shortcut():
 
 
 def test_root_requires_sign_change():
-    with pytest.raises(BracketError):
+    with pytest.raises(ValueError):
         find_root_bracketed(lambda x: 1.0 + x * x, -1.0, 1.0)
+
+
+def test_root_compares_signs_not_the_product_of_the_ends():
+    # 1e-200 * 1e-200 underflows to 0, yet the ends have one sign
+    with pytest.raises(ValueError):
+        find_root_bracketed(lambda x: 1e-200, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("nan_at", [0.0, 1.0])
+def test_root_refuses_nan_at_an_end(sign, nan_at):
+    def f(x):
+        return math.nan if x == nan_at else sign * (x - 0.5)
+
+    with pytest.raises(ValueError):
+        find_root_bracketed(f, 0.0, 1.0)
 
 
 @given(target=st.floats(min_value=-5.0, max_value=5.0))
