@@ -20,6 +20,7 @@ from .estimation import (
     FitFailureError,
     FitResult,
     fit,
+    fit_batch,
 )
 from .gof import CRITERIA, GofRow, score
 from .models import (
@@ -65,6 +66,7 @@ __all__ = [
     "build",
     "exp_pareto_normalizer",
     "fit",
+    "fit_batch",
     "ig_pareto_normalizer",
     "moment_closed_form",
     "reproduce_recovery_tables",

@@ -229,12 +229,18 @@ class ExponentiatedComposite:
             )
         return _maybe_scalar(y, scalar)
 
-    def sample(self, n: int, seed: int) -> np.ndarray:
-        """n inversion draws from a seeded generator; same seed, same draws."""
+    def sample(self, n: int, seed) -> np.ndarray:
+        """n inversion draws from a seeded generator; same seed, same draws.
+
+        A sequence of seeds gives a (seeds, n) matrix whose row i is
+        sample(n, seed[i]), inverted in one quantile call.
+        """
         if not (isinstance(n, (int, np.integer)) and n >= 1):
             raise ValueError(f"sample size must be a positive integer, got {n}")
-        rng = np.random.default_rng(seed)
-        return np.asarray(self.quantile(rng.random(int(n))))
+        one = isinstance(seed, (int, np.integer))
+        u = np.array([np.random.default_rng(s).random(int(n)) for s in ([seed] if one else seed)])
+        y = np.asarray(self.quantile(u))
+        return y[0] if one else y
 
     # -- moments -----------------------------------------------------------
 

@@ -7,6 +7,9 @@ exponent: for each exponent, find the unique split m consistent with the
 order statistics and plug in the profiled breakpoint.  A coarse pass of
 log-spaced exponents brackets each peak of this profile likelihood, and
 Brent's method solves the analytic profile score to zero in the bracket.
+fit_batch fits many samples of one size at once: their scans share blocks,
+and the brackets of all samples are solved in lockstep, one profile-score
+pass a round; fit is its one-sample case, so both give the same bits.
 
 The Weibull and inverse-gamma reference fits solve their usual one-variable
 score equations by bracketed root finding.
@@ -31,22 +34,23 @@ from .models import (
     exp_pareto_normalizer,
     ig_pareto_normalizer,
 )
-from .special import find_root_bracketed
+from .special import find_root_bracketed, find_roots_bracketed
 
 __all__ = [
     "BaselineFitResult",
     "FitFailureError",
     "FitResult",
     "fit",
+    "fit_batch",
 ]
 
-# Log-spaced exponents (first, last, count) of the coarse pass that brackets
-# the profile's peaks, and of the wide pass run when the coarse pass's best
-# exponent is one of its ends: both about 16 exponents per decade.  Neither
-# end of the wide pass admits a split on float data: past 1e20 every z < 1
-# gives z^eta == 0, below 1e-20 every z^eta rounds to 1.
-_COARSE_PASS = (0.05, 20.0, 40)
-_WIDE_PASS = (1e-20, 1e20, 640)
+# Log-spaced exponents of the coarse pass that brackets the profile's peaks,
+# and of the wide pass run when the coarse pass's best exponent is one of its
+# ends: both about 16 exponents per decade, built once.  Neither end of the
+# wide pass admits a split on float data: past 1e20 every z < 1 gives
+# z^eta == 0, below 1e-20 every z^eta rounds to 1.
+_COARSE_PASS = np.geomspace(0.05, 20.0, 40)
+_WIDE_PASS = np.geomspace(1e-20, 1e20, 640)
 # Cells (exponents x observations) per block of the profile scan: a block's
 # float temporary (one row beyond n = 8192) stays in cache and in the memory
 # the C heap keeps between calls.  Temporaries past the heap-trim threshold
@@ -175,104 +179,121 @@ _FAMILIES = {
 def _first_split(profile, head_sums, powers, n):
     """(found, m - 1) of the first valid split m of each row of powers z^eta.
 
-    head_sums[..., m - 1] is the head power sum of split m, which is valid
+    head_sums[:, m - 1] is the head power sum of split m, which is valid
     when its profiled theta is finite, positive (so the exp-family
-    denominator is positive) and in [z_m^eta, z_{m+1}^eta].
+    denominator is positive) and in [z_m^eta, z_{m+1}^eta].  Its
+    temporaries die at its return, so the heap's top stays where the
+    scan's blocks keep it; it runs under the caller's errstate.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        Th = profile(head_sums[..., :-1], np.arange(1, n), n)
-        ok = np.isfinite(Th) & (Th > 0.0) & (powers[..., :-1] <= Th) & (Th <= powers[..., 1:])
-    return ok.any(axis=-1), np.argmax(ok, axis=-1)
+    Th = profile(head_sums[:, :-1], np.arange(1, n), n)
+    ok = np.isfinite(Th) & (Th > 0.0) & (powers[:, :-1] <= Th) & (Th <= powers[:, 1:])
+    return ok.any(axis=1), np.argmax(ok, axis=1)
 
 
-def _scan(family, etas, logz, prefix_log):
-    """Profile log-likelihood of each exponent at its first valid split.
+def _scan(family, etas, reps, logz, prefix_log, *, score=False):
+    """Profile log-likelihood of each row at its first valid split.
 
-    Row i holds z^etas[i].  Returns (ll, m, found), ll = -inf where no m is
-    valid.  The rows are scanned in blocks of about _SCAN_BLOCK cells, so
-    the temporaries stay small whatever n and the number of exponents are.
+    Row i is replicate reps[i], a row of logz, at exponent etas[i].  Returns
+    (ll, m, found), ll = -inf where no m is valid.  With score=True it
+    returns the profile score d ell_p / d eta instead, 0.0 where no m is
+    valid: a root solve stops where the score reads 0.0, and that root's ll
+    of -inf then loses.  The rows are scanned in blocks of about
+    _SCAN_BLOCK cells, so the temporaries stay small whatever n and the
+    number of rows are; one replicate's logz row is broadcast, not copied.
     """
-    log_norm, profile, loglik, _ = _FAMILIES[family]
-    n = logz.size
+    log_norm, profile, loglik, profile_score = _FAMILIES[family]
+    n = logz.shape[1]
     found = np.empty(etas.size, dtype=bool)
     first = np.empty(etas.size, dtype=np.intp)
     head_sum = np.empty(etas.size)
+    head_dot = np.empty(etas.size)
     rows = max(1, _SCAN_BLOCK // n)
-    for lo in range(0, etas.size, rows):
-        block = slice(lo, lo + rows)
-        E = np.outer(etas[block], logz)
-        with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for lo in range(0, etas.size, rows):
+            block = slice(lo, lo + rows)
+            Z = logz[0] if logz.shape[0] == 1 else logz[reps[block]]
+            E = etas[block, None] * Z
             W = np.exp(E)
             # head power sums of z^eta (exp) or 1 / z^eta (ig, built in E's
-            # buffer): the powers _score sums, so both see the same sums
+            # buffer), the powers head_dot sums too
             power = W if family == "exp" else np.divide(1.0, W, out=E)
             S = np.cumsum(power, axis=1)
-        found[block], first[block] = _first_split(profile, S, W, n)
-        head_sum[block] = S[np.arange(S.shape[0]), first[block]]
-    m = first + 1
-    total_log = prefix_log[-1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            found[block], first[block] = _first_split(profile, S, W, n)
+            head_sum[block] = S[np.arange(S.shape[0]), first[block]]
+            if score:  # one BLAS dot a row, as for a lone sample
+                for i in np.flatnonzero(found[block]):
+                    k = first[lo + i] + 1
+                    head_dot[lo + i] = np.dot(power[i, :k], (Z if Z.ndim == 1 else Z[i])[:k])
+        m = first + 1
+        total_log = prefix_log[reps, -1]
+        head_log = prefix_log[reps, m]
         # the same elementwise formula as Th, so th is Th at the chosen split
         th = profile(head_sum, m, n)
-        head_log = prefix_log[m]
+        if score:
+            tail_log = total_log - head_log
+            return np.where(found, profile_score(etas, th, head_dot, head_log, tail_log, n), 0.0)
         ll0 = n * log_norm + n * np.log(etas) + (etas - 1.0) * total_log
         ll = loglik(ll0, etas, m, th, head_sum, head_log, total_log - head_log, n)
     return np.where(found, ll, -np.inf), m, found
 
 
-def _score(family, eta, logz, prefix_log):
-    """Profile score d ell_p / d eta at one exponent, 0.0 where no split is valid.
-
-    One exp, one cumsum, the split test and one dot product.  A root solve
-    stops where the score reads 0.0; that root's ll of -inf then loses.
-    """
-    _, profile, _, score = _FAMILIES[family]
-    n = logz.size
-    with np.errstate(over="ignore", divide="ignore"):
-        W = np.exp(eta * logz)
-        power = W if family == "exp" else 1.0 / W
-    S = np.cumsum(power)
-    found, first = _first_split(profile, S, W, n)
-    if not found:
-        return 0.0
-    m = int(first) + 1
-    head_log, head_dot = float(prefix_log[m]), float(np.dot(power[:m], logz[:m]))
-    th = profile(float(S[first]), m, n)
-    return score(eta, th, head_dot, head_log, float(prefix_log[-1]) - head_log, n)
+def _scan_pass(family, etas, reps, logz, prefix_log):
+    """_scan of each replicate of reps at every exponent of etas, as (reps, etas) arrays."""
+    rows = _scan(family, np.tile(etas, reps.size), np.repeat(reps, etas.size), logz, prefix_log)
+    return tuple(a.reshape(reps.size, etas.size) for a in rows)
 
 
 def _search(family, logz, prefix_log):
-    """(eta, m) maximizing the profile likelihood, or None.
+    """Per replicate (row of logz): its (eta, m) maximizing the profile
+    likelihood, or None; and a mask of the replicates that ran the wide pass.
 
-    The coarse pass scans 0.05 to 20; when its best exponent is an end, or
+    The coarse pass scans 0.05 to 20; where its best exponent is an end, or
     none has a valid split (argmax of all -inf is 0), the wide pass over
-    1e-20 to 1e20 replaces it.  Each local peak of the pass is bracketed by
-    its neighbours and the profile score solved there; the best root wins
-    unless the best scanned exponent is better.
+    1e-20 to 1e20 replaces it.  Each local peak of a replicate's pass is
+    bracketed by its neighbours, and the brackets of all replicates solve
+    the profile score in lockstep; a replicate's best root wins unless its
+    best scanned exponent is better.
     """
-    etas = np.geomspace(*_COARSE_PASS)
-    ll, m, found = _scan(family, etas, logz, prefix_log)
-    if int(np.argmax(ll)) in (0, etas.size - 1):
-        etas = np.geomspace(*_WIDE_PASS)
-        ll, m, found = _scan(family, etas, logz, prefix_log)
-    if not found.any():
-        return None
-    left = np.concatenate(([-np.inf], ll[:-1]))
-    right = np.concatenate((ll[1:], [-np.inf]))
-    fits = []
-    for peak in np.flatnonzero((ll > left) & (ll >= right)):
-        lo, hi = etas[max(peak - 1, 0)], etas[min(peak + 1, etas.size - 1)]
-        try:
-            root = find_root_bracketed(
-                lambda eta: _score(family, eta, logz, prefix_log), float(lo), float(hi)
-            )
-        except ValueError:  # brentq refuses it: the score has one sign there
-            continue
-        ll_root, m_root, _ = _scan(family, np.array([root]), logz, prefix_log)
-        fits.append((ll_root[0], root, int(m_root[0])))
-    best = int(np.argmax(ll))  # ties resolve to the smallest exponent
-    fits.append((ll[best], float(etas[best]), int(m[best])))
-    return max(fits, key=lambda f: f[0])[1:]
+    reps = np.arange(logz.shape[0])
+    coarse = _scan_pass(family, _COARSE_PASS, reps, logz, prefix_log)
+    top = np.argmax(coarse[0], axis=1)
+    wide = (top == 0) | (top == _COARSE_PASS.size - 1)
+    passes = [(_COARSE_PASS, reps[~wide], *(a[~wide] for a in coarse))]
+    if wide.any():
+        passes.append(
+            (_WIDE_PASS, reps[wide], *_scan_pass(family, _WIDE_PASS, reps[wide], logz, prefix_log))
+        )
+    scanned = [None] * reps.size  # (ll, eta, m) of each replicate's best exponent
+    lane_rep, lo, hi = [], [], []
+    for etas, rows, ll, m, found in passes:
+        edge = np.full((rows.size, 1), -np.inf)
+        left, right = np.hstack((edge, ll[:, :-1])), np.hstack((ll[:, 1:], edge))
+        row, peak = np.nonzero((ll > left) & (ll >= right))
+        lane_rep.append(rows[row])
+        lo.append(etas[np.maximum(peak - 1, 0)])
+        hi.append(etas[np.minimum(peak + 1, etas.size - 1)])
+        best = np.argmax(ll, axis=1)  # ties resolve to the smallest exponent
+        at = np.arange(rows.size)
+        tops = zip(ll[at, best], etas[best], m[at, best])
+        for rep, any_found, (ll_top, eta, m_top) in zip(rows, found.any(axis=1), tops):
+            if any_found:
+                scanned[rep] = (ll_top, float(eta), int(m_top))
+    lane_rep = np.concatenate(lane_rep)
+    root, ok = find_roots_bracketed(
+        lambda x, lanes: _scan(family, x, lane_rep[lanes], logz, prefix_log, score=True),
+        np.concatenate(lo),
+        np.concatenate(hi),
+    )
+    lane_rep, root = lane_rep[ok], root[ok]
+    ll_root, m_root, _ = _scan(family, root, lane_rep, logz, prefix_log)
+    roots = [[] for _ in reps]  # (ll, eta, m) of each replicate's roots, in peak order
+    for rep, ll_r, eta, m_r in zip(lane_rep, ll_root, root, m_root):
+        roots[rep].append((ll_r, float(eta), int(m_r)))
+    best = [
+        None if top is None else max([*mine, top], key=lambda f: f[0])[1:]
+        for mine, top in zip(roots, scanned)
+    ]
+    return best, wide
 
 
 def fit(model: ModelId, y):
@@ -287,69 +308,103 @@ def fit(model: ModelId, y):
     the profiled theta at the fitted exponent leaves the normal float
     range on the data's scale.
     """
-    arr = np.sort(np.asarray(y, dtype=float).ravel())
-    n = arr.size
+    (outcome,), _ = _fit_sorted(model, np.sort(np.asarray(y, dtype=float).ravel())[None, :])
+    if isinstance(outcome, FitFailureError):
+        raise outcome
+    return outcome
+
+
+def fit_batch(model: ModelId, samples):
+    """fit on each row of an (R, n) matrix of samples, all rows in one pass.
+
+    Returns (outcomes, wide): outcomes[i] is row i's result, or the
+    FitFailureError fit raises for it, with fit's bits and message, and
+    wide[i] tells whether row i's exponent search ran the wide pass.
+    Raises ValueError, as fit does, when any row is not a valid sample.
+    """
+    arr = np.asarray(samples, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"samples must be a (replicates, n) matrix, got shape {arr.shape}")
+    return _fit_sorted(model, np.sort(arr, axis=1))
+
+
+def _caught(f, *args):
+    """f(*args), or the FitFailureError it raises."""
+    try:
+        return f(*args)
+    except FitFailureError as exc:
+        return exc
+
+
+def _fit_sorted(model, arr):
+    """fit_batch on a matrix whose rows are sorted."""
+    count, n = arr.shape
     if n < 10:
         raise ValueError(f"need at least 10 observations, got {n}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("observations must be finite")
-    if not arr[0] > 0.0:
+    if not np.all(arr[:, 0] > 0.0):
         raise ValueError("observations must be strictly positive")
     # the composite and Weibull fits take logs of y / max(y), so it must stay normal
-    if not arr[0] / arr[-1] >= sys.float_info.min:
+    if not np.all(arr[:, 0] / arr[:, -1] >= sys.float_info.min):
         raise ValueError("observations must span less than the float range (min / max underflows)")
 
+    wide = np.zeros(count, dtype=bool)
     if not model.is_composite:
-        fit_shape_scale, density = _BASELINES[model]
-        shape, scale = fit_shape_scale(arr)
-        nll = -float(np.sum(density(shape=shape, scale=scale).log_pdf(arr)))
-        return BaselineFitResult(
-            model=model, shape=shape, scale=scale, nll=nll, n=n, p=model.param_count
-        )
+        return [_caught(_fit_baseline, model, row) for row in arr], wide
 
     family = model.composite_family
-    logz = np.log(arr / float(arr[-1]))
-    prefix_log = np.concatenate(([0.0], np.cumsum(logz)))
-
+    logz = np.log(arr / arr[:, -1:])
+    prefix_log = np.hstack((np.zeros((count, 1)), np.cumsum(logz, axis=1)))
     fixed = model.fixed_exponent
     if fixed is not None:
-        _, m, found = _scan(family, np.array([fixed]), logz, prefix_log)
-        if not found[0]:
-            raise FitFailureError(
-                f"{model.value}: no valid breakpoint split at the fixed exponent"
-            )
-        eta_hat, m_hat = fixed, int(m[0])
+        _, m, found = _scan(family, np.full(count, fixed), np.arange(count), logz, prefix_log)
+        best = [(fixed, int(m_i)) if ok else None for m_i, ok in zip(m, found)]
     else:
-        best = _search(family, logz, prefix_log)
-        if best is None:
-            raise FitFailureError(
-                f"{model.value}: no exponent admits a valid breakpoint split"
-            )
-        eta_hat, m_hat = best
+        best, wide = _search(family, logz, prefix_log)
+    return [_caught(_fit_result, model, row, fitted) for row, fitted in zip(arr, best)], wide
 
+
+def _fit_result(model, row, fitted):
+    """FitResult of a sorted sample at the (eta, m) its search found, which
+    is None where no exponent admits a valid split."""
+    if fitted is None:
+        if model.fixed_exponent is None:
+            raise FitFailureError(f"{model.value}: no exponent admits a valid breakpoint split")
+        raise FitFailureError(f"{model.value}: no valid breakpoint split at the fixed exponent")
+    eta_hat, m_hat = fitted
     # The search ran on y / max(y); on the data's own scale the head power
     # sum can overflow or underflow (an ig sum of 0 gives theta = inf).  A
     # subnormal theta is refused too: the exp head rate (alpha+1)/theta
     # overflows there.
-    profile = _FAMILIES[family][1]
+    family = model.composite_family
     power = eta_hat if family == "exp" else -eta_hat
     with np.errstate(over="ignore", divide="ignore"):
-        theta_hat = float(profile(np.sum(arr[:m_hat] ** power), m_hat, n))
+        theta_hat = float(_FAMILIES[family][1](np.sum(row[:m_hat] ** power), m_hat, row.size))
     if not sys.float_info.min <= theta_hat < math.inf:
         raise FitFailureError(
             f"{model.value}: the profiled theta = y_b^eta at eta={eta_hat:g} "
             f"leaves the normal float range ({theta_hat:g}); rescale the data"
         )
-    instance = build(model, theta_hat, eta_hat)
-    nll = -float(np.sum(instance.log_pdf(arr)))
+    nll = -float(np.sum(build(model, theta_hat, eta_hat).log_pdf(row)))
     return FitResult(
         model=model,
         theta=theta_hat,
         eta=eta_hat,
         m=m_hat,
         nll=nll,
-        n=n,
+        n=row.size,
         p=model.param_count,
+    )
+
+
+def _fit_baseline(model, row):
+    """BaselineFitResult of a sorted sample."""
+    fit_shape_scale, density = _BASELINES[model]
+    shape, scale = fit_shape_scale(row)
+    nll = -float(np.sum(density(shape=shape, scale=scale).log_pdf(row)))
+    return BaselineFitResult(
+        model=model, shape=shape, scale=scale, nll=nll, n=row.size, p=model.param_count
     )
 
 

@@ -1,11 +1,11 @@
 """Estimator-recovery studies: simulate, refit, aggregate.
 
 Each replicate draws a fresh sample from the true model with seed
-base_seed + replicate index and refits it by maximum likelihood.
-Replicates whose fit fails are counted and excluded from the aggregates;
-a scenario aborts only when more than 10% of its replicates fail.
-Aggregation runs in replicate order, so reports are deterministic for a
-fixed base seed.
+base_seed + replicate index and refits it by maximum likelihood, as fit
+would; the replicates are drawn and fitted in batches.  Replicates whose
+fit fails are counted and excluded from the aggregates; a scenario aborts
+only when more than 10% of its replicates fail.  Aggregation runs in
+replicate order, so reports are deterministic for a fixed base seed.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import FitFailureError, fit
+from . import estimation
+from .estimation import FitFailureError, fit_batch
 from .models import ModelId, build
 
 __all__ = [
@@ -60,7 +61,9 @@ class SimulationReport:
     """Aggregates over the successful replicates of one scenario.
 
     Standard deviations use the n-1 divisor and are NaN when fewer than
-    two replicates succeed.
+    two replicates succeed.  failed holds the (seed, message) of each
+    failed replicate, and wide_passes counts the replicates whose exponent
+    search ran the wide pass.
     """
 
     scenario: Scenario
@@ -69,6 +72,8 @@ class SimulationReport:
     eta_sd: float
     theta_sd: float
     failures: int
+    failed: tuple[tuple[int, str], ...]
+    wide_passes: int
 
 
 def _sd(values: np.ndarray) -> float:
@@ -78,20 +83,28 @@ def _sd(values: np.ndarray) -> float:
 
 
 def run_scenario(scenario: Scenario) -> SimulationReport:
-    """Run all replicates of a scenario and aggregate the estimates."""
+    """Run all replicates of a scenario and aggregate the estimates.
+
+    The replicates go through fit_batch in chunks of about the profile
+    scan's block of cells, so memory stays bounded whatever r is.
+    """
     truth = build(scenario.model, scenario.true_theta, scenario.true_eta)
+    chunk = max(1, estimation._SCAN_BLOCK // scenario.n)
     etas: list[float] = []
     thetas: list[float] = []
-    failures = 0
-    for i in range(scenario.r):
-        sample = truth.sample(scenario.n, seed=scenario.base_seed + i)
-        try:
-            result = fit(scenario.model, sample)
-        except FitFailureError:
-            failures += 1
-            continue
-        etas.append(result.eta)
-        thetas.append(result.theta)
+    failed: list[tuple[int, str]] = []
+    wide_passes = 0
+    for lo in range(0, scenario.r, chunk):
+        seeds = range(scenario.base_seed + lo, scenario.base_seed + min(lo + chunk, scenario.r))
+        outcomes, wide = fit_batch(scenario.model, truth.sample(scenario.n, seeds))
+        wide_passes += int(np.count_nonzero(wide))
+        for seed, result in zip(seeds, outcomes):
+            if isinstance(result, FitFailureError):
+                failed.append((seed, str(result)))
+                continue
+            etas.append(result.eta)
+            thetas.append(result.theta)
+    failures = len(failed)
     if failures > MAX_FAILURE_FRACTION * scenario.r:
         raise SimulationFailureError(
             f"{failures} of {scenario.r} replicates failed to fit "
@@ -106,6 +119,8 @@ def run_scenario(scenario: Scenario) -> SimulationReport:
         eta_sd=_sd(eta_arr),
         theta_sd=_sd(theta_arr),
         failures=failures,
+        failed=tuple(failed),
+        wide_passes=wide_passes,
     )
 
 

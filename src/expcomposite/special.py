@@ -26,6 +26,7 @@ __all__ = [
     "lower_incomplete_gamma",
     "adaptive_quadrature",
     "find_root_bracketed",
+    "find_roots_bracketed",
 ]
 
 # Hybrid absolute/relative target: converged means the combined error
@@ -33,6 +34,8 @@ __all__ = [
 QUAD_TOL = 1e-10
 QUAD_LIMIT = 200  # subintervals quadpack may use per panel
 ROOT_RTOL = 1e-13  # relative tolerance of find_root_bracketed
+_ROOT_XTOL = 1e-300  # its absolute tolerance, tiny so that ROOT_RTOL governs
+_ROOT_MAXITER = 100  # brentq's default iteration budget
 
 _LOG_DBL_MAX = math.log(math.sqrt(2.0) * 2.0**1022)  # ~709.08, safely below overflow
 
@@ -215,4 +218,94 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> fl
     """
     if not lo < hi:
         raise ValueError(f"find_root_bracketed requires lo < hi, got [{lo}, {hi}]")
-    return float(_optimize.brentq(f, lo, hi, xtol=1e-300, rtol=ROOT_RTOL))
+    return float(_optimize.brentq(f, lo, hi, xtol=_ROOT_XTOL, rtol=ROOT_RTOL))
+
+
+
+def _brent_steps(xpre: float, xcur: float, fpre: float, fcur: float):
+    """brentq.c's iteration from a bracket whose ends have opposite signs.
+
+    A generator: it yields each point to evaluate, is sent the function's
+    value there, and returns the root.  The names and the statements are
+    brentq.c's; a zero divisor in the extrapolation, which gives C an
+    infinite or NaN step, takes the bisection as C's test then does.
+    """
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_XTOL + ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                divisor = dblk * dpre * (fblk - fpre)
+                if divisor != 0.0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / divisor
+        limit = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):  # C's MIN
+            spre, scur = scur, stry  # good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = yield xcur
+    raise RuntimeError(f"Failed to converge after {_ROOT_MAXITER} iterations, value is {xcur}")
+
+
+def find_roots_bracketed(f: Callable, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of many brackets at once: lane i is find_root_bracketed on [lo[i], hi[i]].
+
+    f(x, lanes) gives lane lanes[j]'s function at x[j].  The lanes run in
+    lockstep: each round calls f once, over every lane still running, and
+    each lane then takes one step of scipy's C brentq (Brent 1973) in float
+    arithmetic, with the same tolerances, so its root has brentq's bits.
+    Returns (root, ok); ok is False, and root NaN, for a lane brentq
+    refuses: a NaN value, or ends of one sign by their sign bits.  Raises
+    RuntimeError when a lane has not converged within brentq's 100
+    iterations.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    size = lo.size
+    ends = f(np.concatenate((lo, hi)), np.concatenate((np.arange(size),) * 2)).tolist()
+    root = np.full(size, np.nan)
+    ok = np.zeros(size, dtype=bool)
+    running = []  # (lane, its steps, the point it waits on)
+
+    def step(lane, steps, value):
+        try:
+            running.append((lane, steps, steps.send(value)))
+        except StopIteration as converged:
+            root[lane] = converged.value
+
+    brackets = zip(lo.tolist(), hi.tolist(), ends[:size], ends[size:])
+    for lane, (xa, xb, fa, fb) in enumerate(brackets):
+        if math.isnan(fa) or math.isnan(fb):
+            continue
+        ok[lane] = True
+        if fa == 0.0 or fb == 0.0:
+            root[lane] = xa if fa == 0.0 else xb
+        elif math.copysign(1.0, fa) != math.copysign(1.0, fb):
+            step(lane, _brent_steps(xa, xb, fa, fb), None)
+        else:
+            ok[lane] = False
+    while running:
+        lanes, _, x = zip(*running)
+        values = f(np.array(x), np.array(lanes)).tolist()
+        rounds, running = running, []
+        for (lane, steps, _), value in zip(rounds, values):
+            if math.isnan(value):
+                ok[lane] = False
+            else:
+                step(lane, steps, value)
+    return root, ok

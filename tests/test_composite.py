@@ -290,6 +290,14 @@ def test_sampling_deterministic_and_plausible():
         d.sample(0, seed=1)
 
 
+def test_sampling_many_seeds_gives_each_seed_its_row():
+    d = build(ModelId.EXP_IG_PARETO, 1.0, 0.8)
+    rows = d.sample(30, range(5, 9))
+    assert rows.shape == (4, 30)
+    for seed, row in zip(range(5, 9), rows):
+        assert row.tobytes() == d.sample(30, seed=seed).tobytes()
+
+
 def test_sampling_overflow_raises():
     # at eta = 0.05 the tail draws x ** 20 leave the float range
     d = build(ModelId.EXP_IG_PARETO, 1.0, 0.05)

@@ -15,7 +15,9 @@ from expcomposite.estimation import (
     _ig_theta,
     _scan,
     fit,
+    fit_batch,
 )
+from expcomposite.special import find_root_bracketed
 from expcomposite.models import (
     EXP_PARETO,
     IG_PARETO,
@@ -381,8 +383,8 @@ def _oracle_profile_ll(model, profile, y, eta):
 def test_profile_score_vanishes_at_the_fit(model, profile, data):
     family = model.composite_family
     res = fit(model, data)
-    first, last, _ = estimation._COARSE_PASS
-    assert first < res.eta < last  # an interior maximum of the coarse pass
+    etas = estimation._COARSE_PASS
+    assert etas[0] < res.eta < etas[-1]  # an interior maximum of the coarse pass
     score, size = _oracle_score(family, res.eta, data)
     # zero to rounding: the sum of terms of size ~size lands within a few
     # ulps of that size, plus the root's own tolerance times the curvature
@@ -428,17 +430,68 @@ def test_a_peak_beyond_the_coarse_pass_is_the_mle():
 @pytest.mark.parametrize("model,profile,data", FAMILY_CASES)
 def test_an_interior_peak_scans_the_coarse_pass_only(monkeypatch, model, profile, data):
     # the wide pass runs only when the coarse pass's best exponent is an
-    # end; an interior fit scans 40 exponents once, then one per root
+    # end; an interior fit scans 40 exponents once, then its roots once
     rows = []
     real_scan = estimation._scan
 
-    def recording_scan(family, etas, logz, prefix_log):
-        rows.append(etas.size)
-        return real_scan(family, etas, logz, prefix_log)
+    def recording_scan(family, etas, reps, logz, prefix_log, *, score=False):
+        if not score:
+            rows.append(etas.size)
+        return real_scan(family, etas, reps, logz, prefix_log, score=score)
 
     monkeypatch.setattr(estimation, "_scan", recording_scan)
-    fit(model, data)
-    assert rows[0] == 40 and set(rows[1:]) == {1}
+    _, wide = fit_batch(model, data[None, :])
+    assert rows[0] == 40 and len(rows) == 2 and rows[1] >= 1
+    assert not wide[0]
+
+
+def _two_bumps(heights, centres, width=0.3, flat_below=0.0):
+    """A profile with two bumps in log eta, and its score; below flat_below
+    the score reads +1 and holds no sign change."""
+
+    def ell(eta):
+        u = np.log(eta)
+        return sum(h * np.exp(-0.5 * ((u - c) / width) ** 2) for h, c in zip(heights, centres))
+
+    def score(eta):
+        if eta < flat_below:
+            return 1.0
+        u = math.log(eta)
+        du = sum(
+            -h * (u - c) / width**2 * math.exp(-0.5 * ((u - c) / width) ** 2)
+            for h, c in zip(heights, centres)
+        )
+        return du / eta
+
+    return ell, score
+
+
+def _search_profiles(profiles):
+    """estimation._search with replicate i's scan and score replaced by
+    profiles[i] = (ell, score); returns its result and the (lo, hi, root,
+    ok) of each bracket it solved."""
+
+    def fake_scan(family, etas, reps, logz, prefix_log, *, score=False):
+        if score:
+            return np.array([profiles[r][1](float(e)) for e, r in zip(etas, reps)])
+        ll = np.array([profiles[r][0](e) for e, r in zip(etas, reps)])
+        return ll, np.ones(etas.size, dtype=np.intp), np.ones(etas.size, dtype=bool)
+
+    solved = []
+
+    def recording_roots(f, lo, hi):
+        root, ok = real_roots(f, lo, hi)
+        solved.extend(zip(lo, hi, root, ok))
+        return root, ok
+
+    real_roots = estimation.find_roots_bracketed
+    count = len(profiles)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "_scan", fake_scan)
+        mp.setattr(estimation, "find_roots_bracketed", recording_roots)
+        best, wide = estimation._search("exp", np.zeros((count, 10)), np.zeros((count, 11)))
+    assert not wide.any()
+    return best, solved
 
 
 @settings(max_examples=30, deadline=None)
@@ -455,36 +508,10 @@ def test_search_solves_every_peak_of_a_bimodal_profile(first, gap, heights):
     # and the higher root wins whichever side it lies on.
     width = 0.3
     centres = (first, first + gap)
-
-    def ell(eta):
-        u = np.log(eta)
-        return sum(h * np.exp(-0.5 * ((u - c) / width) ** 2) for h, c in zip(heights, centres))
-
-    def score(eta):
-        u = math.log(eta)
-        du = sum(
-            -h * (u - c) / width**2 * math.exp(-0.5 * ((u - c) / width) ** 2)
-            for h, c in zip(heights, centres)
-        )
-        return du / eta
-
-    def fake_scan(family, etas, logz, prefix_log):
-        return ell(etas), np.ones(etas.size, dtype=np.intp), np.ones(etas.size, dtype=bool)
-
-    brackets = []
-
-    def recording_root(f, lo, hi):
-        brackets.append((lo, hi))
-        return real_root(f, lo, hi)
-
-    real_root = estimation.find_root_bracketed
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimation, "_scan", fake_scan)
-        mp.setattr(estimation, "_score", lambda family, eta, logz, pl: score(eta))
-        mp.setattr(estimation, "find_root_bracketed", recording_root)
-        eta, m = estimation._search("exp", None, None)
-    assert len(brackets) == 2
-    for (lo, hi), c in zip(brackets, centres):
+    ell, score = _two_bumps(heights, centres, width)
+    [(eta, m)], solved = _search_profiles([(ell, score)])
+    assert len(solved) == 2
+    for (lo, hi, _, _), c in zip(solved, centres):
         assert lo < math.exp(c) < hi
     dense = np.geomspace(0.05, 20.0, 200_001)
     assert ell(eta) >= ell(dense).max()
@@ -501,43 +528,132 @@ def test_search_skips_a_peak_whose_score_keeps_one_sign(heights):
     width = 0.3
     centres = (math.log(0.2), math.log(0.2) + 2.5)
     midpoint = math.exp(sum(centres) / 2.0)
-
-    def ell(eta):
-        u = np.log(eta)
-        return sum(h * np.exp(-0.5 * ((u - c) / width) ** 2) for h, c in zip(heights, centres))
-
-    def score(eta):
-        if eta < midpoint:
-            return 1.0
-        u = math.log(eta)
-        du = sum(
-            -h * (u - c) / width**2 * math.exp(-0.5 * ((u - c) / width) ** 2)
-            for h, c in zip(heights, centres)
-        )
-        return du / eta
-
-    def fake_scan(family, etas, logz, prefix_log):
-        return ell(etas), np.ones(etas.size, dtype=np.intp), np.ones(etas.size, dtype=bool)
-
-    brackets, roots = [], []
-
-    def recording_root(f, lo, hi):
-        brackets.append((lo, hi))
-        roots.append(real_root(f, lo, hi))
-        return roots[-1]
-
-    real_root = estimation.find_root_bracketed
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimation, "_scan", fake_scan)
-        mp.setattr(estimation, "_score", lambda family, eta, logz, pl: score(eta))
-        mp.setattr(estimation, "find_root_bracketed", recording_root)
-        eta, m = estimation._search("exp", None, None)
-    assert len(brackets) == 2 and brackets[0][1] < midpoint < brackets[1][0]
+    ell, score = _two_bumps(heights, centres, width, flat_below=midpoint)
+    [(eta, m)], solved = _search_profiles([(ell, score)])
+    assert len(solved) == 2 and solved[0][1] < midpoint < solved[1][0]
+    roots = [float(root) for _, _, root, ok in solved if ok]
     assert len(roots) == 1 and abs(math.log(roots[0]) - centres[1]) < width
-    etas = np.geomspace(*estimation._COARSE_PASS)
+    etas = estimation._COARSE_PASS
     best = float(etas[np.argmax(ell(etas))])
     assert eta == (best if heights[0] > heights[1] else roots[0])
     assert m == 1
+
+
+def _per_bracket_search(ell, score):
+    """(eta, m) of a constructed profile as brentq finds it one bracket at a
+    time: the oracle of the lockstep solve."""
+    etas = estimation._COARSE_PASS
+    ll = ell(etas)
+    left = np.concatenate(([-np.inf], ll[:-1]))
+    right = np.concatenate((ll[1:], [-np.inf]))
+    fits = []
+    for peak in np.flatnonzero((ll > left) & (ll >= right)):
+        lo, hi = etas[max(peak - 1, 0)], etas[min(peak + 1, etas.size - 1)]
+        try:
+            root = find_root_bracketed(score, float(lo), float(hi))
+        except ValueError:
+            continue
+        fits.append((ell(np.array([root]))[0], root, 1))
+    best = int(np.argmax(ll))
+    fits.append((ll[best], float(etas[best]), 1))
+    return max(fits, key=lambda f: f[0])[1:]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    profiles=hst.lists(
+        hst.tuples(
+            hst.floats(min_value=math.log(0.1), max_value=math.log(0.3)),
+            hst.floats(min_value=2.0, max_value=3.0),
+            hst.floats(min_value=1.0, max_value=3.0),
+            hst.floats(min_value=1.0, max_value=3.0),
+            hst.booleans(),
+        ),
+        min_size=2,
+        max_size=5,
+    )
+)
+def test_lockstep_search_solves_each_bimodal_profile_as_brentq_does(profiles):
+    # Replicates with different two-bump profiles, some with a first peak
+    # whose bracket brentq refuses, share one lockstep solve: each gets the
+    # (eta, m) it gets alone, and that of brentq run on each bracket in turn.
+    built = [
+        _two_bumps((h1, h2), (first, first + gap), flat_below=math.exp(first + gap / 2) * flat)
+        for first, gap, h1, h2, flat in profiles
+    ]
+    together, solved = _search_profiles(built)
+    assert len(solved) == 2 * len(built)
+    for (ell, score), got in zip(built, together):
+        [alone], _ = _search_profiles([(ell, score)])
+        assert got == alone == _per_bracket_search(ell, score)
+
+
+def _fit_or_refusal(model, y):
+    """fit's result, whose repr spells every float exactly, or its refusal."""
+    try:
+        return repr(fit(model, y))
+    except FitFailureError as exc:
+        return str(exc)
+
+
+def _batch_fits(model, rows):
+    outcomes, wide = fit_batch(model, np.array(rows))
+    return [str(o) if isinstance(o, FitFailureError) else repr(o) for o in outcomes], wide
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    model=hst.sampled_from(list(ModelId)),
+    n=hst.integers(min_value=10, max_value=150),
+    specs=hst.lists(
+        hst.tuples(hst.sampled_from([0.3, 0.8, 5.0, 30.0]), hst.integers(0, 2**16)),
+        min_size=1,
+        max_size=5,
+    ),
+    degenerate=hst.sampled_from([None, 1.0, 1e160, 1e-160]),
+    at=hst.integers(min_value=0, max_value=5),
+)
+def test_batch_fits_each_sample_as_fit_does(model, n, specs, degenerate, at):
+    # Every replicate of a batch has fit's (eta, theta, m, nll) bit for bit,
+    # or fit's refusal, and the wide-pass flag it has alone.  Samples at
+    # eta 30 take the wide pass; a constant sample (degenerate = 1) has no
+    # valid split, and samples scaled by 1e+-160 put theta out of range.
+    gen = model if model.fixed_exponent is None and model.is_composite else ModelId.EXP_IG_PARETO
+    rows = [build(gen, 1.0, eta).sample(n, seed=seed) for eta, seed in specs]
+    if degenerate == 1.0:
+        rows.insert(at % (len(rows) + 1), np.full(n, 2.0))
+    elif degenerate is not None:
+        rows.insert(at % (len(rows) + 1), rows[0] * degenerate)
+    got, wide = _batch_fits(model, rows)
+    assert got == [_fit_or_refusal(model, y) for y in rows]
+    assert wide.tolist() == [bool(fit_batch(model, y[None, :])[1][0]) for y in rows]
+
+
+@pytest.mark.parametrize("model", [ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO])
+def test_a_degenerate_sample_fails_alone_in_its_batch(model):
+    # an interior fit, two wide-pass fits and a constant sample in one batch
+    rows = [SAMPLE, build(model, 1.0, 30.0).sample(200, seed=1), np.full(200, 2.0), SAMPLE**20]
+    got, wide = _batch_fits(model, rows)
+    assert got == [_fit_or_refusal(model, y) for y in rows]
+    assert got[2] == f"{model.value}: no exponent admits a valid breakpoint split"
+    assert all(g.startswith("FitResult(") for i, g in enumerate(got) if i != 2)
+    assert wide.tolist() == [False, True, True, True]
+
+
+def test_batch_refuses_what_fit_refuses():
+    good = build(ModelId.EXP_EXP_PARETO, 1.0, 0.8).sample(20, seed=1)
+    for bad, message in (
+        (np.full(20, np.inf), "finite"),
+        (-good, "strictly positive"),
+        (good[:9], "at least 10"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            fit(ModelId.EXP_EXP_PARETO, bad)
+        if bad.size == good.size:
+            with pytest.raises(ValueError, match=message):
+                fit_batch(ModelId.EXP_EXP_PARETO, np.array([good, bad]))
+    with pytest.raises(ValueError, match="matrix"):
+        fit_batch(ModelId.EXP_EXP_PARETO, good)
 
 
 @settings(max_examples=25, deadline=None)
@@ -599,13 +715,23 @@ def test_default_fit_is_frozen(n, model, expected):
 @pytest.mark.parametrize("block", [1, 450, 10**9])
 def test_scan_is_the_same_in_any_row_blocks(monkeypatch, family, data, block):
     # 1 and 450 cells give one and two rows per block at n = 200, 10**9 one
-    # block for the whole grid; every block size must give the same bits
-    logz = np.log(np.sort(data) / data.max())
-    prefix_log = np.concatenate(([0.0], np.cumsum(logz)))
-    args = (family, old_grid_points(), logz, prefix_log)
-    expected = _scan(*args)
+    # block for the whole grid; every block size must give the same bits, of
+    # the profile and of its score.  Rows alternate between two replicates,
+    # and each row has the bits of its replicate scanned alone.
+    y = np.sort(np.stack((data, data**1.5)), axis=1)
+    logz = np.log(y / y[:, -1:])
+    prefix_log = np.hstack((np.zeros((2, 1)), np.cumsum(logz, axis=1)))
+    etas = old_grid_points()
+    reps = np.arange(etas.size) % 2
+    args = (family, etas, reps, logz, prefix_log)
+    expected = (*_scan(*args), _scan(*args, score=True))
+    for r in (0, 1):
+        mine = reps == r
+        alone = (family, etas[mine], reps[mine] * 0, logz[r : r + 1], prefix_log[r : r + 1])
+        for got, want in zip((*_scan(*alone), _scan(*alone, score=True)), expected):
+            assert got.tobytes() == want[mine].tobytes()
     monkeypatch.setattr(estimation, "_SCAN_BLOCK", block)
-    for got, want in zip(_scan(*args), expected):
+    for got, want in zip((*_scan(*args), _scan(*args, score=True)), expected):
         assert got.tobytes() == want.tobytes()
 
 
@@ -634,7 +760,9 @@ def test_scan_picks_the_unique_valid_split(family, true_eta, eta, n, seed):
     assert len(valid) <= 1
     logz = np.log(z)
     prefix_log = np.concatenate(([0.0], np.cumsum(logz)))
-    ll, m_sel, found = _scan(family, np.array([eta]), logz, prefix_log)
+    ll, m_sel, found = _scan(
+        family, np.array([eta]), np.zeros(1, dtype=np.intp), logz[None, :], prefix_log[None, :]
+    )
     assert bool(found[0]) == bool(valid)
     if valid:
         assert int(m_sel[0]) == valid[0] and math.isfinite(ll[0])

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import expcomposite.simulation as sim
-from expcomposite.estimation import FitFailureError, fit
+from expcomposite import estimation
+from expcomposite.estimation import FitFailureError, fit, fit_batch
 from expcomposite.models import ModelId, build
 from expcomposite.simulation import (
+    MAX_FAILURE_FRACTION,
     RECOVERY_GRID,
     RECOVERY_SAMPLE_SIZES,
     Scenario,
@@ -76,20 +78,27 @@ def test_run_scenario_is_deterministic():
     assert run_scenario(sc) == run_scenario(sc)
 
 
-def test_failures_within_budget_are_excluded(monkeypatch):
-    real_fit = fit
+def _failing_first(real_fit_batch):
+    """fit_batch with the first replicate's fit replaced by a failure."""
     calls = []
 
-    def flaky(model, y):
+    def flaky(model, samples):
+        outcomes, wide = real_fit_batch(model, samples)
         calls.append(1)
         if len(calls) == 1:  # first replicate only
-            raise FitFailureError("forced")
-        return real_fit(model, y)
+            outcomes[0] = FitFailureError("forced")
+        return outcomes, wide
 
-    monkeypatch.setattr(sim, "fit", flaky)
+    return flaky
+
+
+def test_failures_within_budget_are_excluded(monkeypatch):
+    real_fit = fit
+    monkeypatch.setattr(sim, "fit_batch", _failing_first(sim.fit_batch))
     sc = _scenario(r=10, n=40, base_seed=77)
     report = run_scenario(sc)
     assert report.failures == 1
+    assert report.failed == ((77, "forced"),)
     # aggregates come from the nine surviving replicates
     truth = build(sc.model, sc.true_theta, sc.true_eta)
     kept = [real_fit(sc.model, truth.sample(40, seed=77 + i)).eta for i in range(1, 10)]
@@ -97,27 +106,78 @@ def test_failures_within_budget_are_excluded(monkeypatch):
 
 
 def test_excessive_failures_abort(monkeypatch):
-    def always_fail(model, y):
-        raise FitFailureError("forced")
+    def always_fail(model, samples):
+        return [FitFailureError("forced")] * len(samples), np.zeros(len(samples), dtype=bool)
 
-    monkeypatch.setattr(sim, "fit", always_fail)
+    monkeypatch.setattr(sim, "fit_batch", always_fail)
     with pytest.raises(SimulationFailureError):
         run_scenario(_scenario(r=10))
 
 
 def test_exactly_ten_percent_failures_pass(monkeypatch):
-    real_fit = fit
-    calls = []
-
-    def flaky(model, y):
-        calls.append(1)
-        if len(calls) == 1:
-            raise FitFailureError("forced")
-        return real_fit(model, y)
-
-    monkeypatch.setattr(sim, "fit", flaky)
+    monkeypatch.setattr(sim, "fit_batch", _failing_first(sim.fit_batch))
     report = run_scenario(_scenario(r=10, n=40, base_seed=77))
     assert report.failures == 1  # 1/10 == MAX_FAILURE_FRACTION, not above it
+
+
+def test_report_names_each_failed_replicate():
+    # theta near the bottom of the float range: some replicates' profiled
+    # theta underflows on the data's scale, and fit refuses them
+    sc = _scenario(true_eta=5.0, true_theta=1e-200, n=50, r=40, base_seed=7)
+    report = run_scenario(sc)
+    truth = build(sc.model, sc.true_theta, sc.true_eta)
+    failed = []
+    for seed in range(7, 47):
+        try:
+            fit(sc.model, truth.sample(50, seed=seed))
+        except FitFailureError as exc:
+            failed.append((seed, str(exc)))
+    assert 0 < len(failed) <= MAX_FAILURE_FRACTION * sc.r
+    assert report.failed == tuple(failed) and report.failures == len(failed)
+
+
+def test_report_counts_the_wide_passes():
+    # at eta 20, the end of the coarse pass, about half the replicates widen it
+    sc = _scenario(true_eta=20.0, n=25, r=12, base_seed=3)
+    report = run_scenario(sc)
+    truth = build(sc.model, sc.true_theta, sc.true_eta)
+    wide = [fit_batch(sc.model, truth.sample(25, seed=3 + i)[None, :])[1][0] for i in range(12)]
+    assert 0 < report.wide_passes == sum(wide) < 12
+    assert run_scenario(_scenario(r=12)).wide_passes == 0
+
+
+@pytest.mark.parametrize("block", [1, 450, 10**9])
+def test_run_scenario_is_the_same_in_any_row_blocks(monkeypatch, block):
+    # _SCAN_BLOCK sets both the replicates per batch and the rows per scan
+    # block: one replicate and one row, two rows, or everything at once
+    scenarios = [
+        _scenario(r=12, n=40, base_seed=5),
+        _scenario(true_eta=20.0, n=25, r=12, base_seed=3),
+        _scenario(true_eta=5.0, true_theta=1e-200, n=50, r=40, base_seed=7),
+    ]
+    expected = [run_scenario(sc) for sc in scenarios]
+    monkeypatch.setattr(estimation, "_SCAN_BLOCK", block)
+    assert [run_scenario(sc) for sc in scenarios] == expected
+
+
+def test_paired_scenarios_of_the_recovery_grid():
+    # The grid's scenarios share their seeds, so their samples are exact
+    # transforms of each other up to rounding.  theta=5 scales each sample,
+    # which leaves the exponent estimates as they are; eta 0.8 -> 5 raises
+    # each sample to the power 0.8/5, which maps each exponent estimate
+    # eta -> 6.25 eta and leaves theta as it is.
+    (lo_1, hi_1, lo_5, hi_5) = reproduce_recovery_tables(11, r=50)
+    for lo, hi in ((lo_1, lo_5), (hi_1, hi_5)):  # theta 1 -> 5
+        for a, b in zip(lo, hi):
+            assert b.eta_mean == pytest.approx(a.eta_mean, rel=1e-14)
+            assert b.eta_sd == pytest.approx(a.eta_sd, rel=1e-12)
+            assert b.failures == a.failures == 0
+    for lo, hi in ((lo_1, hi_1), (lo_5, hi_5)):  # eta 0.8 -> 5
+        for a, b in zip(lo, hi):
+            assert b.eta_mean == pytest.approx(6.25 * a.eta_mean, rel=1e-14)
+            assert b.eta_sd == pytest.approx(6.25 * a.eta_sd, rel=1e-12)
+            assert b.theta_mean == pytest.approx(a.theta_mean, rel=1e-14)
+            assert b.theta_sd == pytest.approx(a.theta_sd, rel=1e-12)
 
 
 def test_recovery_tables_structure():

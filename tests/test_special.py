@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from expcomposite.special import (
     QuadratureError,
     QuadratureResult,
     adaptive_quadrature,
     find_root_bracketed,
+    find_roots_bracketed,
     lower_incomplete_gamma,
     upper_incomplete_gamma,
 )
@@ -174,6 +175,59 @@ def test_root_refuses_nan_at_an_end(sign, nan_at):
 def test_root_linear_exact(target):
     root = find_root_bracketed(lambda x: x - target, -6.0, 6.0)
     assert root == pytest.approx(target, abs=1e-12)
+
+
+def _lane_function(kind, a, b, scale):
+    """A family of test functions: smooth, flat (0 over a stretch), tiny
+    (products underflow), NaN past a point, and one sign throughout."""
+    if kind == 0:
+        return lambda x: ((x - a) * (x + b) + 0.1) * (x - b)
+    if kind == 1:
+        return lambda x: 0.0 if abs(x - a) < 0.3 else x - a
+    if kind == 2:
+        return lambda x: scale * math.tanh(3.0 * (x - a))
+    if kind == 3:
+        return lambda x: math.nan if x > b else x - a
+    return lambda x: 1.0 + (x - a) ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    brackets=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),
+            st.floats(min_value=-2.0, max_value=2.0),
+            st.floats(min_value=-2.0, max_value=2.0),
+            st.sampled_from([1.0, 1e-200, 1e200]),
+            st.floats(min_value=-3.0, max_value=-0.1),
+            st.floats(min_value=0.1, max_value=3.0),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_lockstep_roots_are_brentq_roots(brackets):
+    # every lane has the root find_root_bracketed gives its bracket, bit for
+    # bit, or is refused where find_root_bracketed raises ValueError
+    funcs = [_lane_function(kind, a, b, scale) for kind, a, b, scale, _, _ in brackets]
+    lo = [lo for *_, lo, _ in brackets]
+    hi = [hi for *_, hi in brackets]
+    calls = []
+
+    def f(x, lanes):
+        calls.append(len(lanes))
+        return np.array([funcs[lane](v) for v, lane in zip(x.tolist(), lanes.tolist())])
+
+    root, ok = find_roots_bracketed(f, lo, hi)
+    for g, a, b, r, solved in zip(funcs, lo, hi, root.tolist(), ok.tolist()):
+        try:
+            want = find_root_bracketed(g, a, b)
+        except ValueError:
+            assert not solved and math.isnan(r)
+        else:
+            assert solved and r == want
+    # one call for both ends of every bracket, then one a round
+    assert calls[0] == 2 * len(brackets) and calls[1:] == sorted(calls[1:], reverse=True)
 
 
 def test_quadrature_polynomial_with_numpy_callable():
