@@ -100,13 +100,19 @@ class RunArtifact:
 # -- ingestion -------------------------------------------------------------
 
 
+_NO_COLUMN = object()  # the cell of a record too short to have the column
+
+
 def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
     """Read one positive number per row from a CSV column.
 
     column is a 0-based index or a header name; a header row is detected
-    automatically when the selected cell of the first row is not numeric.
-    Errors name the 1-based file row that caused them.  Values are
-    multiplied by scale after parsing.
+    automatically when the selected cell of the first non-blank row is not
+    numeric.  The file is read as UTF-8, with or without a byte-order mark.
+    Rows whose cells are all blank are skipped.  An error names the
+    offending row as its 1-based CSV record number: blank records count,
+    and a quoted cell that spans lines is one record.  Each cell is parsed
+    by float() and then multiplied by scale.
     """
     if not 0.0 < scale < math.inf:
         raise ValueError(f"--scale must be positive and finite, got {scale}")
@@ -120,53 +126,81 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
     except (TypeError, ValueError):
         pass
 
-    values: list[float] = []
-    with open(p, newline="") as fh:
-        rows = (
-            (rowno, row)
-            for rowno, row in enumerate(csv.reader(fh), start=1)
-            if any(cell.strip() for cell in row)
-        )
-        first = next(rows, None)
-        if first is None:
+    with open(p, newline="", encoding="utf-8-sig") as fh:
+        records = csv.reader(fh)
+        for start, first in enumerate(records, start=1):
+            if any(cell.strip() for cell in first):
+                break
+        else:
             raise ValueError(f"{path}: file has no data rows")
-        first_row = first[1]
         if by_name:
-            names = [cell.strip() for cell in first_row]
+            names = [cell.strip() for cell in first]
             wanted = str(column).strip()
             if wanted not in names:
                 raise ValueError(f"column {wanted!r} not found in header {names}")
             idx = names.index(wanted)
+            start += 1
         else:
             if idx < 0:
                 raise ValueError(f"column index must be >= 0, got {idx}")
-            cell = first_row[idx].strip() if idx < len(first_row) else ""
             try:
-                float(cell)
+                float(first[idx].strip() if idx < len(first) else "")
             except ValueError:
-                pass  # first row is a header
+                start += 1  # first row is a header
             else:
-                rows = itertools.chain([first], rows)
-
-        for rowno, row in rows:
-            if idx >= len(row):
-                raise ValueError(f"row {rowno}: no column {idx}")
-            cell = row[idx].strip()
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"row {rowno}: could not parse {cell!r} as a number"
-                ) from None
-            v *= scale
-            if not math.isfinite(v):
-                raise ValueError(f"row {rowno}: value must be finite, got {cell!r}")
-            if not v > 0.0:
-                raise ValueError(f"row {rowno}: values must be strictly positive, got {v:g}")
-            values.append(v)
-    if not values:
+                records = itertools.chain([first], records)
+        # record start + i holds cells[i]; a blank record's cell is None
+        cells = [
+            (row[idx].strip() if idx < len(row) else "") or _empty_cell(row, idx)
+            for row in records
+        ]
+    data = [cell for cell in cells if cell is not None]
+    if not data:
         raise ValueError(f"{path}: no numeric data rows after the header")
-    return ClaimsDataset(values=np.array(values))
+    try:
+        values = np.fromiter(map(float, data), float, len(data))
+    except (ValueError, TypeError):  # a cell float() refuses, or _NO_COLUMN
+        values = np.fromiter(map(_float_or_nan, data), float, len(data))
+    with np.errstate(over="ignore"):
+        values *= scale
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
+    if bad.size:
+        k = bad[0]
+        rowno = start + [i for i, cell in enumerate(cells) if cell is not None][k]
+        _check_cell(rowno, data[k], idx, scale)
+    return ClaimsDataset(values=values)
+
+
+def _empty_cell(row: list[str], idx: int):
+    """The cell kept for a record whose selected cell is empty or absent:
+    None for a blank record, else "" or _NO_COLUMN."""
+    if not any(cell.strip() for cell in row):
+        return None
+    return "" if idx < len(row) else _NO_COLUMN
+
+
+def _float_or_nan(cell) -> float:
+    """float(cell), or nan, which the finite check flags, where float() refuses it."""
+    try:
+        return float(cell)
+    except (ValueError, TypeError):
+        return math.nan
+
+
+def _check_cell(rowno: int, cell, idx: int, scale: float) -> None:
+    """Raise the error that names CSV record rowno if its cell, parsed by
+    float() and multiplied by scale, is not a finite positive value."""
+    if cell is _NO_COLUMN:
+        raise ValueError(f"row {rowno}: no column {idx}")
+    try:
+        v = float(cell)
+    except ValueError:
+        raise ValueError(f"row {rowno}: could not parse {cell!r} as a number") from None
+    v *= scale
+    if not math.isfinite(v):
+        raise ValueError(f"row {rowno}: value must be finite, got {cell!r}")
+    if not v > 0.0:
+        raise ValueError(f"row {rowno}: values must be strictly positive, got {v:g}")
 
 
 # -- config execution ------------------------------------------------------

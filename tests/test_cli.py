@@ -4,15 +4,17 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import expcomposite.cli as cli
@@ -110,6 +112,174 @@ def test_ingest_skips_blank_rows(tmp_path):
     p = tmp_path / "gaps.csv"
     p.write_text("1.0\n\n2.0\n   \n3.0\n")
     assert ingest_csv(p).values.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_ingest_row_numbers_are_csv_records(tmp_path):
+    p = tmp_path / "records.csv"
+    # blank records count
+    p.write_text("1.0\n\n  ,\nbad\n")
+    with pytest.raises(ValueError, match="^row 4: could not parse 'bad'"):
+        ingest_csv(p)
+    # a quoted cell that spans two lines is one record: 'bad' is on line 4
+    p.write_text('"a\nb",x\n1.0,2\nbad,3\n')
+    with pytest.raises(ValueError, match="^row 3: could not parse 'bad'"):
+        ingest_csv(p)
+    # the earliest failing record is named, whatever check it fails
+    p.write_text("1.0,1\n2.0\n-1.0,1\nbad,1\n")
+    with pytest.raises(ValueError, match="^row 2: no column 1"):
+        ingest_csv(p, column=1)
+    with pytest.raises(ValueError, match="^row 3: values must be strictly positive, got -1"):
+        ingest_csv(p)
+
+
+def test_ingest_reads_a_byte_order_mark(tmp_path):
+    # a spreadsheet's "CSV UTF-8" starts with U+FEFF, which is not part of
+    # the first cell
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text("1.5\n2.5\n3.5\n", encoding="utf-8")
+    marked.write_text("1.5\n2.5\n3.5\n", encoding="utf-8-sig")
+    assert ingest_csv(marked).values.tolist() == [1.5, 2.5, 3.5]
+    marked.write_text("amount\n1.5\n", encoding="utf-8-sig")
+    assert ingest_csv(marked, column="amount").values.tolist() == [1.5]
+    # a plain UTF-8 file, non-ASCII header included, gives the same bits as
+    # the row loop, whatever the locale's encoding
+    text = "montant €,note\n" + "".join(f"{v!r},é\n" for v in CLAIMS.tolist())
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    want = reference_ingest(plain, "montant €").tobytes()
+    assert want == CLAIMS.tobytes()
+    for path in (plain, marked):
+        assert ingest_csv(path, "montant €").values.tobytes() == want
+        assert ingest_csv(path).values.tobytes() == want
+
+
+def reference_ingest(path, column=0, scale=1.0):
+    """The row loop that ingest_csv replaced, kept as its oracle: each
+    record is checked for blankness, then its cell is stripped, parsed,
+    scaled and checked, one record at a time."""
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"--scale must be positive and finite, got {scale}")
+    p = Path(path)
+    if not p.is_file():
+        raise ValueError(f"no such file: {path}")
+    by_name = True
+    try:
+        idx = int(column)
+        by_name = False
+    except (TypeError, ValueError):
+        pass
+
+    values = []
+    with open(p, newline="", encoding="utf-8-sig") as fh:
+        rows = (
+            (rowno, row)
+            for rowno, row in enumerate(csv.reader(fh), start=1)
+            if any(cell.strip() for cell in row)
+        )
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: file has no data rows")
+        first_row = first[1]
+        if by_name:
+            names = [cell.strip() for cell in first_row]
+            wanted = str(column).strip()
+            if wanted not in names:
+                raise ValueError(f"column {wanted!r} not found in header {names}")
+            idx = names.index(wanted)
+        else:
+            if idx < 0:
+                raise ValueError(f"column index must be >= 0, got {idx}")
+            cell = first_row[idx].strip() if idx < len(first_row) else ""
+            try:
+                float(cell)
+            except ValueError:
+                pass  # first row is a header
+            else:
+                rows = itertools.chain([first], rows)
+
+        for rowno, row in rows:
+            if idx >= len(row):
+                raise ValueError(f"row {rowno}: no column {idx}")
+            cell = row[idx].strip()
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"row {rowno}: could not parse {cell!r} as a number"
+                ) from None
+            v *= scale
+            if not math.isfinite(v):
+                raise ValueError(f"row {rowno}: value must be finite, got {cell!r}")
+            if not v > 0.0:
+                raise ValueError(f"row {rowno}: values must be strictly positive, got {v:g}")
+            values.append(v)
+    if not values:
+        raise ValueError(f"{path}: no numeric data rows after the header")
+    return np.array(values)
+
+
+def ingest_outcome(ingest, path, column, scale):
+    try:
+        return np.asarray(ingest(path, column, scale)).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+# cells that ingest keeps, and cells that are zero, negative, non-finite,
+# out of float range, blank or not numbers at all
+VALID_CELL = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e12).map(repr),
+    st.integers(1, 10**6).map(str),
+    st.sampled_from(["1_000", "+1.5", "0.5e1", "1E3", "1e10"]),
+)
+ODD_CELL = st.sampled_from([
+    "1e-400", "-0.0", "0", "-2.5", "inf", "-Infinity", "nan", "+NaN", "infinity", "1e999",
+    "", " ", "abc", "amount", "1.5.2", "1,5", 'a"b', "x\ny",
+])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text with blank rows, CRLF or LF line ends, padded and quoted
+    cells (an embedded comma, quote or line end among them), ragged rows
+    and an optional header; with a column by index or name, and a scale."""
+    def cell():
+        text = draw(ODD_CELL if draw(st.integers(0, 9)) == 0 else VALID_CELL)
+        if any(c in text for c in ',"\n') or draw(st.integers(0, 3)) == 0:
+            return '"' + text.replace('"', '""') + '"'
+        return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " "]))
+
+    def row():
+        # one row in ten is empty, one has only blank cells, one is ragged
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            return ""
+        if kind == 1:
+            return ",".join(draw(st.lists(st.sampled_from(["", " ", '""']), min_size=1, max_size=3)))
+        size = draw(st.integers(1, 4)) if kind == 2 else width
+        return ",".join(cell() for _ in range(size))
+
+    width = draw(st.integers(1, 3))
+    rows = [row() for _ in range(draw(st.integers(0, 15)))]
+    if draw(st.integers(0, 2)):
+        rows.insert(0, ",".join(["amount", " id", "note"][:width]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(rows) + draw(st.sampled_from(["", end, end + end]))
+    column = draw(st.one_of(st.integers(0, width), st.sampled_from(["amount", "id", "1", "claims"])))
+    scale = draw(st.sampled_from([1.0, 1000.0, 1e-6, 0.1, 1e300]))
+    return text, column, scale
+
+
+@settings(max_examples=400)
+@given(csv_files())
+def test_ingest_matches_the_row_loop(tmp_path_factory, drawn):
+    # the same value bytes, or the same error naming the same record
+    text, column, scale = drawn
+    path = tmp_path_factory.mktemp("ingest") / "claims.csv"
+    path.write_bytes(text.encode())
+    want = ingest_outcome(reference_ingest, path, column, scale)
+    got = ingest_outcome(lambda *args: ingest_csv(*args).values, path, column, scale)
+    assert got == want
 
 
 # -- fit subcommand --------------------------------------------------------
