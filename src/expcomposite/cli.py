@@ -108,11 +108,13 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
 
     column is a 0-based index or a header name; a header row is detected
     automatically when the selected cell of the first non-blank row is not
-    numeric.  The file is read as UTF-8, with or without a byte-order mark.
-    Rows whose cells are all blank are skipped.  An error names the
-    offending row as its 1-based CSV record number: blank records count,
-    and a quoted cell that spans lines is one record.  Each cell is parsed
-    by float() and then multiplied by scale.
+    numeric (a row too short to have that cell is data, and refused).  The
+    file is read as UTF-8, with or without a byte-order mark.  Rows whose
+    cells are all blank are skipped.  An error names the offending row as
+    its 1-based CSV record number: blank records count, and a quoted cell
+    that spans lines is one record, so a quote never closed is named by
+    the record it opens.  Each cell is parsed by float() and then
+    multiplied by scale.
     """
     if not 0.0 < scale < math.inf:
         raise ValueError(f"--scale must be positive and finite, got {scale}")
@@ -126,34 +128,39 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
     except (TypeError, ValueError):
         pass
 
-    with open(p, newline="", encoding="utf-8-sig") as fh:
-        records = csv.reader(fh)
-        for start, first in enumerate(records, start=1):
-            if any(cell.strip() for cell in first):
-                break
-        else:
-            raise ValueError(f"{path}: file has no data rows")
-        if by_name:
-            names = [cell.strip() for cell in first]
-            wanted = str(column).strip()
-            if wanted not in names:
-                raise ValueError(f"column {wanted!r} not found in header {names}")
-            idx = names.index(wanted)
-            start += 1
-        else:
-            if idx < 0:
-                raise ValueError(f"column index must be >= 0, got {idx}")
-            try:
-                float(first[idx].strip() if idx < len(first) else "")
-            except ValueError:
-                start += 1  # first row is a header
+    try:
+        with open(p, newline="", encoding="utf-8-sig") as fh:
+            records = csv.reader(fh)
+            for start, first in enumerate(records, start=1):
+                if any(cell.strip() for cell in first):
+                    break
             else:
-                records = itertools.chain([first], records)
-        # record start + i holds cells[i]; a blank record's cell is None
-        cells = [
-            (row[idx].strip() if idx < len(row) else "") or _empty_cell(row, idx)
-            for row in records
-        ]
+                raise ValueError(f"{path}: file has no data rows")
+            if by_name:
+                names = [cell.strip() for cell in first]
+                wanted = str(column).strip()
+                if wanted not in names:
+                    raise ValueError(f"column {wanted!r} not found in header {names}")
+                idx = names.index(wanted)
+                start += 1
+            else:
+                if idx < 0:
+                    raise ValueError(f"column index must be >= 0, got {idx}")
+                # a record too short for the column is data, refused below
+                try:
+                    if idx < len(first):
+                        float(first[idx].strip())
+                except ValueError:
+                    start += 1  # first row is a header
+                else:
+                    records = itertools.chain([first], records)
+            # record start + i holds cells[i]; a blank record's cell is None
+            cells = [
+                (row[idx].strip() if idx < len(row) else "") or _empty_cell(row, idx)
+                for row in records
+            ]
+    except csv.Error as exc:  # a quote never closed reads on to the field size limit
+        raise ValueError(f"{path}: record {_refused_record(p)}: {exc}") from None
     data = [cell for cell in cells if cell is not None]
     if not data:
         raise ValueError(f"{path}: no numeric data rows after the header")
@@ -169,6 +176,19 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
         rowno = start + [i for i, cell in enumerate(cells) if cell is not None][k]
         _check_cell(rowno, data[k], idx, scale)
     return ClaimsDataset(values=values)
+
+
+def _refused_record(path: Path) -> int:
+    """The 1-based number of the first record csv.reader refuses in path."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        records = csv.reader(fh)
+        count = 0
+        try:
+            for count, _ in enumerate(records, start=1):
+                pass
+        except csv.Error:
+            pass
+    return count + 1
 
 
 def _empty_cell(row: list[str], idx: int):

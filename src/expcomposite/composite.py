@@ -25,10 +25,11 @@ exponentiation close under composition of the exponents:
 ExponentiatedComposite(as_composite_spec(d), a) is Y**(1/a) for Y ~ d.
 
 Each formula is written once.  _power_density and _power_log_density
-carry a parent piece to Y, for the densities here and for the pieces
-as_composite_spec materializes.  pdf, log_pdf and cdf split y between
-head and tail in one place, and the raw moment E[Y^t] is the limited
-moment E[min(Y, b)^t] at the cap b = inf.
+carry a parent piece to Y, for the densities here, for the pieces
+as_composite_spec materializes and, over parameter columns, for
+models.log_pdf_rows.  pdf, log_pdf and cdf split y between head and tail
+in one place, and the raw moment E[Y^t] is the limited moment
+E[min(Y, b)^t] at the cap b = inf.
 
 Piece callables stored on a CompositeSpec must accept scalars or numpy
 arrays, and every piece is given in closed form: the moment engine only
@@ -169,7 +170,7 @@ class ExponentiatedComposite:
     def log_pdf(self, y):
         """log pdf(y) in log space; -inf where the density vanishes."""
         parent, eta = self.parent, self.exponent
-        log_c = math.log(parent.norm_const)
+        log_eta, log_c = math.log(eta), math.log(parent.norm_const)
 
         def at_zero() -> float:
             at = self._pdf_at_zero()
@@ -177,8 +178,8 @@ class ExponentiatedComposite:
 
         return self._by_piece(
             y,
-            lambda a: _power_log_density(parent.head_log_density, np.log(a), eta, log_c),
-            lambda a: _power_log_density(parent.tail_log_density, np.log(a), eta, log_c),
+            lambda a: _power_log_density(parent.head_log_density, np.log(a), eta, log_eta, log_c),
+            lambda a: _power_log_density(parent.tail_log_density, np.log(a), eta, log_eta, log_c),
             -math.inf,
             at_zero,
         )
@@ -319,14 +320,16 @@ def _power_density(piece: Callable, y, eta: float, c: float):
         return np.where(dens == 0.0, 0.0, dens * eta * y ** (eta - 1.0))
 
 
-def _power_log_density(log_piece: Callable, log_y, eta: float, log_c: float):
+def _power_log_density(log_piece: Callable, log_y, eta, log_eta, log_c: float):
     """The log of _power_density from log y, given the log density of X.
 
-    At y = inf the density has vanished, so the answer is -inf even where
-    the jacobian's log climbs to +inf and the sum would be nan.
+    eta and log_eta = log(eta) may be columns, one row a parameter set,
+    that broadcast against log_y.  At y = inf the density has vanished, so
+    the answer is -inf even where the jacobian's log climbs to +inf and
+    the sum would be nan.
     """
     with np.errstate(invalid="ignore"):
-        out = log_c + log_piece(eta * log_y) + math.log(eta) + (eta - 1.0) * log_y
+        out = log_c + log_piece(eta * log_y) + log_eta + (eta - 1.0) * log_y
     return np.where(np.isposinf(log_y), -math.inf, out)
 
 
@@ -421,12 +424,13 @@ def as_composite_spec(d: ExponentiatedComposite) -> CompositeSpec:
     parent = d.parent
     eta = d.exponent
     inv = 1.0 / eta
+    log_eta = math.log(eta)
 
     def promote(piece):
         return lambda y: _power_density(piece, np.asarray(y), eta, 1.0)
 
     def promote_log(log_piece):
-        return lambda log_y: _power_log_density(log_piece, log_y, eta, 0.0)
+        return lambda log_y: _power_log_density(log_piece, log_y, eta, log_eta, 0.0)
 
     def promote_cdf(cdf):
         return lambda u: cdf(np.asarray(u) ** eta)

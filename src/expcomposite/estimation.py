@@ -10,6 +10,8 @@ Brent's method solves the analytic profile score to zero in the bracket.
 fit_batch fits many samples of one size at once: their scans share blocks,
 and the brackets of all samples are solved in lockstep, one profile-score
 pass a round; fit is its one-sample case, so both give the same bits.
+Each row's nll sums its row of one log-density sweep over the batch
+(models.log_pdf_rows).
 
 The Weibull and inverse-gamma reference fits solve their usual one-variable
 score equations by bracketed root finding.
@@ -30,9 +32,9 @@ from .models import (
     InverseGammaDensity,
     ModelId,
     WeibullDensity,
-    build,
     exp_pareto_normalizer,
     ig_pareto_normalizer,
+    log_pdf_rows,
 )
 from .special import find_root_bracketed, find_roots_bracketed
 
@@ -348,54 +350,69 @@ def _fit_sorted(model, arr):
     # the composite and Weibull fits take logs of y / max(y), so it must stay normal
     if not np.all(arr[:, 0] / arr[:, -1] >= sys.float_info.min):
         raise ValueError("observations must span less than the float range (min / max underflows)")
-
-    wide = np.zeros(count, dtype=bool)
     if not model.is_composite:
-        return [_caught(_fit_baseline, model, row) for row in arr], wide
+        return [_caught(_fit_baseline, model, row) for row in arr], np.zeros(count, dtype=bool)
+    best, wide = _split_search(model, arr)
+    return _fit_results(model, arr, best), wide
 
+
+def _split_search(model, arr):
+    """Per sorted row, the (eta, m) its profile likelihood peaks at, or None
+    where no exponent admits a valid split; and the mask of rows whose
+    search ran the wide pass."""
+    count = arr.shape[0]
     family = model.composite_family
     logz = np.log(arr / arr[:, -1:])
     prefix_log = np.hstack((np.zeros((count, 1)), np.cumsum(logz, axis=1)))
     fixed = model.fixed_exponent
-    if fixed is not None:
-        _, m, found = _scan(family, np.full(count, fixed), np.arange(count), logz, prefix_log)
-        best = [(fixed, int(m_i)) if ok else None for m_i, ok in zip(m, found)]
+    if fixed is None:
+        return _search(family, logz, prefix_log)
+    _, m, found = _scan(family, np.full(count, fixed), np.arange(count), logz, prefix_log)
+    best = [(fixed, int(m_i)) if ok else None for m_i, ok in zip(m, found)]
+    return best, np.zeros(count, dtype=bool)
+
+
+def _fit_results(model, arr, best):
+    """Each sorted row's FitResult at the (eta, m) its search found, or the
+    FitFailureError that refuses it: no valid split, or a theta outside the
+    normal float range.  One log-density pass over the rows that pass gives
+    every nll."""
+    family = model.composite_family
+    profile = _FAMILIES[family][1]
+    n, p = arr.shape[1], model.param_count
+    if model.fixed_exponent is None:
+        no_split = f"{model.value}: no exponent admits a valid breakpoint split"
     else:
-        best, wide = _search(family, logz, prefix_log)
-    return [_caught(_fit_result, model, row, fitted) for row, fitted in zip(arr, best)], wide
-
-
-def _fit_result(model, row, fitted):
-    """FitResult of a sorted sample at the (eta, m) its search found, which
-    is None where no exponent admits a valid split."""
-    if fitted is None:
-        if model.fixed_exponent is None:
-            raise FitFailureError(f"{model.value}: no exponent admits a valid breakpoint split")
-        raise FitFailureError(f"{model.value}: no valid breakpoint split at the fixed exponent")
-    eta_hat, m_hat = fitted
+        no_split = f"{model.value}: no valid breakpoint split at the fixed exponent"
+    outcomes = []
+    kept = []  # (row, theta, eta, m) of each row that passes
     # The search ran on y / max(y); on the data's own scale the head power
     # sum can overflow or underflow (an ig sum of 0 gives theta = inf).  A
     # subnormal theta is refused too: the exp head rate (alpha+1)/theta
     # overflows there.
-    family = model.composite_family
-    power = eta_hat if family == "exp" else -eta_hat
     with np.errstate(over="ignore", divide="ignore"):
-        theta_hat = float(_FAMILIES[family][1](np.sum(row[:m_hat] ** power), m_hat, row.size))
-    if not sys.float_info.min <= theta_hat < math.inf:
-        raise FitFailureError(
-            f"{model.value}: the profiled theta = y_b^eta at eta={eta_hat:g} "
-            f"leaves the normal float range ({theta_hat:g}); rescale the data"
-        )
-    nll = -float(np.sum(build(model, theta_hat, eta_hat).log_pdf(row)))
-    return FitResult(
-        model=model,
-        theta=theta_hat,
-        eta=eta_hat,
-        m=m_hat,
-        nll=nll,
-        n=row.size,
-        p=model.param_count,
-    )
+        for i, (row, fitted) in enumerate(zip(arr, best)):
+            if fitted is None:
+                outcomes.append(FitFailureError(no_split))
+                continue
+            eta, m = fitted
+            power = eta if family == "exp" else -eta
+            # np.sum's own pairwise reduction, without its wrapper
+            theta = float(profile(np.add.reduce(row[:m] ** power), m, n))
+            if not sys.float_info.min <= theta < math.inf:
+                outcomes.append(FitFailureError(
+                    f"{model.value}: the profiled theta = y_b^eta at eta={eta:g} "
+                    f"leaves the normal float range ({theta:g}); rescale the data"
+                ))
+                continue
+            outcomes.append(None)
+            kept.append((i, theta, eta, m))
+    if kept:
+        rows, thetas, etas, ms = zip(*kept)
+        nlls = -np.sum(log_pdf_rows(model, thetas, etas, arr[list(rows)]), axis=1)
+        for i, theta, eta, m, nll in zip(rows, thetas, etas, ms, nlls.tolist()):
+            outcomes[i] = FitResult(model=model, theta=theta, eta=eta, m=m, nll=nll, n=n, p=p)
+    return outcomes
 
 
 def _fit_baseline(model, row):

@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from scipy import special as _special
 
-from .composite import CompositeSpec, ExponentiatedComposite
+from .composite import CompositeSpec, ExponentiatedComposite, _power_log_density
 from .special import (
     _on_support,
     lower_incomplete_gamma,
@@ -36,6 +37,7 @@ __all__ = [
     "EXP_PARETO",
     "ModelId",
     "build",
+    "log_pdf_rows",
     "ig_pareto_spec",
     "exp_pareto_spec",
     "ig_pareto_normalizer",
@@ -144,8 +146,7 @@ def ig_pareto_spec(theta: float) -> CompositeSpec:
     _check_theta(theta)
     alpha = IG_PARETO.alpha
     k = IG_PARETO.k
-    beta = k * theta
-    log_beta = math.log(beta)
+    log_beta, beta = _ig_head(theta)
     lg = math.lgamma(alpha)
 
     def head_density(x):
@@ -166,10 +167,6 @@ def ig_pareto_spec(theta: float) -> CompositeSpec:
             u, _positive, lambda up: scale * upper_incomplete_gamma(alpha - r, beta / up)
         )
 
-    def head_log_density(log_x):
-        log_x = np.asarray(log_x, dtype=float)
-        return alpha * log_beta - (alpha + 1.0) * log_x - beta * np.exp(-log_x) - lg
-
     def head_ppf(q):
         return beta / _special.gammainccinv(alpha, np.asarray(q, dtype=float))
 
@@ -179,7 +176,7 @@ def ig_pareto_spec(theta: float) -> CompositeSpec:
         norm_const=ig_pareto_normalizer(),
         head_cdf=head_cdf,
         head_partial_moment=head_partial_moment,
-        head_log_density=head_log_density,
+        head_log_density=partial(_ig_head_log_density, log_beta=log_beta, beta=beta),
         head_ppf=head_ppf,
         **_pareto_tail(theta, alpha - k),
     )
@@ -189,8 +186,7 @@ def exp_pareto_spec(theta: float) -> CompositeSpec:
     """Exponential-Pareto parent at scale theta, with the exact normalizer."""
     _check_theta(theta)
     alpha = EXP_PARETO.alpha
-    rate = (alpha + 1.0) / theta
-    log_rate = math.log(rate)
+    log_rate, rate = _exp_head(theta)
 
     def head_density(x):
         # closed at 0, where the one-parameter variant's density is c * rate
@@ -205,11 +201,6 @@ def exp_pareto_spec(theta: float) -> CompositeSpec:
             u, _positive, lambda up: scale * lower_incomplete_gamma(r + 1.0, rate * up)
         )
 
-    def head_log_density(log_x):
-        log_x = np.asarray(log_x, dtype=float)
-        with np.errstate(over="ignore"):
-            return log_rate - rate * np.exp(log_x)
-
     def head_ppf(q):
         return -np.log1p(-np.asarray(q, dtype=float)) / rate
 
@@ -219,10 +210,46 @@ def exp_pareto_spec(theta: float) -> CompositeSpec:
         norm_const=exp_pareto_normalizer(),
         head_cdf=head_cdf,
         head_partial_moment=head_partial_moment,
-        head_log_density=head_log_density,
+        head_log_density=partial(_exp_head_log_density, log_rate=log_rate, rate=rate),
         head_ppf=head_ppf,
         **_pareto_tail(theta, alpha),
     )
+
+
+# -- piece log densities ----------------------------------------------------
+#
+# Each takes log x and its piece's parameters, which may be columns (one row
+# a parameter set) as well as floats: a spec binds its own, and log_pdf_rows
+# passes a column per parameter, so both evaluate the same formula.
+
+
+def _ig_head(theta: float) -> tuple[float, float]:
+    """(log beta, beta) of the inverse gamma head at breakpoint theta."""
+    beta = IG_PARETO.k * theta
+    return math.log(beta), beta
+
+
+def _ig_head_log_density(log_x, log_beta, beta):
+    alpha = IG_PARETO.alpha
+    log_x = np.asarray(log_x, dtype=float)
+    return alpha * log_beta - (alpha + 1.0) * log_x - beta * np.exp(-log_x) - math.lgamma(alpha)
+
+
+def _exp_head(theta: float) -> tuple[float, float]:
+    """(log rate, rate) of the exponential head at breakpoint theta."""
+    rate = (EXP_PARETO.alpha + 1.0) / theta
+    return math.log(rate), rate
+
+
+def _exp_head_log_density(log_x, log_rate, rate):
+    log_x = np.asarray(log_x, dtype=float)
+    with np.errstate(over="ignore"):
+        return log_rate - rate * np.exp(log_x)
+
+
+def _pareto_log_density(log_x, log_theta, exponent: float):
+    log_x = np.asarray(log_x, dtype=float)
+    return math.log(exponent) + exponent * log_theta - (exponent + 1.0) * log_x
 
 
 def _check_theta(theta: float) -> None:
@@ -280,17 +307,13 @@ def _pareto_tail(theta: float, exponent: float) -> dict:
         scale = exponent * math.exp(exponent * log_theta)
         d = r - exponent
 
-        def partial(ua):
+        def moment(ua):
             log_ratio = np.log(ua) - log_theta
             if d == 0.0:
                 return scale * log_ratio
             return scale * math.exp(d * log_theta) * np.expm1(d * log_ratio) / d
 
-        return _on_support(u, above, partial)
-
-    def tail_log_density(log_x):
-        log_x = np.asarray(log_x, dtype=float)
-        return math.log(exponent) + exponent * log_theta - (exponent + 1.0) * log_x
+        return _on_support(u, above, moment)
 
     def tail_ppf(q):
         return theta * (1.0 - np.asarray(q, dtype=float)) ** (-1.0 / exponent)
@@ -300,7 +323,7 @@ def _pareto_tail(theta: float, exponent: float) -> dict:
         tail_cdf=tail_cdf,
         tail_sf=tail_sf,
         tail_partial_moment=tail_partial_moment,
-        tail_log_density=tail_log_density,
+        tail_log_density=partial(_pareto_log_density, log_theta=log_theta, exponent=exponent),
         tail_ppf=tail_ppf,
         tail_moment_sup=exponent,
     )
@@ -402,6 +425,39 @@ def build(model: ModelId, theta: float, eta: float = 1.0) -> ExponentiatedCompos
     if fixed is not None and eta != fixed:
         raise ValueError(f"{model.value} fixes eta = {fixed}, got {eta}")
     return ExponentiatedComposite(spec, eta)
+
+
+# head family -> (head parameters at theta, head log density, tail exponent,
+# normalizer)
+_LOG_PIECES = {
+    "ig": (_ig_head, _ig_head_log_density, IG_PARETO.alpha - IG_PARETO.k, ig_pareto_normalizer),
+    "exp": (_exp_head, _exp_head_log_density, EXP_PARETO.alpha, exp_pareto_normalizer),
+}
+
+
+def log_pdf_rows(model: ModelId, thetas, etas, y: np.ndarray) -> np.ndarray:
+    """build(model, thetas[i], etas[i]).log_pdf(y[i]) for every row i of a
+    (rows, n) matrix of positive finite observations, in one pass.
+
+    Each row's parameters come from the math calls its spec makes, and the
+    pieces are the spec's formulas over parameter columns, so every value
+    has the bits log_pdf gives it.
+    """
+    head_params, head_log_density, exponent, normalizer = _LOG_PIECES[model.composite_family]
+    head = np.array([head_params(theta) for theta in thetas])
+    log_theta = np.array([math.log(theta) for theta in thetas])[:, None]
+    eta = np.array(etas, dtype=float)[:, None]
+    log_eta = np.array([math.log(e) for e in etas])[:, None]
+    split = np.array([theta ** (1.0 / e) for theta, e in zip(thetas, etas)])[:, None]
+    log_c = math.log(normalizer())
+    log_y = np.log(y)
+    head_log = _power_log_density(
+        lambda log_x: head_log_density(log_x, head[:, :1], head[:, 1:]), log_y, eta, log_eta, log_c
+    )
+    tail_log = _power_log_density(
+        lambda log_x: _pareto_log_density(log_x, log_theta, exponent), log_y, eta, log_eta, log_c
+    )
+    return np.where(y < split, head_log, tail_log)
 
 
 def moment_closed_form(model: ModelId, theta: float, eta: float, t: float) -> float:

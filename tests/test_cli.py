@@ -132,6 +132,34 @@ def test_ingest_row_numbers_are_csv_records(tmp_path):
         ingest_csv(p)
 
 
+def test_a_short_first_record_is_refused_not_taken_for_a_header(tmp_path):
+    p = tmp_path / "short.csv"
+    p.write_text("5\n1,2\n3,4\n")
+    with pytest.raises(ValueError, match="^row 1: no column 1$"):
+        ingest_csv(p, column=1)
+    # blank records before it count, and it is still refused
+    p.write_text("\n ,\n5\n1,2\n")
+    with pytest.raises(ValueError, match="^row 3: no column 1$"):
+        ingest_csv(p, column=1)
+    # a non-numeric or empty selected cell is still a header
+    for header in ("id,amount", "5,amount", "5,"):
+        p.write_text(f"{header}\n1,2\n3,4\n")
+        assert ingest_csv(p, column=1).values.tolist() == [2.0, 4.0]
+
+
+def test_an_unclosed_quote_names_its_record(tmp_path, capsys):
+    # csv.reader reads a quote that is never closed on to the end of the
+    # file as one field, and refuses it past its field size limit
+    p = tmp_path / "unclosed.csv"
+    p.write_text("1.0\n\n" + '"1.5\n' + "2.5\n" * 60_000)
+    with pytest.raises(ValueError, match=r"unclosed\.csv: record 3: field larger than field limit"):
+        ingest_csv(p)
+    for command in (["fit", "--model", "exp-exp-pareto"], ["compare"]):
+        assert main([*command, str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "record 3" in err and "Traceback" not in err
+
+
 def test_ingest_reads_a_byte_order_mark(tmp_path):
     # a spreadsheet's "CSV UTF-8" starts with U+FEFF, which is not part of
     # the first cell
@@ -189,9 +217,9 @@ def reference_ingest(path, column=0, scale=1.0):
         else:
             if idx < 0:
                 raise ValueError(f"column index must be >= 0, got {idx}")
-            cell = first_row[idx].strip() if idx < len(first_row) else ""
             try:
-                float(cell)
+                if idx < len(first_row):  # a record too short is data
+                    float(first_row[idx].strip())
             except ValueError:
                 pass  # first row is a header
             else:

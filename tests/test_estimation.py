@@ -1,6 +1,7 @@
 """Profile formulas, split detection, profile-score search, baseline fitters."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.special import digamma
 from expcomposite import estimation
 from expcomposite.estimation import (
     FitFailureError,
+    FitResult,
     _exp_theta,
     _ig_theta,
     _scan,
@@ -654,6 +656,74 @@ def test_batch_refuses_what_fit_refuses():
                 fit_batch(ModelId.EXP_EXP_PARETO, np.array([good, bad]))
     with pytest.raises(ValueError, match="matrix"):
         fit_batch(ModelId.EXP_EXP_PARETO, good)
+
+
+def reference_fit_result(model, row, fitted):
+    """The per-replicate result builder that _fit_results replaced, kept as
+    its oracle: theta from the head power sum, then a composite built at
+    (theta, eta) whose log_pdf over the sorted row gives the nll."""
+    if fitted is None:
+        if model.fixed_exponent is None:
+            raise FitFailureError(f"{model.value}: no exponent admits a valid breakpoint split")
+        raise FitFailureError(f"{model.value}: no valid breakpoint split at the fixed exponent")
+    eta_hat, m_hat = fitted
+    family = model.composite_family
+    power = eta_hat if family == "exp" else -eta_hat
+    profile = estimation._FAMILIES[family][1]
+    with np.errstate(over="ignore", divide="ignore"):
+        theta_hat = float(profile(np.sum(row[:m_hat] ** power), m_hat, row.size))
+    if not sys.float_info.min <= theta_hat < math.inf:
+        raise FitFailureError(
+            f"{model.value}: the profiled theta = y_b^eta at eta={eta_hat:g} "
+            f"leaves the normal float range ({theta_hat:g}); rescale the data"
+        )
+    nll = -float(np.sum(build(model, theta_hat, eta_hat).log_pdf(row)))
+    return FitResult(
+        model=model, theta=theta_hat, eta=eta_hat, m=m_hat, nll=nll, n=row.size, p=model.param_count
+    )
+
+
+def _reference_outcome(model, row, fitted):
+    """reference_fit_result's repr, or its refusal."""
+    try:
+        return repr(reference_fit_result(model, row, fitted))
+    except FitFailureError as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    model=hst.sampled_from([m for m in ModelId if m.is_composite]),
+    n=hst.integers(min_value=10, max_value=2000),
+    specs=hst.lists(
+        hst.tuples(hst.floats(min_value=0.3, max_value=30.0), hst.integers(0, 2**16)),
+        min_size=1,
+        max_size=4,
+    ),
+    refused=hst.sampled_from([None, 1.0, 1e160, 1e-160]),
+    at=hst.integers(min_value=0, max_value=4),
+)
+def test_batch_nll_is_the_density_nll(model, n, specs, refused, at):
+    # One log-density pass over a batch gives each row the nll of its own
+    # fitted composite, bit for bit, and the per-row builder's refusals.
+    # Exponents near 30 take the wide pass; a constant row has no valid
+    # split, and a row scaled by 1e+-160 may put theta out of range.
+    gen = ModelId.EXP_EXP_PARETO if model.composite_family == "exp" else ModelId.EXP_IG_PARETO
+    rows = [build(gen, 1.0, eta).sample(n, seed=seed) for eta, seed in specs]
+    if refused == 1.0:
+        rows.insert(at % (len(rows) + 1), np.full(n, 2.0))
+    elif refused is not None:
+        rows.insert(at % (len(rows) + 1), rows[0] * refused)
+    arr = np.sort(np.array(rows), axis=1)
+    best, _ = estimation._split_search(model, arr)
+    want = [_reference_outcome(model, row, fitted) for row, fitted in zip(arr, best)]
+    got, _ = _batch_fits(model, arr)
+    assert got == want
+    assert [_fit_or_refusal(model, row) for row in arr] == want
+    for row, outcome in zip(arr, fit_batch(model, arr)[0]):
+        if isinstance(outcome, FitResult):
+            dens = build(model, outcome.theta, outcome.eta)
+            assert outcome.nll == -float(np.sum(dens.log_pdf(row)))
 
 
 @settings(max_examples=25, deadline=None)

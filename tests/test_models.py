@@ -27,6 +27,7 @@ from expcomposite.models import (
     exp_pareto_spec,
     ig_pareto_normalizer,
     ig_pareto_spec,
+    log_pdf_rows,
     moment_closed_form,
 )
 from expcomposite.special import find_root_bracketed
@@ -518,3 +519,27 @@ def test_composite_log_pdf_consistent_with_pdf():
         d = build(model, 1.4, 0.8)
         ys = np.array([0.2, 0.9, 1.4, 6.0])
         assert np.allclose(d.log_pdf(ys), np.log(d.pdf(ys)), rtol=1e-12)
+
+
+@given(
+    model=hst.sampled_from([m for m in ModelId if m.is_composite]),
+    params=hst.lists(
+        hst.tuples(hst.floats(1e-3, 5.0), hst.floats(0.3, 30.0), hst.integers(0, 2**16)),
+        min_size=1,
+        max_size=4,
+    ),
+    n=hst.integers(1, 300),
+)
+def test_log_pdf_rows_is_each_rows_log_pdf(model, params, n):
+    # one pass over parameter columns gives every row the bits of its own
+    # composite's log_pdf; rows are drawn from another row's parameters, so
+    # both pieces occur, and left unsorted
+    etas = [1.0 if model.fixed_exponent else eta for _, eta, _ in params]
+    thetas = [theta for theta, _, _ in params]
+    y = np.array([
+        build(model, thetas[i - 1], etas[i - 1]).sample(n, seed=seed)
+        for i, (_, _, seed) in enumerate(params)
+    ])
+    got = log_pdf_rows(model, thetas, etas, y)
+    for got_row, theta, eta, row in zip(got, thetas, etas, y):
+        assert got_row.tobytes() == build(model, theta, eta).log_pdf(row).tobytes()
