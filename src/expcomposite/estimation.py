@@ -14,7 +14,8 @@ Each row's nll sums its row of one log-density sweep over the batch
 (models.log_pdf_rows).
 
 The Weibull and inverse-gamma reference fits solve their usual one-variable
-score equations by bracketed root finding.
+score equations by bracketed root finding, each as one lane of the same
+lockstep solver.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .models import (
     ig_pareto_normalizer,
     log_pdf_rows,
 )
-from .special import find_root_bracketed, find_roots_bracketed
+from .special import find_roots_bracketed
 
 __all__ = [
     "BaselineFitResult",
@@ -449,6 +450,15 @@ def _bracket(f, lo, hi, *, factor, sign, name):
     return lo, hi
 
 
+def _shape_root(f, lo, hi):
+    """Root of the scalar f in the bracket _bracket found, solved as one lane.
+
+    A lane refused for a NaN score gives a NaN shape, which the density refuses.
+    """
+    root, _ = find_roots_bracketed(lambda x, _: np.array([f(v) for v in x.tolist()]), [lo], [hi])
+    return float(root[0])
+
+
 def _fit_weibull(arr: np.ndarray) -> tuple[float, float]:
     # Shape score is increasing in the shape; data rescaled by the maximum
     # so z**shape stays bounded while the bracket expands.
@@ -462,7 +472,7 @@ def _fit_weibull(arr: np.ndarray) -> tuple[float, float]:
         return float(np.sum(w * logz) / np.sum(w) - 1.0 / shape - mean_log)
 
     lo, hi = _bracket(score, 0.5, 2.0, factor=2.0, sign=1.0, name="weibull")
-    shape = find_root_bracketed(score, lo, hi)
+    shape = _shape_root(score, lo, hi)
     scale = s * float(np.mean(z**shape)) ** (1.0 / shape)
     return shape, scale
 
@@ -481,7 +491,7 @@ def _fit_inverse_gamma(arr: np.ndarray) -> tuple[float, float]:
         return math.log(a) - float(digamma(a)) - rhs
 
     lo, hi = _bracket(h, 0.5, 10.0, factor=10.0, sign=-1.0, name="inverse gamma")
-    shape = find_root_bracketed(h, lo, hi)
+    shape = _shape_root(h, lo, hi)
     scale = shape / mean_inv
     return shape, scale
 

@@ -340,8 +340,8 @@ class WeibullDensity:
     scale: float
 
     def __post_init__(self) -> None:
-        if not (self.shape > 0.0 and self.scale > 0.0):
-            raise ValueError("Weibull shape and scale must be positive")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+            raise ValueError("Weibull shape and scale must be positive and finite")
 
     def pdf(self, y):
         def density(yp):
@@ -386,8 +386,8 @@ class InverseGammaDensity:
     scale: float
 
     def __post_init__(self) -> None:
-        if not (self.shape > 0.0 and self.scale > 0.0):
-            raise ValueError("inverse gamma shape and scale must be positive")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+            raise ValueError("inverse gamma shape and scale must be positive and finite")
 
     def _log_density(self, yp: np.ndarray) -> np.ndarray:
         return (

@@ -48,8 +48,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.model.is_composite:
             raise ValueError(f"recovery studies need a composite model, got {self.model}")
-        if not (self.true_eta > 0.0 and self.true_theta > 0.0):
-            raise ValueError("true parameters must be positive")
+        build(self.model, self.true_theta, self.true_eta)  # build's checks of theta and eta
         if self.n < 10:
             raise ValueError(f"sample size must be >= 10, got {self.n}")
         if self.r < 1:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy import optimize as _optimize
 from scipy import special as _special
 
 __all__ = [
@@ -25,7 +23,6 @@ __all__ = [
     "upper_incomplete_gamma",
     "lower_incomplete_gamma",
     "adaptive_quadrature",
-    "find_root_bracketed",
     "find_roots_bracketed",
 ]
 
@@ -33,7 +30,7 @@ __all__ = [
 # estimate stays within a small constant factor of max(tol, tol * |value|).
 QUAD_TOL = 1e-10
 QUAD_LIMIT = 200  # subintervals quadpack may use per panel
-ROOT_RTOL = 1e-13  # relative tolerance of find_root_bracketed
+ROOT_RTOL = 1e-13  # relative tolerance of find_roots_bracketed
 _ROOT_XTOL = 1e-300  # its absolute tolerance, tiny so that ROOT_RTOL governs
 _ROOT_MAXITER = 100  # brentq's default iteration budget
 
@@ -105,13 +102,13 @@ def upper_incomplete_gamma(a: float, x):
     standard positive-shape routine takes over.  Shape zero is the
     exponential integral E1(x).
 
-    Raises ValueError for x < 0, and for x == 0 when a <= 0 (the integral
-    diverges at the origin there).  Raises OverflowError when the result
-    exceeds the double range.
+    Raises ValueError for a shape that is not finite, for x NaN or x < 0,
+    and for x == 0 when a <= 0 (the integral diverges at the origin there).
+    Raises OverflowError when the result exceeds the double range.
     """
     arr, scalar = _as_batch(x)
-    if math.isnan(a) or np.isnan(arr).any():
-        raise ValueError("upper_incomplete_gamma requires finite arguments")
+    if not math.isfinite(a) or np.isnan(arr).any():
+        raise ValueError(f"upper_incomplete_gamma requires a finite shape and no NaN x, got a={a}")
     if (arr < 0.0).any():
         raise ValueError(f"upper_incomplete_gamma requires x >= 0, got x={arr.min()}")
     if a <= 0.0 and (arr == 0.0).any():
@@ -149,13 +146,15 @@ def upper_incomplete_gamma(a: float, x):
 
 
 def lower_incomplete_gamma(a: float, x):
-    """Unregularized lower incomplete gamma for a > 0, x >= 0.
+    """Unregularized lower incomplete gamma for finite a > 0, x >= 0.
 
     Elementwise over x: a float x gives a float, an array an array.
     """
-    if not a > 0.0:
-        raise ValueError(f"lower_incomplete_gamma requires a > 0, got {a}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(f"lower_incomplete_gamma requires finite a > 0, got {a}")
     arr, scalar = _as_batch(x)
+    if np.isnan(arr).any():
+        raise ValueError("lower_incomplete_gamma requires no NaN x")
     if (arr < 0.0).any():
         raise ValueError(f"lower_incomplete_gamma requires x >= 0, got x={arr.min()}")
     with np.errstate(divide="ignore"):
@@ -180,13 +179,18 @@ def adaptive_quadrature(
     """
     if not lo < hi:
         raise ValueError(f"adaptive_quadrature requires lo < hi, got [{lo}, {hi}]")
+    # Imported here, by its one user: scipy.integrate imports scipy.optimize,
+    # and together they cost about 26 MB and 0.3 s at import that the fit,
+    # compare and simulate paths never use.
+    from scipy import integrate
+
     pts = sorted(p for p in (breakpoints or ()) if lo < p < hi)
     edges = [lo, *pts, hi]
     total = 0.0
     err = 0.0
     neval = 0
     for a, b in zip(edges[:-1], edges[1:]):
-        val, abserr, info, *tail = _integrate.quad(
+        val, abserr, info, *tail = integrate.quad(
             f, a, b, epsabs=tol, epsrel=tol, limit=QUAD_LIMIT, full_output=1
         )
         if tail:  # quadpack appended a warning message
@@ -205,21 +209,6 @@ def adaptive_quadrature(
             f"integral over [{lo}, {hi}] (value {total:.6e})"
         )
     return QuadratureResult(value=total, abs_error_estimate=err, evaluations=neval)
-
-
-def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of f in [lo, hi]; endpoints must straddle a sign change.
-
-    scipy's brentq alone checks the bracket: it evaluates each end once,
-    returns an end where f is 0, and raises ValueError where f is NaN or
-    has the same sign at both ends, even when the product of the two end
-    values underflows.  Brent-style interpolation with a bisection
-    safeguard then converges on a valid bracket.
-    """
-    if not lo < hi:
-        raise ValueError(f"find_root_bracketed requires lo < hi, got [{lo}, {hi}]")
-    return float(_optimize.brentq(f, lo, hi, xtol=_ROOT_XTOL, rtol=ROOT_RTOL))
-
 
 
 def _brent_steps(xpre: float, xcur: float, fpre: float, fcur: float):
@@ -264,18 +253,26 @@ def _brent_steps(xpre: float, xcur: float, fpre: float, fcur: float):
 
 
 def find_roots_bracketed(f: Callable, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of many brackets at once: lane i is find_root_bracketed on [lo[i], hi[i]].
+    """Roots of many brackets at once: lane i's root in [lo[i], hi[i]].
 
     f(x, lanes) gives lane lanes[j]'s function at x[j].  The lanes run in
     lockstep: each round calls f once, over every lane still running, and
     each lane then takes one step of scipy's C brentq (Brent 1973) in float
-    arithmetic, with the same tolerances, so its root has brentq's bits.
-    Returns (root, ok); ok is False, and root NaN, for a lane brentq
-    refuses: a NaN value, or ends of one sign by their sign bits.  Raises
-    RuntimeError when a lane has not converged within brentq's 100
-    iterations.
+    arithmetic, with xtol _ROOT_XTOL and rtol ROOT_RTOL, so its root has
+    brentq's bits.  Each end is evaluated once, and an end where f is 0 is
+    the root.  Returns (root, ok); ok is False, and root NaN, for a lane
+    brentq refuses: a NaN value, or ends of one sign by their sign bits,
+    even where the product of the end values underflows.  Raises
+    ValueError naming the first lane without lo < hi, and RuntimeError
+    when a lane has not converged within brentq's 100 iterations.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    bad = np.flatnonzero(~(lo < hi))
+    if bad.size:
+        lane = bad[0]
+        raise ValueError(
+            f"find_roots_bracketed requires lo < hi, got [{lo[lane]}, {hi[lane]}] in lane {lane}"
+        )
     size = lo.size
     ends = f(np.concatenate((lo, hi)), np.concatenate((np.arange(size),) * 2)).tolist()
     root = np.full(size, np.nan)

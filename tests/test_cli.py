@@ -1048,3 +1048,44 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert len(read_out(out)) == 50
+
+
+_LOADED_AFTER_EACH_PATH = """
+import sys
+import expcomposite.cli as cli
+from expcomposite.composite import verify_composite
+from expcomposite.models import ModelId, build
+
+def loaded(stage):
+    mods = [m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules]
+    print("loaded after", stage + ":", *mods)
+
+data, out = sys.argv[1:]
+loaded("import")
+assert cli.main(["compare", data, "--out", out]) == 0
+loaded("compare")
+assert cli.main(["simulate", "--eta", "0.8", "--theta", "1.0", "--n", "40",
+                 "--r", "3", "--out", out]) == 0
+loaded("simulate")
+verify_composite(build(ModelId.EXP_EXP_PARETO, 1.0, 0.8))
+loaded("verify_composite")
+"""
+
+
+def test_quadrature_modules_load_only_with_the_first_quadrature(tmp_path):
+    # scipy.integrate, which imports scipy.optimize, costs about 26 MB and
+    # 0.3 s at import; the fit, compare and simulate paths never use it
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_EACH_PATH, str(data), str(tmp_path / "out.csv")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("loaded after")]
+    assert loaded == [
+        "loaded after import:",
+        "loaded after compare:",
+        "loaded after simulate:",
+        "loaded after verify_composite: scipy.optimize scipy.integrate",
+    ]

@@ -19,7 +19,6 @@ from expcomposite.estimation import (
     fit,
     fit_batch,
 )
-from expcomposite.special import find_root_bracketed
 from expcomposite.models import (
     EXP_PARETO,
     IG_PARETO,
@@ -30,6 +29,7 @@ from expcomposite.models import (
     exp_pareto_spec,
     ig_pareto_spec,
 )
+from test_special import find_root_bracketed
 
 SAMPLE = build(ModelId.EXP_EXP_PARETO, 1.0, 0.8).sample(200, seed=7)
 SAMPLE_IG = build(ModelId.EXP_IG_PARETO, 1.0, 0.8).sample(200, seed=11)
@@ -769,6 +769,11 @@ FROZEN_FITS = (
     (2000, ModelId.EXP_IG_PARETO, (2.0121742507559075, 0.9231919597511768, 579, 8332.687520848807)),
     (2000, ModelId.EXP_PARETO_1P, (1.0, 2.0370882118266063, 885, 8519.34025596648)),
     (2000, ModelId.IG_PARETO_1P, (1.0, 2.1713897921993492, 902, 8768.367275625762)),
+    # baselines store (shape, scale, nll)
+    (200, ModelId.WEIBULL, (0.2089530057749274, 29.233647647755184, 861.7014966887724)),
+    (200, ModelId.INVERSE_GAMMA, (0.18446124497984434, 0.012052840011108422, 832.5365552191054)),
+    (2000, ModelId.WEIBULL, (0.21363952995262986, 39.15747262823079, 9720.253996410484)),
+    (2000, ModelId.INVERSE_GAMMA, (0.38517838017933287, 0.48517196121245637, 8399.633182786305)),
 )
 
 
@@ -778,7 +783,10 @@ FROZEN_SAMPLES = {200: SAMPLE, 2000: SAMPLE_2000}
 @pytest.mark.parametrize("n,model,expected", FROZEN_FITS)
 def test_default_fit_is_frozen(n, model, expected):
     res = fit(model, FROZEN_SAMPLES[n])
-    assert (res.eta, res.theta, res.m, res.nll) == expected
+    if model.is_composite:
+        assert (res.eta, res.theta, res.m, res.nll) == expected
+    else:
+        assert (res.shape, res.scale, res.nll) == expected
 
 
 @pytest.mark.parametrize("family,data", [("exp", SAMPLE), ("ig", SAMPLE_IG)])

@@ -30,7 +30,7 @@ from expcomposite.models import (
     log_pdf_rows,
     moment_closed_form,
 )
-from expcomposite.special import find_root_bracketed
+from test_special import find_root_bracketed
 
 C_EXP = 0.57446386862890377
 C_IG = 0.71138399605635839
@@ -137,6 +137,15 @@ def test_build_rejects_bad_parameters():
             build(model, math.inf, 1.0)
         with pytest.raises(ValueError, match="finite"):
             build(model, 1.0, math.inf)
+
+
+@pytest.mark.parametrize("density", [WeibullDensity, InverseGammaDensity])
+@pytest.mark.parametrize("shape,scale", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, 0.0)])
+def test_baselines_reject_non_finite_parameters(density, shape, scale):
+    # WeibullDensity(inf, 1) once constructed, and InverseGammaDensity(1, inf)
+    # gave a nan log_pdf with a RuntimeWarning
+    with pytest.raises(ValueError, match="positive and finite"):
+        density(shape, scale)
 
 
 def test_calibrated_specs_verify():

@@ -47,6 +47,22 @@ def test_scenario_validation():
         _scenario(r=0)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(true_eta=math.inf),
+        dict(true_theta=math.inf),
+        dict(true_eta=math.nan),
+        dict(model=ModelId.EXP_IG_PARETO, true_theta=math.inf),
+        dict(model=ModelId.EXP_PARETO_1P, true_eta=2.0),
+    ],
+)
+def test_scenario_applies_builds_checks_at_construction(kw):
+    # each once constructed and failed only inside run_scenario's build
+    with pytest.raises(ValueError, match="finite|fixes eta"):
+        _scenario(**kw)
+
+
 def test_single_replicate_equals_direct_fit():
     sc = _scenario(r=1, n=60, base_seed=42)
     report = run_scenario(sc)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from expcomposite.special import (
+    ROOT_RTOL,
+    _ROOT_XTOL,
     QuadratureError,
     QuadratureResult,
     adaptive_quadrature,
-    find_root_bracketed,
     find_roots_bracketed,
     lower_incomplete_gamma,
     upper_incomplete_gamma,
@@ -70,9 +72,23 @@ def test_upper_gamma_input_validation():
         upper_incomplete_gamma(1.0, math.nan)
 
 
+@pytest.mark.parametrize("a", [math.inf, -math.inf])
+def test_upper_gamma_refuses_an_infinite_shape(a):
+    # -inf once escaped as OverflowError from int(), +inf as a silent value
+    with pytest.raises(ValueError, match="finite shape"):
+        upper_incomplete_gamma(a, 1.0)
+
+
 def test_lower_gamma_requires_positive_shape():
     with pytest.raises(ValueError):
         lower_incomplete_gamma(-0.5, 1.0)
+
+
+@pytest.mark.parametrize("a,x", [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.nan)])
+def test_lower_gamma_refuses_non_finite_shape_and_nan_x(a, x):
+    # a = inf once gave nan with a RuntimeWarning, which the suite makes an error
+    with pytest.raises(ValueError):
+        lower_incomplete_gamma(a, x)
 
 
 @given(
@@ -128,9 +144,24 @@ def test_quadrature_result_validation():
         QuadratureResult(value=1.0, abs_error_estimate=0.0, evaluations=0)
 
 
+def find_root_bracketed(f, lo: float, hi: float) -> float:
+    """scipy's brentq with the solver's tolerances: the oracle of find_roots_bracketed.
+
+    brentq evaluates each end once, returns an end where f is 0, and raises
+    ValueError where f is NaN or has one sign at both ends.
+    """
+    return float(brentq(f, lo, hi, xtol=_ROOT_XTOL, rtol=ROOT_RTOL))
+
+
+def _lanes(*funcs):
+    """f(x, lanes) of find_roots_bracketed, lane i being the scalar funcs[i]."""
+    return lambda x, lanes: np.array([funcs[i](v) for v, i in zip(x.tolist(), lanes.tolist())])
+
+
 def test_root_cosine():
-    root = find_root_bracketed(math.cos, 0.0, 3.0)
-    assert root == pytest.approx(math.pi / 2.0, rel=1e-13)
+    root, ok = find_roots_bracketed(_lanes(math.cos), [0.0], [3.0])
+    assert ok.tolist() == [True]
+    assert root[0] == pytest.approx(math.pi / 2.0, rel=1e-13)
 
 
 def test_root_evaluates_each_end_once():
@@ -140,25 +171,28 @@ def test_root_evaluates_each_end_once():
         calls.append(x)
         return math.cos(x)
 
-    assert find_root_bracketed(f, 0.0, 3.0) == find_root_bracketed(math.cos, 0.0, 3.0)
+    root, _ = find_roots_bracketed(_lanes(f), [0.0], [3.0])
+    assert root[0] == find_roots_bracketed(_lanes(math.cos), [0.0], [3.0])[0][0]
     assert calls.count(0.0) == 1
     assert calls.count(3.0) == 1
 
 
 def test_root_endpoint_shortcut():
-    assert find_root_bracketed(lambda x: x - 2.0, 2.0, 5.0) == 2.0
-    assert find_root_bracketed(lambda x: x - 5.0, 2.0, 5.0) == 5.0
+    root, ok = find_roots_bracketed(
+        _lanes(lambda x: x - 2.0, lambda x: x - 5.0), [2.0, 2.0], [5.0, 5.0]
+    )
+    assert root.tolist() == [2.0, 5.0] and ok.all()
 
 
 def test_root_requires_sign_change():
-    with pytest.raises(ValueError):
-        find_root_bracketed(lambda x: 1.0 + x * x, -1.0, 1.0)
+    root, ok = find_roots_bracketed(_lanes(lambda x: 1.0 + x * x), [-1.0], [1.0])
+    assert not ok[0] and math.isnan(root[0])
 
 
 def test_root_compares_signs_not_the_product_of_the_ends():
     # 1e-200 * 1e-200 underflows to 0, yet the ends have one sign
-    with pytest.raises(ValueError):
-        find_root_bracketed(lambda x: 1e-200, 0.0, 1.0)
+    root, ok = find_roots_bracketed(_lanes(lambda x: 1e-200), [0.0], [1.0])
+    assert not ok[0] and math.isnan(root[0])
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -167,14 +201,29 @@ def test_root_refuses_nan_at_an_end(sign, nan_at):
     def f(x):
         return math.nan if x == nan_at else sign * (x - 0.5)
 
-    with pytest.raises(ValueError):
-        find_root_bracketed(f, 0.0, 1.0)
+    # the second lane, solved alongside, is not disturbed
+    root, ok = find_roots_bracketed(_lanes(f, math.cos), [0.0, 0.0], [1.0, 3.0])
+    assert ok.tolist() == [False, True] and math.isnan(root[0])
+    assert root[1] == find_roots_bracketed(_lanes(math.cos), [0.0], [3.0])[0][0]
 
 
 @given(target=st.floats(min_value=-5.0, max_value=5.0))
 def test_root_linear_exact(target):
-    root = find_root_bracketed(lambda x: x - target, -6.0, 6.0)
-    assert root == pytest.approx(target, abs=1e-12)
+    root, ok = find_roots_bracketed(_lanes(lambda x: x - target), [-6.0], [6.0])
+    assert ok[0] and root[0] == pytest.approx(target, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [(1.0, 0.0), (0.5, 0.5), (math.nan, 1.0)])
+def test_roots_require_lo_below_hi(bad):
+    calls = []
+
+    def f(x, lanes):
+        calls.append(x)
+        return np.cos(x)
+
+    with pytest.raises(ValueError, match=r"requires lo < hi, got \[.*\] in lane 1"):
+        find_roots_bracketed(f, [0.0, bad[0], 0.0], [3.0, bad[1], 2.0])
+    assert calls == []
 
 
 def _lane_function(kind, a, b, scale):
