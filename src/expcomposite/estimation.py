@@ -429,11 +429,13 @@ def _fit_baseline(model, row):
 # -- reference-model fits --------------------------------------------------
 
 
-def _bracket(f, lo, hi, *, factor, sign, name):
-    """Widen [lo, hi] by factor until sign * f is negative at lo, positive at hi.
+def _shape_root(f, lo, hi, *, factor, sign, name):
+    """Root of the scalar f, once [lo, hi] is widened by factor until sign * f
+    is negative at lo, positive at hi.
 
     Each end moves at most 200 times; FitFailureError names the end that
-    found no sign change.
+    found no sign change.  The root is solved as one lane; a score that
+    turns NaN gives a NaN shape, which the baseline density refuses.
     """
     for _ in range(200):
         if sign * f(lo) < 0.0:
@@ -447,14 +449,6 @@ def _bracket(f, lo, hi, *, factor, sign, name):
         hi *= factor
     else:
         raise FitFailureError(f"{name}: shape equation has no upper bracket")
-    return lo, hi
-
-
-def _shape_root(f, lo, hi):
-    """Root of the scalar f in the bracket _bracket found, solved as one lane.
-
-    A lane refused for a NaN score gives a NaN shape, which the density refuses.
-    """
     root, _ = find_roots_bracketed(lambda x, _: np.array([f(v) for v in x.tolist()]), [lo], [hi])
     return float(root[0])
 
@@ -471,8 +465,7 @@ def _fit_weibull(arr: np.ndarray) -> tuple[float, float]:
         w = z**shape
         return float(np.sum(w * logz) / np.sum(w) - 1.0 / shape - mean_log)
 
-    lo, hi = _bracket(score, 0.5, 2.0, factor=2.0, sign=1.0, name="weibull")
-    shape = _shape_root(score, lo, hi)
+    shape = _shape_root(score, 0.5, 2.0, factor=2.0, sign=1.0, name="weibull")
     scale = s * float(np.mean(z**shape)) ** (1.0 / shape)
     return shape, scale
 
@@ -490,8 +483,7 @@ def _fit_inverse_gamma(arr: np.ndarray) -> tuple[float, float]:
     def h(a: float) -> float:
         return math.log(a) - float(digamma(a)) - rhs
 
-    lo, hi = _bracket(h, 0.5, 10.0, factor=10.0, sign=-1.0, name="inverse gamma")
-    shape = _shape_root(h, lo, hi)
+    shape = _shape_root(h, 0.5, 10.0, factor=10.0, sign=-1.0, name="inverse gamma")
     scale = shape / mean_inv
     return shape, scale
 
