@@ -100,9 +100,6 @@ class RunArtifact:
 # -- ingestion -------------------------------------------------------------
 
 
-_NO_COLUMN = object()  # the cell of a record too short to have the column
-
-
 def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
     """Read one positive number per row from a CSV column.
 
@@ -154,9 +151,11 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
                     start += 1  # first row is a header
                 else:
                     records = itertools.chain([first], records)
-            # record start + i holds cells[i]; a blank record's cell is None
+            # record start + i holds cells[i]: its stripped cell, or where that
+            # is empty or absent the record itself, or None for a blank record
             cells = [
-                (row[idx].strip() if idx < len(row) else "") or _empty_cell(row, idx)
+                (row[idx].strip() if idx < len(row) else "")
+                or (row if any(cell.strip() for cell in row) else None)
                 for row in records
             ]
     except csv.Error as exc:  # a quote never closed reads on to the field size limit
@@ -166,15 +165,17 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
         raise ValueError(f"{path}: no numeric data rows after the header")
     try:
         values = np.fromiter(map(float, data), float, len(data))
-    except (ValueError, TypeError):  # a cell float() refuses, or _NO_COLUMN
-        values = np.fromiter(map(_float_or_nan, data), float, len(data))
-    with np.errstate(over="ignore"):
-        values *= scale
-    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0.0)))
-    if bad.size:
-        k = bad[0]
-        rowno = start + [i for i, cell in enumerate(cells) if cell is not None][k]
-        _check_cell(rowno, data[k], idx, scale)
+        with np.errstate(over="ignore"):
+            values *= scale
+        valid = (np.isfinite(values) & (values > 0.0)).all()
+    except (ValueError, TypeError):  # a cell float() refuses, or a record without one
+        valid = False
+    if not valid:
+        # _check_cell applies the same parse and tests, so the first record
+        # it refuses is the first that failed here
+        for i, cell in enumerate(cells):
+            if cell is not None:
+                _check_cell(start + i, cell, idx, scale)
     return ClaimsDataset(values=values)
 
 
@@ -191,27 +192,14 @@ def _refused_record(path: Path) -> int:
     return count + 1
 
 
-def _empty_cell(row: list[str], idx: int):
-    """The cell kept for a record whose selected cell is empty or absent:
-    None for a blank record, else "" or _NO_COLUMN."""
-    if not any(cell.strip() for cell in row):
-        return None
-    return "" if idx < len(row) else _NO_COLUMN
-
-
-def _float_or_nan(cell) -> float:
-    """float(cell), or nan, which the finite check flags, where float() refuses it."""
-    try:
-        return float(cell)
-    except (ValueError, TypeError):
-        return math.nan
-
-
 def _check_cell(rowno: int, cell, idx: int, scale: float) -> None:
     """Raise the error that names CSV record rowno if its cell, parsed by
-    float() and multiplied by scale, is not a finite positive value."""
-    if cell is _NO_COLUMN:
-        raise ValueError(f"row {rowno}: no column {idx}")
+    float() and multiplied by scale, is not a finite positive value.  cell
+    is the stripped cell, or the record where that is empty or absent."""
+    if isinstance(cell, list):
+        if idx >= len(cell):
+            raise ValueError(f"row {rowno}: no column {idx}")
+        cell = ""
     try:
         v = float(cell)
     except ValueError:
@@ -253,13 +241,24 @@ def _run_config(config: dict, parser) -> dict:
         raise ValueError(f"unknown subcommand in config: {sub!r}")
     # argparse gives main's config the type each flag declares; a stored
     # config is checked against the same declarations.  An int stands for a
-    # float, as on the command line, and a flag whose default is None may
-    # hold None.  A missing key passes here and is refused where it is read.
+    # float, as on the command line, a JSON true is not a number, and a flag
+    # that is not required and defaults to None may hold None.  A missing key
+    # passes here and is refused where it is read.
     for a in parser._actions[-1].choices[sub]._actions:
-        if a.type in (int, float) and not isinstance(
-            config.get(a.dest, 0), (a.type, int, type(a.default))
-        ):
-            raise ValueError(f"config key {a.dest!r} must be a {a.type.__name__}")
+        if a.dest not in config or a.dest == "help":
+            continue
+        value = config[a.dest]
+        if a.const is True:  # a store_true flag
+            kind, ok = "bool", isinstance(value, bool)
+        elif a.type is _model_list:
+            kind = "list of str"
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        else:
+            kind = getattr(a.type, "__name__", "str")
+            ok = isinstance(value, {int: int, float: (int, float)}.get(a.type, str))
+            ok = ok and not isinstance(value, bool)
+        if not (ok or value is None and a.default is None and not a.required):
+            raise ValueError(f"config key {a.dest!r} must be a {kind}")
     return _EXEC[sub](config)
 
 
@@ -507,7 +506,7 @@ def replay_artifact(path) -> RunArtifact:
     Determinism means the new results equal the stored ones.
     """
     payload = json.loads(Path(path).read_text())
-    config = payload.get("config")
+    config = payload.get("config") if isinstance(payload, dict) else None
     if not isinstance(config, dict):
         raise ValueError(f"{path}: the artifact holds no config")
     return RunArtifact(

@@ -20,6 +20,7 @@ lockstep solver.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -429,22 +430,24 @@ def _fit_baseline(model, row):
 # -- reference-model fits --------------------------------------------------
 
 
-def _shape_root(f, lo, hi, *, factor, sign, name):
-    """Root of the scalar f, once [lo, hi] is widened by factor until sign * f
-    is negative at lo, positive at hi.
+def _shape_root(f, lo, hi, *, factor, name):
+    """Root of the increasing scalar f, once [lo, hi] is widened by factor
+    until f is negative at lo, positive at hi.
 
     Each end moves at most 200 times; FitFailureError names the end that
-    found no sign change.  The root is solved as one lane; a score that
-    turns NaN gives a NaN shape, which the baseline density refuses.
+    found no sign change.  The root is solved as one lane, and no point is
+    evaluated twice; a score that turns NaN gives a NaN shape, which the
+    baseline density refuses.
     """
+    f = functools.cache(f)  # the solver starts from the ends the widening evaluated
     for _ in range(200):
-        if sign * f(lo) < 0.0:
+        if f(lo) < 0.0:
             break
         lo /= factor
     else:
         raise FitFailureError(f"{name}: shape equation has no lower bracket")
     for _ in range(200):
-        if sign * f(hi) > 0.0:
+        if f(hi) > 0.0:
             break
         hi *= factor
     else:
@@ -465,13 +468,13 @@ def _fit_weibull(arr: np.ndarray) -> tuple[float, float]:
         w = z**shape
         return float(np.sum(w * logz) / np.sum(w) - 1.0 / shape - mean_log)
 
-    shape = _shape_root(score, 0.5, 2.0, factor=2.0, sign=1.0, name="weibull")
+    shape = _shape_root(score, 0.5, 2.0, factor=2.0, name="weibull")
     scale = s * float(np.mean(z**shape)) ** (1.0 / shape)
     return shape, scale
 
 
 def _fit_inverse_gamma(arr: np.ndarray) -> tuple[float, float]:
-    # log(a) - digamma(a) falls from +inf to 0, so the shape equation
+    # digamma(a) - log(a) rises from -inf to 0, so the shape equation
     # log(a) - digamma(a) = log(mean(1/y)) + mean(log y) has a unique root
     # whenever the right side is positive (strict unless y is constant).
     mean_inv = float(np.mean(1.0 / arr))
@@ -480,10 +483,12 @@ def _fit_inverse_gamma(arr: np.ndarray) -> tuple[float, float]:
     if not rhs > 0.0:
         raise FitFailureError("inverse gamma: degenerate sample, no shape root")
 
+    # the shape equation negated, so that it increases: rounding is symmetric
+    # under negation, so each value is the negation of log(a) - digamma(a) - rhs
     def h(a: float) -> float:
-        return math.log(a) - float(digamma(a)) - rhs
+        return float(digamma(a)) - math.log(a) + rhs
 
-    shape = _shape_root(h, 0.5, 10.0, factor=10.0, sign=-1.0, name="inverse gamma")
+    shape = _shape_root(h, 0.5, 10.0, factor=10.0, name="inverse gamma")
     scale = shape / mean_inv
     return shape, scale
 

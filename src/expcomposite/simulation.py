@@ -49,6 +49,10 @@ class Scenario:
         if not self.model.is_composite:
             raise ValueError(f"recovery studies need a composite model, got {self.model}")
         build(self.model, self.true_theta, self.true_eta)  # build's checks of theta and eta
+        for name in ("n", "r", "base_seed"):  # sample's rule for n
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 10:
             raise ValueError(f"sample size must be >= 10, got {self.n}")
         if self.r < 1:

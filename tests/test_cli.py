@@ -751,13 +751,21 @@ def test_replay_refuses_a_missing_key_by_name(tmp_path, capsys, argv_name, key):
     ("density", "points", "20"),
     ("density", "theta", "1"),
     ("simulate", "r", 2.5),
+    ("compare", "models", 5),
+    ("compare", "models", "exp-exp-pareto,weibull"),
+    ("fit", "data", 5),
+    ("fit", "data", None),
+    ("density", "points", True),
+    ("density", "theta", None),
+    ("density", "cdf", 1),
 ])
 def test_replay_refuses_a_value_of_the_wrong_type_by_name(tmp_path, capsys, argv_name,
                                                           key, value):
     # argparse converts each value main sees; a hand-edited config is refused
     # with a ValueError naming the key, not a TypeError from inside _exec_*
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
     art = tmp_path / "run.json"
-    assert main(REPLAY_ARGV[argv_name] + ["--json", str(art)]) == 0
+    assert main(with_data(REPLAY_ARGV[argv_name], data) + ["--json", str(art)]) == 0
     capsys.readouterr()
     payload = json.loads(art.read_text())
     payload["config"][key] = value
@@ -774,7 +782,10 @@ def test_replay_refuses_an_unknown_subcommand(tmp_path, subcommand):
         replay_artifact(art)
 
 
-@pytest.mark.parametrize("payload", [{"command": ["fit"]}, {"config": None}, {"config": []}])
+@pytest.mark.parametrize("payload", [
+    {"command": ["fit"]}, {"config": None}, {"config": []},
+    [{"config": {"subcommand": "fit"}}], "config", None,
+])
 def test_replay_refuses_an_artifact_without_a_config(tmp_path, payload):
     art = tmp_path / "run.json"
     art.write_text(json.dumps(payload))

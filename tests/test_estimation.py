@@ -862,6 +862,19 @@ def test_weibull_fit_matches_scipy():
     assert (res.n, res.p) == (200, 2)
 
 
+@pytest.mark.parametrize("root", [1e-3, 1.3, 400.0])
+def test_shape_root_evaluates_each_point_once(root):
+    # the solver starts from the bracket ends the widening evaluated
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.log(x / root)
+
+    assert estimation._shape_root(f, 0.5, 2.0, factor=2.0, name="f") == pytest.approx(root)
+    assert len(seen) == len(set(seen))
+
+
 def test_inverse_gamma_fit_matches_scipy():
     res = fit(ModelId.INVERSE_GAMMA, SAMPLE_IG)
     # scipy's generic optimizer stops with a looser score residual, so it is

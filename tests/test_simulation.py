@@ -63,6 +63,14 @@ def test_scenario_applies_builds_checks_at_construction(kw):
         _scenario(**kw)
 
 
+@pytest.mark.parametrize("kw", [dict(n=50.0), dict(r=2.5), dict(base_seed=1.0), dict(n="50")])
+def test_scenario_refuses_a_non_integer_count_at_construction(kw):
+    # each once constructed and failed only inside run_scenario's sampling
+    (name, value), = kw.items()
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+        _scenario(**kw)
+
+
 def test_single_replicate_equals_direct_fit():
     sc = _scenario(r=1, n=60, base_seed=42)
     report = run_scenario(sc)
