@@ -125,10 +125,13 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
     except (TypeError, ValueError):
         pass
 
+    # zip draws each record before its number, so where the reader refuses a
+    # record, the next number is that record's
+    numbers = itertools.count(1)
     try:
         with open(p, newline="", encoding="utf-8-sig") as fh:
-            records = csv.reader(fh)
-            for start, first in enumerate(records, start=1):
+            records = zip(csv.reader(fh), numbers)
+            for first, start in records:
                 if any(cell.strip() for cell in first):
                     break
             else:
@@ -150,16 +153,16 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
                 except ValueError:
                     start += 1  # first row is a header
                 else:
-                    records = itertools.chain([first], records)
+                    records = itertools.chain([(first, start)], records)
             # record start + i holds cells[i]: its stripped cell, or where that
             # is empty or absent the record itself, or None for a blank record
             cells = [
                 (row[idx].strip() if idx < len(row) else "")
                 or (row if any(cell.strip() for cell in row) else None)
-                for row in records
+                for row, _ in records
             ]
     except csv.Error as exc:  # a quote never closed reads on to the field size limit
-        raise ValueError(f"{path}: record {_refused_record(p)}: {exc}") from None
+        raise ValueError(f"{path}: record {next(numbers)}: {exc}") from None
     data = [cell for cell in cells if cell is not None]
     if not data:
         raise ValueError(f"{path}: no numeric data rows after the header")
@@ -177,19 +180,6 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
             if cell is not None:
                 _check_cell(start + i, cell, idx, scale)
     return ClaimsDataset(values=values)
-
-
-def _refused_record(path: Path) -> int:
-    """The 1-based number of the first record csv.reader refuses in path."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        records = csv.reader(fh)
-        count = 0
-        try:
-            for count, _ in enumerate(records, start=1):
-                pass
-        except csv.Error:
-            pass
-    return count + 1
 
 
 def _check_cell(rowno: int, cell, idx: int, scale: float) -> None:
@@ -509,8 +499,11 @@ def replay_artifact(path) -> RunArtifact:
     config = payload.get("config") if isinstance(payload, dict) else None
     if not isinstance(config, dict):
         raise ValueError(f"{path}: the artifact holds no config")
+    command = payload.get("command", [])
+    if not (isinstance(command, list) and all(isinstance(arg, str) for arg in command)):
+        raise ValueError(f"{path}: the artifact's 'command' must be a list of str")
     return RunArtifact(
-        command=tuple(payload.get("command", ())),
+        command=tuple(command),
         config=config,
         columns=_run_config(config, build_parser()),
     )

@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .special import _as_batch, _maybe_scalar, adaptive_quadrature
+from .special import _as_batch, _is_integer, _maybe_scalar, adaptive_quadrature
 
 __all__ = [
     "InfiniteMomentError",
@@ -234,11 +234,14 @@ class ExponentiatedComposite:
         """n inversion draws from a seeded generator; same seed, same draws.
 
         A sequence of seeds gives a (seeds, n) matrix whose row i is
-        sample(n, seed[i]), inverted in one quantile call.
+        sample(n, seed[i]), inverted in one quantile call.  n and a single
+        seed must be an int or a numpy integer, not a bool.
         """
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
+        if not (_is_integer(n) and n >= 1):
             raise ValueError(f"sample size must be a positive integer, got {n}")
-        one = isinstance(seed, (int, np.integer))
+        one = not np.iterable(seed)
+        if one and not _is_integer(seed):
+            raise ValueError(f"seed must be an integer or a sequence of them, got {seed!r}")
         u = np.array([np.random.default_rng(s).random(int(n)) for s in ([seed] if one else seed)])
         y = np.asarray(self.quantile(u))
         return y[0] if one else y

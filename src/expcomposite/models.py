@@ -9,10 +9,10 @@ at the breakpoint, so theta is the only free parameter of the parent and
 the exponentiated family adds the power exponent eta as a second one.
 
 Shape constants are stored at their published precision.  Normalizing
-constants are recomputed from the shapes at machine precision when a
-model is built, since a constant truncated to three decimals would leak a
-visible normalization defect into every integral and sample; the recorded
-values are kept alongside and checked against the exact ones in tests.
+constants are computed once from the shapes at machine precision, since
+a constant truncated to three decimals would leak a visible
+normalization defect into every integral and sample; the recorded values
+are kept alongside and checked against the exact ones in tests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from scipy import special as _special
@@ -122,11 +122,13 @@ _COMPOSITE = {
 # -- normalizers and exactly solved constants -----------------------------
 
 
+@cache
 def exp_pareto_normalizer() -> float:
     """Exact c = 1/(2 - e^-(alpha+1)) for the shape constant alpha."""
     return 1.0 / (2.0 - math.exp(-(EXP_PARETO.alpha + 1.0)))
 
 
+@cache
 def ig_pareto_normalizer() -> float:
     """Exact c = Gamma(alpha) / (Gamma(alpha) + Gamma(alpha, k))."""
     g = math.exp(math.lgamma(IG_PARETO.alpha))
@@ -145,24 +147,11 @@ def ig_pareto_spec(theta: float) -> CompositeSpec:
     """
     _check_theta(theta)
     alpha = IG_PARETO.alpha
-    k = IG_PARETO.k
     log_beta, beta = _ig_head(theta)
-    lg = math.lgamma(alpha)
-
-    def head_density(x):
-        return _on_support(
-            x,
-            _positive,
-            lambda xp: np.exp(
-                alpha * log_beta - (alpha + 1.0) * np.log(xp) - beta / xp - lg
-            ),
-        )
-
-    def head_cdf(u):
-        return _on_support(u, _positive, lambda up: _special.gammaincc(alpha, beta / up))
+    head = InverseGammaDensity(alpha, beta)
 
     def head_partial_moment(u, r):
-        scale = math.exp(r * log_beta - lg)
+        scale = math.exp(r * log_beta - math.lgamma(alpha))
         return _on_support(
             u, _positive, lambda up: scale * upper_incomplete_gamma(alpha - r, beta / up)
         )
@@ -171,14 +160,14 @@ def ig_pareto_spec(theta: float) -> CompositeSpec:
         return beta / _special.gammainccinv(alpha, np.asarray(q, dtype=float))
 
     return CompositeSpec(
-        head_density=head_density,
+        head_density=head.pdf,
         breakpoint=theta,
         norm_const=ig_pareto_normalizer(),
-        head_cdf=head_cdf,
+        head_cdf=head.cdf,
         head_partial_moment=head_partial_moment,
         head_log_density=partial(_ig_head_log_density, log_beta=log_beta, beta=beta),
         head_ppf=head_ppf,
-        **_pareto_tail(theta, alpha - k),
+        **_pareto_tail(theta, alpha - IG_PARETO.k),
     )
 
 
@@ -419,19 +408,20 @@ def build(model: ModelId, theta: float, eta: float = 1.0) -> ExponentiatedCompos
     ValueError: WeibullDensity and InverseGammaDensity take their own
     (shape, scale).
     """
-    family = model.composite_family
-    spec = ig_pareto_spec(theta) if family == "ig" else exp_pareto_spec(theta)
+    spec = _HEADS[model.composite_family][0](theta)
     fixed = model.fixed_exponent
     if fixed is not None and eta != fixed:
         raise ValueError(f"{model.value} fixes eta = {fixed}, got {eta}")
     return ExponentiatedComposite(spec, eta)
 
 
-# head family -> (head parameters at theta, head log density, tail exponent,
-# normalizer)
-_LOG_PIECES = {
-    "ig": (_ig_head, _ig_head_log_density, IG_PARETO.alpha - IG_PARETO.k, ig_pareto_normalizer),
-    "exp": (_exp_head, _exp_head_log_density, EXP_PARETO.alpha, exp_pareto_normalizer),
+# head family -> (spec builder, head parameters at theta, head log density,
+# tail exponent, normalizer)
+_HEADS = {
+    "ig": (ig_pareto_spec, _ig_head, _ig_head_log_density, IG_PARETO.alpha - IG_PARETO.k,
+           ig_pareto_normalizer),
+    "exp": (exp_pareto_spec, _exp_head, _exp_head_log_density, EXP_PARETO.alpha,
+            exp_pareto_normalizer),
 }
 
 
@@ -443,7 +433,7 @@ def log_pdf_rows(model: ModelId, thetas, etas, y: np.ndarray) -> np.ndarray:
     pieces are the spec's formulas over parameter columns, so every value
     has the bits log_pdf gives it.
     """
-    head_params, head_log_density, exponent, normalizer = _LOG_PIECES[model.composite_family]
+    _, head_params, head_log_density, exponent, normalizer = _HEADS[model.composite_family]
     head = np.array([head_params(theta) for theta in thetas])
     log_theta = np.array([math.log(theta) for theta in thetas])[:, None]
     eta = np.array(etas, dtype=float)[:, None]

@@ -18,6 +18,7 @@ import numpy as np
 from . import estimation
 from .estimation import FitFailureError, fit_batch
 from .models import ModelId, build
+from .special import _is_integer
 
 __all__ = [
     "Scenario",
@@ -49,9 +50,9 @@ class Scenario:
         if not self.model.is_composite:
             raise ValueError(f"recovery studies need a composite model, got {self.model}")
         build(self.model, self.true_theta, self.true_eta)  # build's checks of theta and eta
-        for name in ("n", "r", "base_seed"):  # sample's rule for n
+        for name in ("n", "r", "base_seed"):  # the rule sample applies to n
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 10:
             raise ValueError(f"sample size must be >= 10, got {self.n}")

@@ -54,6 +54,11 @@ class QuadratureResult:
             raise ValueError("evaluations must be at least 1")
 
 
+def _is_integer(value) -> bool:
+    """Whether value is an int or a numpy integer; a bool is neither."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_batch(x) -> tuple[np.ndarray, bool]:
     """x as a 1-d float array, and whether it came in as a scalar."""
     arr = np.asarray(x, dtype=float)

@@ -160,6 +160,23 @@ def test_an_unclosed_quote_names_its_record(tmp_path, capsys):
         assert err.startswith("error: ") and "record 3" in err and "Traceback" not in err
 
 
+def test_an_unclosed_quote_is_named_in_one_read(tmp_path, monkeypatch):
+    # the record csv.reader refuses is numbered as it is read, not by
+    # reading the file a second time
+    p = tmp_path / "unclosed.csv"
+    p.write_text("1.0\n\n" + '"1.5\n' + "2.5\n" * 60_000)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    with pytest.raises(ValueError, match=r"unclosed\.csv: record 3: field larger than field limit"):
+        ingest_csv(p)
+    assert opened == [p]
+
+
 def test_ingest_reads_a_byte_order_mark(tmp_path):
     # a spreadsheet's "CSV UTF-8" starts with U+FEFF, which is not part of
     # the first cell
@@ -772,6 +789,23 @@ def test_replay_refuses_a_value_of_the_wrong_type_by_name(tmp_path, capsys, argv
     art.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"config key '{key}'"):
         replay_artifact(art)
+
+
+@pytest.mark.parametrize("command", [5, "density", ["density", 5], None])
+def test_replay_refuses_a_command_that_is_not_a_list_of_str(tmp_path, capsys, command):
+    art = tmp_path / "run.json"
+    assert main(REPLAY_ARGV["density"] + ["--json", str(art)]) == 0
+    capsys.readouterr()
+    payload = json.loads(art.read_text())
+    payload["command"] = command
+    art.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="the artifact's 'command' must be a list of str"):
+        replay_artifact(art)
+    # an artifact without a command replays with an empty one
+    del payload["command"]
+    art.write_text(json.dumps(payload))
+    replayed = replay_artifact(art)
+    assert replayed.command == () and list(replayed.results) == payload["results"]
 
 
 @pytest.mark.parametrize("subcommand", ["frobnicate", ["fit"]])

@@ -288,6 +288,11 @@ def test_sampling_deterministic_and_plausible():
     assert head_frac == pytest.approx(d.cdf(d.breakpoint), abs=0.03)
     with pytest.raises(ValueError):
         d.sample(0, seed=1)
+    # a bool is not an integer, as a count or as a seed
+    with pytest.raises(ValueError, match="sample size"):
+        d.sample(True, seed=1)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        d.sample(3, True)
 
 
 def test_sampling_many_seeds_gives_each_seed_its_row():

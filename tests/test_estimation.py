@@ -875,6 +875,26 @@ def test_shape_root_evaluates_each_point_once(root):
     assert len(seen) == len(set(seen))
 
 
+@pytest.mark.parametrize("model,message", [
+    (ModelId.WEIBULL, "weibull: shape equation has no upper bracket"),
+    (ModelId.INVERSE_GAMMA, "inverse gamma: degenerate sample, no shape root"),
+])
+def test_a_constant_sample_has_no_baseline_shape(model, message):
+    # the Weibull score of a constant sample is -1/shape at every shape, and
+    # its inverse gamma shape equation has a right side of 0
+    with pytest.raises(FitFailureError, match=f"^{message}$"):
+        fit(model, np.full(20, 3.0))
+
+
+def test_fit_batch_returns_a_baseline_row_failure_with_the_others_fits():
+    good = SAMPLE[:20]
+    (failed, fitted), wide = fit_batch(ModelId.WEIBULL, np.array([np.full(20, 3.0), good]))
+    assert isinstance(failed, FitFailureError)
+    assert str(failed) == "weibull: shape equation has no upper bracket"
+    assert fitted == fit(ModelId.WEIBULL, good)
+    assert wide.tolist() == [False, False]
+
+
 def test_inverse_gamma_fit_matches_scipy():
     res = fit(ModelId.INVERSE_GAMMA, SAMPLE_IG)
     # scipy's generic optimizer stops with a looser score residual, so it is

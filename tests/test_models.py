@@ -11,6 +11,7 @@ import pytest
 import scipy.stats as st
 from hypothesis import given, strategies as hst
 
+from expcomposite import models
 from expcomposite.composite import (
     ExponentiatedComposite,
     InfiniteMomentError,
@@ -552,3 +553,27 @@ def test_log_pdf_rows_is_each_rows_log_pdf(model, params, n):
     got = log_pdf_rows(model, thetas, etas, y)
     for got_row, theta, eta, row in zip(got, thetas, etas, y):
         assert got_row.tobytes() == build(model, theta, eta).log_pdf(row).tobytes()
+
+
+def test_the_ig_normalizer_is_computed_once(monkeypatch):
+    # once a model is built, building more and a log_pdf_rows sweep reuse
+    # the ig normalizer instead of evaluating its incomplete gamma again
+    build(ModelId.EXP_IG_PARETO, 1.0, 0.8)
+    real = models.upper_incomplete_gamma
+    calls = []
+
+    def counting(a, x):
+        calls.append((a, x))
+        return real(a, x)
+
+    monkeypatch.setattr(models, "upper_incomplete_gamma", counting)
+    thetas = np.linspace(0.2, 5.0, 100).tolist()
+    for theta in thetas:
+        build(ModelId.EXP_IG_PARETO, theta, 0.8)
+    y = np.geomspace(0.01, 100.0, 50 * 30).reshape(50, 30)
+    log_pdf_rows(ModelId.EXP_IG_PARETO, thetas[:50], [0.8] * 50, y)
+    assert ig_pareto_normalizer() == pytest.approx(C_IG, rel=1e-15)
+    assert calls == []
+    # the head partial moments still go through it
+    build(ModelId.EXP_IG_PARETO, 1.0, 0.8).moment(0.1)
+    assert calls

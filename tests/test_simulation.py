@@ -63,7 +63,10 @@ def test_scenario_applies_builds_checks_at_construction(kw):
         _scenario(**kw)
 
 
-@pytest.mark.parametrize("kw", [dict(n=50.0), dict(r=2.5), dict(base_seed=1.0), dict(n="50")])
+@pytest.mark.parametrize("kw", [
+    dict(n=50.0), dict(r=2.5), dict(base_seed=1.0), dict(n="50"),
+    dict(n=True), dict(r=True), dict(base_seed=False),
+])
 def test_scenario_refuses_a_non_integer_count_at_construction(kw):
     # each once constructed and failed only inside run_scenario's sampling
     (name, value), = kw.items()

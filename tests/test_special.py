@@ -207,6 +207,18 @@ def test_root_refuses_nan_at_an_end(sign, nan_at):
     assert root[1] == find_roots_bracketed(_lanes(math.cos), [0.0], [3.0])[0][0]
 
 
+def test_root_refuses_a_lane_that_turns_nan_mid_solve():
+    # the ends are finite, the first secant step lands on the NaN stretch
+    def f(x):
+        return math.nan if 0.25 < x < 0.35 else x - 0.3
+
+    with pytest.raises(ValueError):
+        find_root_bracketed(f, 0.0, 1.0)
+    root, ok = find_roots_bracketed(_lanes(f, math.cos), [0.0, 1.0], [1.0, 2.0])
+    assert ok.tolist() == [False, True] and math.isnan(root[0])
+    assert root[1] == find_root_bracketed(math.cos, 1.0, 2.0)
+
+
 @given(target=st.floats(min_value=-5.0, max_value=5.0))
 def test_root_linear_exact(target):
     root, ok = find_roots_bracketed(_lanes(lambda x: x - target), [-6.0], [6.0])
