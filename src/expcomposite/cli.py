@@ -26,6 +26,7 @@ from .estimation import FitFailureError, fit
 from .gof import CRITERIA, score
 from .models import ModelId, build
 from .simulation import Scenario, reproduce_recovery_tables, run_scenario
+from .special import _is_integer
 
 __all__ = [
     "ClaimsDataset",
@@ -103,9 +104,11 @@ class RunArtifact:
 def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
     """Read one positive number per row from a CSV column.
 
-    column is a 0-based index or a header name; a header row is detected
-    automatically when the selected cell of the first non-blank row is not
-    numeric (a row too short to have that cell is data, and refused).  The
+    column is a 0-based index (an int or a numpy integer, not a bool) or a
+    str, which names a header unless int() reads it as an index; any other
+    type is refused.  A header row is detected automatically when the
+    selected cell of the first non-blank row is not numeric (a row too
+    short to have that cell is data, and refused).  The
     file is read as UTF-8, with or without a byte-order mark.  Rows whose
     cells are all blank are skipped.  An error names the offending row as
     its 1-based CSV record number: blank records count, and a quoted cell
@@ -115,6 +118,8 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
     """
     if not 0.0 < scale < math.inf:
         raise ValueError(f"--scale must be positive and finite, got {scale}")
+    if not (isinstance(column, str) or _is_integer(column)):
+        raise ValueError(f"column must be a str or an integer, got {column!r}")
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"no such file: {path}")
@@ -122,7 +127,7 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
     try:
         idx = int(column)
         by_name = False
-    except (TypeError, ValueError):
+    except ValueError:
         pass
 
     # zip draws each record before its number, so where the reader refuses a

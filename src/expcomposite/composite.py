@@ -101,8 +101,8 @@ class CompositeSpec:
     tail_moment_sup: float
 
     def __post_init__(self) -> None:
-        if not self.breakpoint > 0.0:
-            raise ValueError(f"breakpoint must be > 0, got {self.breakpoint}")
+        if not 0.0 < self.breakpoint < math.inf:
+            raise ValueError(f"breakpoint must be positive and finite, got {self.breakpoint}")
         if not 0.0 < self.norm_const <= 1.0:
             raise ValueError(
                 f"normalizing constant must lie in (0, 1], got {self.norm_const}"
@@ -234,15 +234,21 @@ class ExponentiatedComposite:
         """n inversion draws from a seeded generator; same seed, same draws.
 
         A sequence of seeds gives a (seeds, n) matrix whose row i is
-        sample(n, seed[i]), inverted in one quantile call.  n and a single
-        seed must be an int or a numpy integer, not a bool.
+        sample(n, seed[i]), inverted in one quantile call; an empty one gives
+        a (0, n) matrix.  n and each seed must be an int or a numpy integer,
+        not a bool.
         """
         if not (_is_integer(n) and n >= 1):
             raise ValueError(f"sample size must be a positive integer, got {n}")
         one = not np.iterable(seed)
         if one and not _is_integer(seed):
             raise ValueError(f"seed must be an integer or a sequence of them, got {seed!r}")
-        u = np.array([np.random.default_rng(s).random(int(n)) for s in ([seed] if one else seed)])
+        seeds = [seed] if one else list(seed)
+        for i, s in enumerate(seeds):
+            if not _is_integer(s):
+                raise ValueError(f"seed {i} of the sequence must be an integer, got {s!r}")
+        u = np.array([np.random.default_rng(s).random(int(n)) for s in seeds])
+        u = u.reshape(len(seeds), int(n))
         y = np.asarray(self.quantile(u))
         return y[0] if one else y
 

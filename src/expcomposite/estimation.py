@@ -21,6 +21,7 @@ lockstep solver.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -241,12 +242,6 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
     return np.where(found, ll, -np.inf), m, found
 
 
-def _scan_pass(family, etas, reps, logz, prefix_log):
-    """_scan of each replicate of reps at every exponent of etas, as (reps, etas) arrays."""
-    rows = _scan(family, np.tile(etas, reps.size), np.repeat(reps, etas.size), logz, prefix_log)
-    return tuple(a.reshape(reps.size, etas.size) for a in rows)
-
-
 def _search(family, logz, prefix_log):
     """Per replicate (row of logz): its (eta, m) maximizing the profile
     likelihood, or None; and a mask of the replicates that ran the wide pass.
@@ -255,49 +250,45 @@ def _search(family, logz, prefix_log):
     none has a valid split (argmax of all -inf is 0), the wide pass over
     1e-20 to 1e20 replaces it.  Each local peak of a replicate's pass is
     bracketed by its neighbours, and the brackets of all replicates solve
-    the profile score in lockstep; a replicate's best root wins unless its
-    best scanned exponent is better.
+    the profile score in lockstep.  Each peak offers its root and its
+    scanned exponent: a replicate's fit is the first maximum of its roots,
+    then its scanned peaks, both in peak order, so a root beats a scanned
+    exponent it ties, and the smallest of tied scanned exponents wins.  A
+    pass's ll is finite at a valid split and -inf elsewhere, never NaN, so a
+    replicate has a peak (its pass's first maximum) iff it has a valid split.
     """
+
+    def scan_pass(etas, rows):
+        """_scan's (ll, m) of each replicate of rows at every exponent of etas."""
+        grid = np.tile(etas, rows.size), np.repeat(rows, etas.size)
+        ll, m, _ = _scan(family, *grid, logz, prefix_log)
+        return ll.reshape(rows.size, etas.size), m.reshape(rows.size, etas.size)
+
     reps = np.arange(logz.shape[0])
-    coarse = _scan_pass(family, _COARSE_PASS, reps, logz, prefix_log)
-    top = np.argmax(coarse[0], axis=1)
+    ll, m = scan_pass(_COARSE_PASS, reps)
+    top = np.argmax(ll, axis=1)
     wide = (top == 0) | (top == _COARSE_PASS.size - 1)
-    passes = [(_COARSE_PASS, reps[~wide], *(a[~wide] for a in coarse))]
+    passes = [(_COARSE_PASS, reps[~wide], ll[~wide], m[~wide])]
     if wide.any():
-        passes.append(
-            (_WIDE_PASS, reps[wide], *_scan_pass(family, _WIDE_PASS, reps[wide], logz, prefix_log))
-        )
-    scanned = [None] * reps.size  # (ll, eta, m) of each replicate's best exponent
-    lane_rep, lo, hi = [], [], []
-    for etas, rows, ll, m, found in passes:
+        passes.append((_WIDE_PASS, reps[wide], *scan_pass(_WIDE_PASS, reps[wide])))
+    peaks = []  # per pass, the (replicate, lo, hi, ll, eta, m) of each local peak
+    for etas, rows, ll, m in passes:
         edge = np.full((rows.size, 1), -np.inf)
         left, right = np.hstack((edge, ll[:, :-1])), np.hstack((ll[:, 1:], edge))
         row, peak = np.nonzero((ll > left) & (ll >= right))
-        lane_rep.append(rows[row])
-        lo.append(etas[np.maximum(peak - 1, 0)])
-        hi.append(etas[np.minimum(peak + 1, etas.size - 1)])
-        best = np.argmax(ll, axis=1)  # ties resolve to the smallest exponent
-        at = np.arange(rows.size)
-        tops = zip(ll[at, best], etas[best], m[at, best])
-        for rep, any_found, (ll_top, eta, m_top) in zip(rows, found.any(axis=1), tops):
-            if any_found:
-                scanned[rep] = (ll_top, float(eta), int(m_top))
-    lane_rep = np.concatenate(lane_rep)
+        lo, hi = etas[np.maximum(peak - 1, 0)], etas[np.minimum(peak + 1, etas.size - 1)]
+        peaks.append((rows[row], lo, hi, ll[row, peak], etas[peak], m[row, peak]))
+    lane_rep, lo, hi, *peak_scan = map(np.concatenate, zip(*peaks))
     root, ok = find_roots_bracketed(
-        lambda x, lanes: _scan(family, x, lane_rep[lanes], logz, prefix_log, score=True),
-        np.concatenate(lo),
-        np.concatenate(hi),
+        lambda x, lanes: _scan(family, x, lane_rep[lanes], logz, prefix_log, score=True), lo, hi
     )
-    lane_rep, root = lane_rep[ok], root[ok]
-    ll_root, m_root, _ = _scan(family, root, lane_rep, logz, prefix_log)
-    roots = [[] for _ in reps]  # (ll, eta, m) of each replicate's roots, in peak order
-    for rep, ll_r, eta, m_r in zip(lane_rep, ll_root, root, m_root):
-        roots[rep].append((ll_r, float(eta), int(m_r)))
-    best = [
-        None if top is None else max([*mine, top], key=lambda f: f[0])[1:]
-        for mine, top in zip(roots, scanned)
-    ]
-    return best, wide
+    ll_root, m_root, _ = _scan(family, root[ok], lane_rep[ok], logz, prefix_log)
+    candidates = [[] for _ in reps]  # (ll, eta, m) of each replicate's roots, then scanned peaks
+    for rep, ll_c, eta, m_c in itertools.chain(
+        zip(lane_rep[ok], ll_root, root[ok], m_root), zip(lane_rep, *peak_scan)
+    ):
+        candidates[rep].append((ll_c, float(eta), int(m_c)))
+    return [max(c, key=lambda f: f[0])[1:] if c else None for c in candidates], wide
 
 
 def fit(model: ModelId, y):

@@ -91,6 +91,20 @@ def test_ingest_errors_name_the_row(tmp_path):
         ingest_csv(p, column=1)
 
 
+def test_ingest_column_is_a_str_or_an_integer(tmp_path):
+    p = tmp_path / "two.csv"
+    p.write_text("1,2\n3,4\n")
+    for column in (1, np.int64(1), "1", " 1 "):
+        assert ingest_csv(p, column=column).values.tolist() == [2.0, 4.0]
+    # int() would truncate these to an index: 1.7 and True read column 1,
+    # -0.5 column 0
+    for column in (1.7, True, -0.5, 1.0, None, [1]):
+        with pytest.raises(ValueError, match=r"^column must be a str or an integer, got "):
+            ingest_csv(p, column=column)
+    with pytest.raises(ValueError, match=r"got 1\.7$"):
+        ingest_csv(p, column=1.7)
+
+
 def test_ingest_structural_errors(tmp_path):
     with pytest.raises(ValueError, match="no such file"):
         ingest_csv(tmp_path / "missing.csv")

@@ -174,6 +174,12 @@ def test_spec_validation():
         rough_spec(theta=-1.0)
     with pytest.raises(ValueError):
         dataclasses.replace(rough_spec(), norm_const=1.5)
+    # a breakpoint must be finite, as build requires of theta: at an infinite
+    # one the composite's cdf would stop short of 1
+    for spec in (rough_spec(), exp_pareto_spec(1.0)):
+        for breakpoint in (math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError, match="breakpoint must be positive and finite"):
+                dataclasses.replace(spec, breakpoint=breakpoint)
 
 
 def test_total_mass_is_one():
@@ -301,6 +307,20 @@ def test_sampling_many_seeds_gives_each_seed_its_row():
     assert rows.shape == (4, 30)
     for seed, row in zip(range(5, 9), rows):
         assert row.tobytes() == d.sample(30, seed=seed).tobytes()
+    assert d.sample(30, np.arange(5, 9)).tobytes() == rows.tobytes()
+    assert d.sample(30, iter(range(5, 9))).tobytes() == rows.tobytes()
+    assert d.sample(30, []).shape == (0, 30)
+    # each seed of a sequence is an integer, as a single seed is: a bool
+    # would draw seed 1's row, and numpy would refuse a float or a str with
+    # a TypeError
+    for seeds, message in (
+        ([True], "^seed 0 of the sequence must be an integer, got True$"),
+        ([5, 2.5], "^seed 1 .*, got 2.5$"),
+        ("ab", "^seed 0 .*, got 'a'$"),
+        ([5, None], "^seed 1 .*, got None$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            d.sample(3, seeds)
 
 
 def test_sampling_overflow_raises():

@@ -590,6 +590,38 @@ def test_lockstep_search_solves_each_bimodal_profile_as_brentq_does(profiles):
         assert got == alone == _per_bracket_search(ell, score)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    profiles=hst.lists(
+        hst.tuples(
+            hst.floats(min_value=math.log(0.1), max_value=math.log(0.3)),
+            hst.floats(min_value=2.0, max_value=3.0),
+            hst.sampled_from([1.0, 2.0, 3.0]),
+            hst.sampled_from([1.0, 2.0, 3.0]),
+            hst.sampled_from([0.0, 1.0, math.inf]),
+            hst.integers(min_value=0, max_value=2),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_search_breaks_exact_ties_as_the_per_bracket_rule_does(profiles):
+    # Two-bump profiles rounded to a few decimals tie exactly: the scanned
+    # exponents of a plateau, the two peaks of equal bumps, and a root whose
+    # ll equals its peak's scanned ll.  A score that reads +1 below the
+    # midpoint, or everywhere, leaves one peak or none a root.  A root wins
+    # a tie with a scanned exponent, and among tied scanned exponents the
+    # smallest wins.
+    built = []
+    for first, gap, h1, h2, flat, decimals in profiles:
+        ell, score = _two_bumps(
+            (h1, h2), (first, first + gap), flat_below=math.exp(first + gap / 2) * flat
+        )
+        built.append((lambda eta, ell=ell, decimals=decimals: np.round(ell(eta), decimals), score))
+    together, _ = _search_profiles(built)
+    assert together == [_per_bracket_search(ell, score) for ell, score in built]
+
+
 def _fit_or_refusal(model, y):
     """fit's result, whose repr spells every float exactly, or its refusal."""
     try:
