@@ -12,7 +12,6 @@ from .composite import (
     ExponentiatedComposite,
     InfiniteMomentError,
     VerificationReport,
-    as_composite_spec,
     verify_composite,
 )
 from .estimation import (
@@ -62,7 +61,6 @@ __all__ = [
     "SimulationReport",
     "VerificationReport",
     "WeibullDensity",
-    "as_composite_spec",
     "build",
     "exp_pareto_normalizer",
     "fit",

@@ -105,12 +105,13 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
     """Read one positive number per row from a CSV column.
 
     column is a 0-based index (an int or a numpy integer, not a bool) or a
-    str, which names a header unless int() reads it as an index; any other
-    type is refused.  A header row is detected automatically when the
-    selected cell of the first non-blank row is not numeric (a row too
-    short to have that cell is data, and refused).  The
-    file is read as UTF-8, with or without a byte-order mark.  Rows whose
-    cells are all blank are skipped.  An error names the offending row as
+    str.  A str whose stripped text is ASCII digits is an index; any other
+    str names a header, so "1_0", "+1", "-1" and non-ASCII digits are names.
+    Any other type is refused.  A header row is detected automatically when
+    the selected cell of the first non-blank row is not numeric (a row too
+    short to have that cell is data, and refused).  The file is read as
+    UTF-8, with or without a byte-order mark.  Rows whose cells are all
+    blank are skipped.  An error names the offending row as
     its 1-based CSV record number: blank records count, and a quoted cell
     that spans lines is one record, so a quote never closed is named by
     the record it opens.  Each cell is parsed by float() and then
@@ -123,12 +124,10 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"no such file: {path}")
-    by_name = True
-    try:
+    text = column.strip() if isinstance(column, str) else None
+    by_name = text is not None and not (text.isascii() and text.isdigit())
+    if not by_name:
         idx = int(column)
-        by_name = False
-    except ValueError:
-        pass
 
     # zip draws each record before its number, so where the reader refuses a
     # record, the next number is that record's
@@ -143,10 +142,9 @@ def ingest_csv(path, column=0, scale: float = 1.0) -> ClaimsDataset:
                 raise ValueError(f"{path}: file has no data rows")
             if by_name:
                 names = [cell.strip() for cell in first]
-                wanted = str(column).strip()
-                if wanted not in names:
-                    raise ValueError(f"column {wanted!r} not found in header {names}")
-                idx = names.index(wanted)
+                if text not in names:
+                    raise ValueError(f"column {text!r} not found in header {names}")
+                idx = names.index(text)
                 start += 1
             else:
                 if idx < 0:
@@ -357,7 +355,8 @@ def _exec_simulate(config: dict) -> dict:
             **{k: getattr(rep.scenario, k)
                for k in ("true_eta", "true_theta", "n", "r", "base_seed")},
             **{k: getattr(rep, k)
-               for k in ("eta_mean", "theta_mean", "eta_sd", "theta_sd", "failures")},
+               for k in ("eta_mean", "theta_mean", "eta_sd", "theta_sd", "failures",
+                         "wide_passes")},
         }
         for rep in reports
     ])
@@ -532,7 +531,8 @@ def _add_io_flags(sub) -> None:
 def _add_data_flags(sub) -> None:
     sub.add_argument("data", help="CSV file with one claim per row")
     sub.add_argument("--column", default="0",
-                     help="CSV column, 0-based index or header name (default 0)")
+                     help="CSV column: a 0-based index written in ASCII digits, "
+                     "else a header name (default 0)")
     sub.add_argument("--scale", type=float, default=1.0,
                      help="multiply parsed values by this factor")
 

@@ -19,17 +19,15 @@ exponentiated composite with density
 
     c * f_i(y**eta) * eta * y**(eta - 1)
 
-and piece boundary theta**(1/eta).  The transformed density is itself a
-composite (see as_composite_spec), which is what makes repeated
-exponentiation close under composition of the exponents:
-ExponentiatedComposite(as_composite_spec(d), a) is Y**(1/a) for Y ~ d.
+and piece boundary theta**(1/eta).  Y**(1/a) = X**(1/(a*eta)), so
+exponentiating again multiplies the exponents: for Y ~ d, Y**(1/a) is
+ExponentiatedComposite(d.parent, a * d.exponent).
 
 Each formula is written once.  _power_density and _power_log_density
-carry a parent piece to Y, for the densities here, for the pieces
-as_composite_spec materializes and, over parameter columns, for
-models.log_pdf_rows.  pdf, log_pdf and cdf split y between head and tail
-in one place, and the raw moment E[Y^t] is the limited moment
-E[min(Y, b)^t] at the cap b = inf.
+carry a parent piece to Y, for the densities here and, over parameter
+columns, for models.log_pdf_rows.  pdf, log_pdf and cdf split y between
+head and tail in one place, and the raw moment E[Y^t] is the limited
+moment E[min(Y, b)^t] at the cap b = inf.
 
 Piece callables stored on a CompositeSpec must accept scalars or numpy
 arrays, and every piece is given in closed form: the moment engine only
@@ -51,7 +49,6 @@ __all__ = [
     "CompositeSpec",
     "ExponentiatedComposite",
     "VerificationReport",
-    "as_composite_spec",
     "verify_composite",
 ]
 
@@ -418,52 +415,5 @@ def verify_composite(d: ExponentiatedComposite) -> VerificationReport:
         continuity_gap=continuity_gap,
         derivative_gap=derivative_gap,
         normalization_defect=normalization_defect,
-    )
-
-
-def as_composite_spec(d: ExponentiatedComposite) -> CompositeSpec:
-    """Materialize the transformed density as a composite in its own right.
-
-    The transformed head and tail pieces are again proper densities (the
-    head on [0, inf), the tail on [breakpoint, inf)), the normalizing
-    constant carries over unchanged, and every auxiliary function composes
-    with the power map.  This is the closure property that makes repeated
-    exponentiation associative.
-    """
-    parent = d.parent
-    eta = d.exponent
-    inv = 1.0 / eta
-    log_eta = math.log(eta)
-
-    def promote(piece):
-        return lambda y: _power_density(piece, np.asarray(y), eta, 1.0)
-
-    def promote_log(log_piece):
-        return lambda log_y: _power_log_density(log_piece, log_y, eta, log_eta, 0.0)
-
-    def promote_cdf(cdf):
-        return lambda u: cdf(np.asarray(u) ** eta)
-
-    def promote_ppf(ppf):
-        return lambda p: np.asarray(ppf(p)) ** inv
-
-    def promote_partial(partial):
-        return lambda u, r: partial(u**eta, r / eta)
-
-    return CompositeSpec(
-        head_density=promote(parent.head_density),
-        tail_density=promote(parent.tail_density),
-        breakpoint=parent.breakpoint**inv,
-        norm_const=parent.norm_const,
-        head_cdf=promote_cdf(parent.head_cdf),
-        tail_cdf=promote_cdf(parent.tail_cdf),
-        tail_sf=promote_cdf(parent.tail_sf),
-        head_log_density=promote_log(parent.head_log_density),
-        tail_log_density=promote_log(parent.tail_log_density),
-        head_ppf=promote_ppf(parent.head_ppf),
-        tail_ppf=promote_ppf(parent.tail_ppf),
-        head_partial_moment=promote_partial(parent.head_partial_moment),
-        tail_partial_moment=promote_partial(parent.tail_partial_moment),
-        tail_moment_sup=eta * parent.tail_moment_sup,
     )
 

@@ -105,6 +105,21 @@ def test_ingest_column_is_a_str_or_an_integer(tmp_path):
         ingest_csv(p, column=1.7)
 
 
+def test_ingest_column_index_is_ascii_digits(tmp_path):
+    # only a str of ASCII digits is an index: int() would read "1_0" as 10,
+    # "+1" and "١" as 1 and "-1" as -1, so those headers could not be named
+    names = ["a", "b", "c", "+1", "-1", "\u0661", "g", "h", "i", "j", "k", "1_0"]
+    p = tmp_path / "wide.csv"
+    p.write_text(",".join(names) + "\n"
+                 + "".join(",".join(str(100 * i + j + 1) for j in range(12)) + "\n"
+                           for i in range(3)))
+    for column, j in (("1_0", 11), ("+1", 3), ("-1", 4), ("\u0661", 5),
+                      ("10", 10), (" 1 ", 1), ("01", 1), (10, 10)):
+        assert ingest_csv(p, column=column).values.tolist() == [j + 1, j + 101, j + 201]
+    with pytest.raises(ValueError, match=r"column '\+2' not found in header"):
+        ingest_csv(p, column="+2")
+
+
 def test_ingest_structural_errors(tmp_path):
     with pytest.raises(ValueError, match="no such file"):
         ingest_csv(tmp_path / "missing.csv")
@@ -221,12 +236,10 @@ def reference_ingest(path, column=0, scale=1.0):
     p = Path(path)
     if not p.is_file():
         raise ValueError(f"no such file: {path}")
-    by_name = True
-    try:
+    text = column.strip() if isinstance(column, str) else None
+    by_name = text is not None and not (text.isascii() and text.isdigit())
+    if not by_name:
         idx = int(column)
-        by_name = False
-    except (TypeError, ValueError):
-        pass
 
     values = []
     with open(p, newline="", encoding="utf-8-sig") as fh:
@@ -241,10 +254,9 @@ def reference_ingest(path, column=0, scale=1.0):
         first_row = first[1]
         if by_name:
             names = [cell.strip() for cell in first_row]
-            wanted = str(column).strip()
-            if wanted not in names:
-                raise ValueError(f"column {wanted!r} not found in header {names}")
-            idx = names.index(wanted)
+            if text not in names:
+                raise ValueError(f"column {text!r} not found in header {names}")
+            idx = names.index(text)
         else:
             if idx < 0:
                 raise ValueError(f"column index must be >= 0, got {idx}")
@@ -569,6 +581,21 @@ def test_simulate_matches_library_and_is_byte_stable(tmp_path, capsys):
     assert float(row["eta_sd"]) == report.eta_sd
     assert int(row["failures"]) == report.failures
     capsys.readouterr()
+
+
+def test_simulate_reports_wide_passes(tmp_path, capsys):
+    # some replicates of this scenario take the wide pass, the others the
+    # coarse one; the count is in the table, the CSV and the artifact
+    args = ["simulate", "--eta", "18", "--theta", "1", "--n", "50", "--r", "20"]
+    out, art = tmp_path / "wide.csv", tmp_path / "wide.json"
+    assert main(args + ["--out", str(out), "--json", str(art)]) == 0
+    assert "wide_passes" in capsys.readouterr().out.splitlines()[0]
+    report = run_scenario(Scenario(ModelId.EXP_EXP_PARETO, 18.0, 1.0, n=50, r=20, base_seed=1))
+    assert int(read_out(out)[0]["wide_passes"]) == report.wide_passes
+    assert 0 < report.wide_passes < 20
+    stored = json.loads(art.read_text())["results"]
+    assert stored[0]["wide_passes"] == report.wide_passes
+    assert list(replay_artifact(art).results) == stored
 
 
 def test_simulate_recovery_grid_smoke(tmp_path, capsys):

@@ -10,7 +10,6 @@ from expcomposite.composite import (
     ExponentiatedComposite,
     InfiniteMomentError,
     _require_finite_moment,
-    as_composite_spec,
     verify_composite,
 )
 from expcomposite.models import ModelId, build, exp_pareto_spec, ig_pareto_spec
@@ -261,6 +260,24 @@ def test_cdf_limits_and_monotonicity():
     assert vals[0] == 0.0
     assert np.all(np.diff(vals) >= 0.0)
     assert vals[-1] <= 1.0
+
+
+def test_cdf_at_the_breakpoint_is_the_head_mass_when_tail_cdf_rounds():
+    # a tail cdf written 1 - theta**e * u**-e rounds to a nonzero value at
+    # u = theta for about a third of these theta; cdf subtracts tail_cdf(theta),
+    # so the mass below the breakpoint is the head's, bit for bit
+    rounded = 0
+    for theta in np.linspace(0.05, 40.0, 60).tolist():
+        spec = rough_spec(theta=theta)
+        e = spec.tail_moment_sup
+        spec = dataclasses.replace(
+            spec, tail_cdf=lambda u, t=theta: 1.0 - t**e * np.asarray(u, dtype=float) ** -e
+        )
+        rounded += float(spec.tail_cdf(theta)) != 0.0
+        d = ExponentiatedComposite(spec, 1.0)
+        assert d.breakpoint == theta
+        assert d.cdf(d.breakpoint) == spec.norm_const * float(spec.head_cdf(theta))
+    assert rounded >= 15
 
 
 @given(
@@ -578,44 +595,31 @@ def test_verify_flags_bad_normalization():
     assert not report.normalization_ok
 
 
-def test_as_composite_spec_round_trip():
-    d = build(ModelId.EXP_EXP_PARETO, 2.0, 1.5)
-    mat = as_composite_spec(d)
-    assert mat.breakpoint == pytest.approx(d.breakpoint)
-    assert mat.norm_const == d.parent.norm_const
-    flat = ExponentiatedComposite(mat, 1.0)
-    ys = np.array([0.4, 1.0, mat.breakpoint, 3.0, 10.0])
-    assert np.allclose(flat.pdf(ys), d.pdf(ys), rtol=1e-12)
-    assert np.allclose(flat.cdf(ys), d.cdf(ys), rtol=1e-12)
-    us = np.array([0.1, 0.5, 0.9])
-    assert np.allclose(flat.quantile(us), d.quantile(us), rtol=1e-9)
-
-
-def test_exponentiate_composes_through_materialization():
-    spec = exp_pareto_spec(2.0)
-    inner = ExponentiatedComposite(spec, 1.6)
-    two_step = ExponentiatedComposite(as_composite_spec(inner), 2.0)
-    one_step = ExponentiatedComposite(spec, 3.2)
-    ys = np.array([0.3, 0.9, 1.1, 2.0, 5.0])
-    a = np.array([float(two_step.pdf(v)) for v in ys])
-    b = one_step.pdf(ys)
-    assert np.allclose(a, b, rtol=1e-12)
-
-
-def test_materialized_log_pdf_matches_direct():
-    # the promoted log densities carry the far tail and the deep head, where
-    # the pieces under- and overflow, through a materialized spec
-    ys = np.array([1e60, 0.05, 0.5, 2.0])
+def test_exponentiating_again_multiplies_the_exponent():
+    # V = Y**(1/a) for Y ~ (spec, eta) is (spec, a * eta): its cdf and log
+    # pdf are Y's at y = v**a, the latter plus the log jacobian, and its
+    # quantiles and breakpoint are Y's to the power 1/a
+    us = np.array([1e-6, 0.1, 0.5, 0.9, 0.999])
     for make_spec in (exp_pareto_spec, ig_pareto_spec):
         spec = make_spec(1.0)
-        two_step = ExponentiatedComposite(
-            as_composite_spec(ExponentiatedComposite(spec, 4.0)), 5.0
-        )
-        one_step = ExponentiatedComposite(spec, 20.0)
-        for method in ("log_pdf", "pdf"):
-            got = getattr(two_step, method)(ys)
-            want = getattr(one_step, method)(ys)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        for eta, a in ((4.0, 5.0), (1.6, 2.5), (2.0, 0.25)):
+            inner = ExponentiatedComposite(spec, eta)
+            outer = ExponentiatedComposite(spec, a * eta)
+            assert outer.breakpoint == pytest.approx(inner.breakpoint ** (1.0 / a), rel=1e-15)
+            vs = np.array([0.05, 0.5, outer.breakpoint, 2.0, 1e10])
+            ys = vs**a
+            np.testing.assert_allclose(outer.cdf(vs), inner.cdf(ys), rtol=1e-12, atol=0.0)
+            jacobian = math.log(a) + (a - 1.0) * np.log(vs)
+            np.testing.assert_allclose(
+                outer.log_pdf(vs), inner.log_pdf(ys) + jacobian, rtol=1e-12, atol=0.0
+            )
+            np.testing.assert_allclose(
+                outer.quantile(us), inner.quantile(us) ** (1.0 / a), rtol=1e-12, atol=0.0
+            )
+    # one point compared above is in the deep head, where the density of
+    # (ig, 20) underflows but its log does not
+    deep = ExponentiatedComposite(ig_pareto_spec(1.0), 20.0)
+    assert deep.pdf(0.05) == 0.0 and math.isfinite(deep.log_pdf(0.05))
 
 
 def test_exponentiate_identity():
