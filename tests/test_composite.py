@@ -595,29 +595,62 @@ def test_verify_flags_bad_normalization():
     assert not report.normalization_ok
 
 
-def test_exponentiating_again_multiplies_the_exponent():
-    # V = Y**(1/a) for Y ~ (spec, eta) is (spec, a * eta): its cdf and log
-    # pdf are Y's at y = v**a, the latter plus the log jacobian, and its
-    # quantiles and breakpoint are Y's to the power 1/a
-    us = np.array([1e-6, 0.1, 0.5, 0.9, 0.999])
+# V = Y**(1/a) for Y ~ (spec, eta) is (spec, a * eta), so a composite is
+# exponentiated again by multiplying its exponent. The three tests below
+# check that closure through y = v**a: cdf, quantile and breakpoint; the
+# density of two exponents in turn; and log_pdf where the pieces under- and
+# overflow. Their names date from a helper that re-expressed (spec, eta) as a
+# flat spec to be exponentiated again, which the closure made unnecessary.
+
+_CLOSURE_CASES = ((4.0, 5.0), (1.6, 2.5), (2.0, 0.25))
+
+
+def _closure_pairs():
     for make_spec in (exp_pareto_spec, ig_pareto_spec):
         spec = make_spec(1.0)
-        for eta, a in ((4.0, 5.0), (1.6, 2.5), (2.0, 0.25)):
-            inner = ExponentiatedComposite(spec, eta)
-            outer = ExponentiatedComposite(spec, a * eta)
-            assert outer.breakpoint == pytest.approx(inner.breakpoint ** (1.0 / a), rel=1e-15)
-            vs = np.array([0.05, 0.5, outer.breakpoint, 2.0, 1e10])
-            ys = vs**a
-            np.testing.assert_allclose(outer.cdf(vs), inner.cdf(ys), rtol=1e-12, atol=0.0)
-            jacobian = math.log(a) + (a - 1.0) * np.log(vs)
-            np.testing.assert_allclose(
-                outer.log_pdf(vs), inner.log_pdf(ys) + jacobian, rtol=1e-12, atol=0.0
-            )
-            np.testing.assert_allclose(
-                outer.quantile(us), inner.quantile(us) ** (1.0 / a), rtol=1e-12, atol=0.0
-            )
-    # one point compared above is in the deep head, where the density of
-    # (ig, 20) underflows but its log does not
+        for eta, a in _CLOSURE_CASES:
+            yield a, ExponentiatedComposite(spec, eta), ExponentiatedComposite(spec, a * eta)
+
+
+def test_as_composite_spec_round_trip():
+    # V's cdf is Y's at y = v**a; its quantiles and breakpoint are Y's to
+    # the power 1/a
+    us = np.array([1e-6, 0.1, 0.5, 0.9, 0.999])
+    for a, inner, outer in _closure_pairs():
+        assert outer.breakpoint == pytest.approx(inner.breakpoint ** (1.0 / a), rel=1e-15)
+        vs = np.array([0.05, 0.5, outer.breakpoint, 2.0, 1e10])
+        np.testing.assert_allclose(outer.cdf(vs), inner.cdf(vs**a), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            outer.quantile(us), inner.quantile(us) ** (1.0 / a), rtol=1e-12, atol=0.0
+        )
+
+
+def test_exponentiate_composes_through_materialization():
+    # exponent 1.6 then 2.0 is exponent 3.2: pdf of V is Y's at y = v**a
+    # times the jacobian a * v**(a - 1)
+    spec = exp_pareto_spec(2.0)
+    inner = ExponentiatedComposite(spec, 1.6)
+    one_step = ExponentiatedComposite(spec, 3.2)
+    vs = np.array([0.3, 0.9, 1.1, 2.0, 5.0])
+    two_step = np.array([2.0 * v * float(inner.pdf(v**2.0)) for v in vs])
+    np.testing.assert_allclose(one_step.pdf(vs), two_step, rtol=1e-12)
+    for a, inner, outer in _closure_pairs():
+        vs = np.array([0.5, outer.breakpoint, 2.0])
+        np.testing.assert_allclose(
+            outer.pdf(vs), inner.pdf(vs**a) * a * vs ** (a - 1.0), rtol=1e-12, atol=0.0
+        )
+
+
+def test_materialized_log_pdf_matches_direct():
+    # log_pdf of V is Y's at y = v**a plus the log jacobian, also in the far
+    # tail and the deep head, where the pieces under- and overflow
+    for a, inner, outer in _closure_pairs():
+        vs = np.array([0.05, 0.5, outer.breakpoint, 2.0, 1e10])
+        jacobian = math.log(a) + (a - 1.0) * np.log(vs)
+        np.testing.assert_allclose(
+            outer.log_pdf(vs), inner.log_pdf(vs**a) + jacobian, rtol=1e-12, atol=0.0
+        )
+    # the density of (ig, 20) underflows at 0.05 but its log does not
     deep = ExponentiatedComposite(ig_pareto_spec(1.0), 20.0)
     assert deep.pdf(0.05) == 0.0 and math.isfinite(deep.log_pdf(0.05))
 
