@@ -226,19 +226,23 @@ class _Config(dict):
 
 
 def _run_config(config: dict, parser) -> dict:
-    if "grid" in config:
-        raise ValueError("config key 'grid' is not supported: the exponent search has no bounds")
     config = _Config(config)
     sub = config["subcommand"]
     if not isinstance(sub, str) or sub not in _EXEC:
         raise ValueError(f"unknown subcommand in config: {sub!r}")
+    actions = parser._actions[-1].choices[sub]._actions
+    # a key no flag declares would be ignored, so it is refused
+    declared = {a.dest for a in actions} - {"help", "out", "json"} | {"subcommand"}
+    for key in config:
+        if key not in declared:
+            raise ValueError(f"config key {key!r} is not an option of {sub}")
     # argparse gives main's config the type each flag declares; a stored
     # config is checked against the same declarations.  An int stands for a
     # float, as on the command line, a JSON true is not a number, and a flag
     # that is not required and defaults to None may hold None.  A missing key
     # passes here and is refused where it is read.
-    for a in parser._actions[-1].choices[sub]._actions:
-        if a.dest not in config or a.dest == "help":
+    for a in actions:
+        if a.dest not in config:
             continue
         value = config[a.dest]
         if a.const is True:  # a store_true flag

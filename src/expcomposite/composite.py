@@ -118,6 +118,13 @@ class ExponentiatedComposite:
     def __post_init__(self) -> None:
         if not 0.0 < self.exponent < math.inf:
             raise ValueError(f"exponent must be positive and finite, got {self.exponent}")
+        try:
+            self.breakpoint
+        except OverflowError:
+            raise OverflowError(
+                f"breakpoint theta**(1/eta) exceeds the float range at "
+                f"theta = {self.parent.breakpoint:g}, eta = {self.exponent:g}"
+            ) from None
 
     @property
     def breakpoint(self) -> float:
@@ -189,16 +196,18 @@ class ExponentiatedComposite:
         theta = parent.breakpoint
         f1_theta = float(parent.head_cdf(theta))
         f2_theta = float(parent.tail_cdf(theta))
-        # c <= 1 keeps the head inside [0, 1]; the tail's sum can round past 1
-        return self._by_piece(
-            y,
-            lambda a: c * parent.head_cdf(a**eta),
-            lambda a: np.clip(
-                c * f1_theta + c * (parent.tail_cdf(a**eta) - f2_theta), 0.0, 1.0
-            ),
-            0.0,
-            lambda: 0.0,
-        )
+        # c <= 1 keeps the head inside [0, 1]; the tail's sum can round past
+        # 1.  a**eta past the float range is inf, where the tail cdf is 1.
+        with np.errstate(over="ignore"):
+            return self._by_piece(
+                y,
+                lambda a: c * parent.head_cdf(a**eta),
+                lambda a: np.clip(
+                    c * f1_theta + c * (parent.tail_cdf(a**eta) - f2_theta), 0.0, 1.0
+                ),
+                0.0,
+                lambda: 0.0,
+            )
 
     def quantile(self, u):
         """Inverse cdf on (0, 1) through the parent's piece quantiles.
@@ -406,9 +415,10 @@ def verify_composite(d: ExponentiatedComposite) -> VerificationReport:
     d2 = (g2(u + h) - g2(u - h)) / (2.0 * h)
     derivative_gap = abs(d1 - d2) / max(1.0, abs(d1))
 
-    total = adaptive_quadrature(
-        lambda y: float(d.pdf(y)), 0.0, math.inf, breakpoints=[u]
-    )
+    # each piece on a one-element array, as pdf evaluates it
+    head, tail = d.parent.head_density, d.parent.tail_density
+    g = lambda y: float(_power_density(head if y < u else tail, np.array([y]), eta, c)[0])
+    total = adaptive_quadrature(g, 0.0, math.inf, breakpoints=[u])
     normalization_defect = abs(total.value - 1.0)
 
     return VerificationReport(

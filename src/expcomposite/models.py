@@ -221,7 +221,9 @@ def _ig_head(theta: float) -> tuple[float, float]:
 def _ig_head_log_density(log_x, log_beta, beta):
     alpha = IG_PARETO.alpha
     log_x = np.asarray(log_x, dtype=float)
-    return alpha * log_beta - (alpha + 1.0) * log_x - beta * np.exp(-log_x) - math.lgamma(alpha)
+    # 1/x past the float range is inf, where the log density is -inf
+    with np.errstate(over="ignore"):
+        return alpha * log_beta - (alpha + 1.0) * log_x - beta * np.exp(-log_x) - math.lgamma(alpha)
 
 
 def _exp_head(theta: float) -> tuple[float, float]:
@@ -334,10 +336,14 @@ class WeibullDensity:
 
     def pdf(self, y):
         def density(yp):
-            z = np.abs(yp) / self.scale  # abs: -0.0 counts as 0
-            return (self.shape / self.scale) * z ** (self.shape - 1.0) * np.exp(
-                -(z**self.shape)
-            )
+            # z and its powers can overflow where the exponential has
+            # vanished; the exponential wins, so the product is 0, not inf * 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = np.abs(yp) / self.scale  # abs: -0.0 counts as 0
+                decay = np.exp(-(z**self.shape))
+                return np.where(
+                    decay == 0.0, 0.0, (self.shape / self.scale) * z ** (self.shape - 1.0) * decay
+                )
 
         # at y = 0 the formula gives the density's limit: 1/scale for shape
         # 1, inf below and 0 above; at y = inf it would give inf * 0
@@ -350,21 +356,23 @@ class WeibullDensity:
             # at shape 1 the power term is 0 even at y = 0, where 0 * -inf
             # would give nan
             power = (self.shape - 1.0) * log_z if self.shape != 1.0 else 0.0
-            return (
-                math.log(self.shape)
-                - math.log(self.scale)
-                + power
-                - np.exp(self.shape * log_z)
-            )
+            with np.errstate(over="ignore"):  # (y/scale)^shape = inf: -inf
+                return (
+                    math.log(self.shape)
+                    - math.log(self.scale)
+                    + power
+                    - np.exp(self.shape * log_z)
+                )
 
         # log(pdf(0)): +inf below shape 1, -log(scale) at shape 1, -inf above
         with np.errstate(divide="ignore"):
             return _on_support(y, _finite_nonnegative, log_density, fill=-math.inf)
 
     def cdf(self, y):
-        return _on_support(
-            y, _positive, lambda yp: -np.expm1(-((yp / self.scale) ** self.shape))
-        )
+        with np.errstate(over="ignore"):  # (y/scale)^shape = inf: cdf 1
+            return _on_support(
+                y, _positive, lambda yp: -np.expm1(-((yp / self.scale) ** self.shape))
+            )
 
 
 @dataclass(frozen=True)
@@ -378,11 +386,16 @@ class InverseGammaDensity:
         if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
             raise ValueError("inverse gamma shape and scale must be positive and finite")
 
+    def _ratio(self, yp: np.ndarray) -> np.ndarray:
+        # scale/y past the float range is inf, where the density and cdf are 0
+        with np.errstate(over="ignore"):
+            return self.scale / yp
+
     def _log_density(self, yp: np.ndarray) -> np.ndarray:
         return (
             self.shape * math.log(self.scale)
             - (self.shape + 1.0) * np.log(yp)
-            - self.scale / yp
+            - self._ratio(yp)
             - math.lgamma(self.shape)
         )
 
@@ -394,7 +407,7 @@ class InverseGammaDensity:
 
     def cdf(self, y):
         return _on_support(
-            y, _positive, lambda yp: _special.gammaincc(self.shape, self.scale / yp)
+            y, _positive, lambda yp: _special.gammaincc(self.shape, self._ratio(yp))
         )
 
 

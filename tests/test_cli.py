@@ -691,6 +691,15 @@ def test_density_limited_moment_overflow_exits_1(capsys):
     assert "error: limited moment of order 400" in capsys.readouterr().err
 
 
+def test_density_breakpoint_overflow_exits_1(capsys):
+    argv = ["density", "--model", "exp-exp-pareto", "--theta", "1e100", "--eta", "0.05",
+            "--lo", "0", "--hi", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: breakpoint theta**(1/eta) exceeds the float range at theta = 1e+100, eta = 0.05\n"
+    )
+
+
 # -- artifacts and replay --------------------------------------------------
 
 
@@ -802,6 +811,28 @@ def test_replay_refuses_a_missing_key_by_name(tmp_path, capsys, argv_name, key):
     del payload["config"][key]
     art.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"config has no key '{key}'"):
+        replay_artifact(art)
+
+
+@pytest.mark.parametrize("argv_name,key", [
+    ("density", "thetta"),
+    ("density", "out"),
+    ("fit", "json"),
+    ("fit", "help"),
+    ("compare", "eta"),
+    ("grid", "grid"),
+])
+def test_replay_refuses_a_key_no_flag_declares(tmp_path, capsys, argv_name, key):
+    # an unknown key would be ignored, and --out or --json would not be honoured
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
+    art = tmp_path / "run.json"
+    argv = with_data(REQUIRED_ARGV[argv_name], data)
+    assert main(argv + ["--json", str(art)]) == 0
+    capsys.readouterr()
+    payload = json.loads(art.read_text())
+    payload["config"][key] = "x.csv"
+    art.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^config key '{key}' is not an option of {argv[0]}$"):
         replay_artifact(art)
 
 

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from expcomposite.composite import (
+    DERIVATIVE_STEP_REL,
     CompositeSpec,
     ExponentiatedComposite,
     InfiniteMomentError,
+    VerificationReport,
+    _power_density,
     _require_finite_moment,
     verify_composite,
 )
@@ -224,6 +227,14 @@ def test_exponent_validation():
         ExponentiatedComposite(rough_spec(), math.inf)
 
 
+def test_a_breakpoint_past_the_float_range_is_refused():
+    # theta**(1/eta) = 1e2000: refused at construction, naming theta and eta,
+    # not at every later call with a bare errno message
+    for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
+        with pytest.raises(OverflowError, match=r"theta = 1e\+100, eta = 0\.05"):
+            build(model, 1e100, 0.05)
+
+
 def test_pdf_is_change_of_variables():
     spec = rough_spec()
     eta = 1.7
@@ -260,6 +271,15 @@ def test_cdf_limits_and_monotonicity():
     assert vals[0] == 0.0
     assert np.all(np.diff(vals) >= 0.0)
     assert vals[-1] <= 1.0
+
+
+@pytest.mark.parametrize("model", [ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO])
+@pytest.mark.parametrize("eta,y", [(20.0, 1e50), (200.0, 1e10)])
+def test_cdf_is_one_where_y_to_the_eta_overflows(model, eta, y):
+    # y**eta is inf, past the tail's mass; no overflow warning on the way
+    d = build(model, 1.0, eta)
+    assert d.cdf(y) == 1.0
+    assert d.cdf(np.array([y, 1e300])).tolist() == [1.0, 1.0]
 
 
 def test_cdf_at_the_breakpoint_is_the_head_mass_when_tail_cdf_rounds():
@@ -593,6 +613,51 @@ def test_verify_flags_bad_normalization():
     bad = dataclasses.replace(spec, norm_const=spec.norm_const * 0.9)
     report = verify_composite(ExponentiatedComposite(bad, 1.0))
     assert not report.normalization_ok
+
+
+def verify_through_pdf(d: ExponentiatedComposite) -> VerificationReport:
+    """verify_composite with the public scalar pdf as its mass integrand."""
+    u = d.breakpoint
+    eta, c = d.exponent, d.parent.norm_const
+    g1 = lambda y: float(_power_density(d.parent.head_density, y, eta, c))
+    g2 = lambda y: float(_power_density(d.parent.tail_density, y, eta, c))
+    g1u, g2u = g1(u), g2(u)
+    continuity_gap = abs(g1u - g2u) / (g1u if g1u > 0.0 else 1.0)
+    h = DERIVATIVE_STEP_REL * u
+    d1 = (g1(u + h) - g1(u - h)) / (2.0 * h)
+    d2 = (g2(u + h) - g2(u - h)) / (2.0 * h)
+    total = adaptive_quadrature(lambda y: float(d.pdf(y)), 0.0, math.inf, breakpoints=[u])
+    return VerificationReport(
+        continuity_gap=continuity_gap,
+        derivative_gap=abs(d1 - d2) / max(1.0, abs(d1)),
+        normalization_defect=abs(total.value - 1.0),
+    )
+
+
+def _report_or_refusal(verify, d):
+    try:
+        return repr(verify(d))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        pytest.param(build(m, theta, eta), id=f"{m.value}-theta{theta:g}-eta{eta:g}")
+        for m in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO)
+        for theta in (1e-3, 1.0, 1e3)
+        for eta in (0.1, 1.0, 200.0)
+    ]
+    + [
+        pytest.param(ExponentiatedComposite(rough_spec(), eta), id=f"rough-eta{eta:g}")
+        for eta in (0.1, 1.0, 200.0)
+    ],
+)
+def test_verify_integrates_the_pieces_as_pdf_does(d):
+    # the same report to the bit, or the same refusal: at eta = 0.1 some
+    # quadrature panels fail, and must fail in the same panel
+    assert _report_or_refusal(verify_composite, d) == _report_or_refusal(verify_through_pdf, d)
 
 
 # V = Y**(1/a) for Y ~ (spec, eta) is (spec, a * eta), so a composite is

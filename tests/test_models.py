@@ -267,21 +267,38 @@ def test_baseline_pieces_frozen(density, method, want):
 
 # one density object per model id, named for stable test ids; the
 # composites at exponents below, at and above 1, where the sign of the
-# jacobian's log changes
+# jacobian's log changes, and at 20, where y**eta leaves the float range
 EDGE_DENSITIES = {
     **{f"{m.value}-eta{eta:g}": build(m, 1.3, eta)
-       for m in (ModelId.EXP_IG_PARETO, ModelId.EXP_EXP_PARETO) for eta in (0.5, 1.0, 2.0)},
+       for m in (ModelId.EXP_IG_PARETO, ModelId.EXP_EXP_PARETO) for eta in (0.5, 1.0, 2.0, 20.0)},
     "ig-pareto-1p": build(ModelId.IG_PARETO_1P, 1.3),
     "exp-pareto-1p": build(ModelId.EXP_PARETO_1P, 1.3),
     **{f"weibull-shape{shape:g}": WeibullDensity(shape, 2.5) for shape in (0.5, 1.0, 1.7)},
+    "weibull-shape30": WeibullDensity(30.0, 1.0),
+    "weibull-scale1e-300": WeibullDensity(1.0, 1e-300),
     "inverse-gamma": InverseGammaDensity(3.0, 0.5),
+    "inverse-gamma-shape2.5": InverseGammaDensity(2.5, 1.5),
+}
+
+# finite points where a density's formula over- or underflows, with the
+# limits there of (pdf, log_pdf, cdf): scale/y, 1/y**eta and (y/scale)^shape
+# reach inf, and the vanished exponential wins over z^(shape - 1)
+EDGE_POINTS = {
+    "exp-ig-pareto-eta1": [(5e-324, 0.0, -math.inf, 0.0)],
+    "exp-ig-pareto-eta20": [(1e-300, 0.0, -math.inf, 0.0)],
+    "ig-pareto-1p": [(5e-324, 0.0, -math.inf, 0.0)],
+    "weibull-shape30": [(1e11, 0.0, -math.inf, 1.0)],
+    "weibull-scale1e-300": [(1e10, 0.0, -math.inf, 1.0)],
+    "inverse-gamma": [(5e-324, 0.0, -math.inf, 0.0)],
+    "inverse-gamma-shape2.5": [(5e-324, 0.0, -math.inf, 0.0)],
 }
 
 
 @pytest.mark.parametrize("name", EDGE_DENSITIES)
 def test_densities_at_inf_and_nan(name):
     # +inf is past all mass and NaN stays NaN, scalar or array; a nan from
-    # inf * 0 or inf - inf would raise a RuntimeWarning here
+    # inf * 0 or inf - inf would raise a RuntimeWarning here, as would an
+    # overflow on the way to a limit at an EDGE_POINTS point
     density = EDGE_DENSITIES[name]
     want = {"pdf": 0.0, "log_pdf": -math.inf, "cdf": 1.0}
     for method, at_inf in want.items():
@@ -291,6 +308,10 @@ def test_densities_at_inf_and_nan(name):
         got = f(np.array([math.inf, math.nan, -math.inf]))
         assert got[0] == at_inf and math.isnan(got[1])
         assert got[2] == (-math.inf if method == "log_pdf" else 0.0)
+    for y, *limits in EDGE_POINTS.get(name, ()):
+        for method, limit in zip(want, limits):
+            f = getattr(density, method)
+            assert f(y) == limit and f(np.array([y]))[0] == limit, (method, y)
 
 
 @pytest.mark.parametrize("family", ["ig", "exp"])
