@@ -165,8 +165,8 @@ class ExponentiatedComposite:
         c = parent.norm_const
         return self._by_piece(
             y,
-            lambda a: _power_density(parent.head_density, a, eta, c),
-            lambda a: _power_density(parent.tail_density, a, eta, c),
+            lambda a: _power_density(parent.head_density, a, eta, c, parent.head_log_density),
+            lambda a: _power_density(parent.tail_density, a, eta, c, parent.tail_log_density),
             0.0,
             self._pdf_at_zero,
         )
@@ -323,16 +323,27 @@ class ExponentiatedComposite:
         return _maybe_scalar(out, scalar)
 
 
-def _power_density(piece: Callable, y, eta: float, c: float):
+def _power_density(piece: Callable, y, eta: float, c: float, log_piece: Callable | None = None):
     """c * f(y**eta) * eta * y**(eta - 1): a density f of X = Y**eta carried to Y.
 
     y**eta can overflow (or the jacobian blow up at tiny y when eta < 1)
     while the density underflows to 0; the density always wins, so a
     vanished density forces a zero product instead of 0 * inf = nan.
+    Where y**eta overflows at a finite y, f(inf) = 0 would lose a density
+    that may still be representable: there log_piece, the log density of X
+    from log x, gives it through _power_log_density.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        dens = c * np.asarray(piece(y**eta), dtype=float)
-        return np.where(dens == 0.0, 0.0, dens * eta * y ** (eta - 1.0))
+        x = y**eta
+        dens = c * np.asarray(piece(x), dtype=float)
+        vanished = dens == 0.0
+        out = np.where(vanished, 0.0, dens * eta * y ** (eta - 1.0))
+    # count_nonzero: a quarter of any()'s cost on the quadrature's one-element calls
+    if log_piece is not None and np.count_nonzero(vanished):
+        big = vanished & np.isinf(x) & np.isfinite(y)
+        log_y = np.log(np.asarray(y)[big])
+        out[big] = np.exp(_power_log_density(log_piece, log_y, eta, math.log(eta), math.log(c)))
+    return out
 
 
 def _power_log_density(log_piece: Callable, log_y, eta, log_eta, log_c: float):
@@ -402,9 +413,17 @@ def verify_composite(d: ExponentiatedComposite) -> VerificationReport:
     normalization defect.  Always returns the diagnostics; the fixed
     thresholds only classify them."""
     u = d.breakpoint
-    eta, c = d.exponent, d.parent.norm_const
-    g1 = lambda y: float(_power_density(d.parent.head_density, y, eta, c))
-    g2 = lambda y: float(_power_density(d.parent.tail_density, y, eta, c))
+    eta, parent = d.exponent, d.parent
+    c = parent.norm_const
+    head = parent.head_density, parent.head_log_density
+    tail = parent.tail_density, parent.tail_log_density
+
+    def carried(piece, y):
+        density, log_density = piece
+        return _power_density(density, y, eta, c, log_density)
+
+    g1 = lambda y: float(carried(head, y))
+    g2 = lambda y: float(carried(tail, y))
     g1u = g1(u)
     g2u = g2(u)
     denom = g1u if g1u > 0.0 else 1.0
@@ -416,8 +435,7 @@ def verify_composite(d: ExponentiatedComposite) -> VerificationReport:
     derivative_gap = abs(d1 - d2) / max(1.0, abs(d1))
 
     # each piece on a one-element array, as pdf evaluates it
-    head, tail = d.parent.head_density, d.parent.tail_density
-    g = lambda y: float(_power_density(head if y < u else tail, np.array([y]), eta, c)[0])
+    g = lambda y: float(carried(head if y < u else tail, np.array([y]))[0])
     total = adaptive_quadrature(g, 0.0, math.inf, breakpoints=[u])
     normalization_defect = abs(total.value - 1.0)
 

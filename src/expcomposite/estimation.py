@@ -57,9 +57,10 @@ __all__ = [
 _COARSE_PASS = np.geomspace(0.05, 20.0, 40)
 _WIDE_PASS = np.geomspace(1e-20, 1e20, 640)
 # Cells (exponents x observations) per block of the profile scan: a block's
-# float temporary (one row beyond n = 8192) stays in cache and in the memory
-# the C heap keeps between calls.  Temporaries past the heap-trim threshold
-# fault in fresh pages on some fits and not others, 30% apart in time.
+# float temporary (a chunk of one row beyond n = 8192) stays in cache and in
+# the memory the C heap keeps between calls.  Temporaries past the heap-trim
+# threshold fault in fresh pages on some fits and not others, 30% apart in
+# time.
 _SCAN_BLOCK = 8192
 
 
@@ -105,19 +106,37 @@ class BaselineFitResult:
 # work on floats and on (exponents x m) arrays alike.
 
 
+def _exp_factor(m, n):
+    """The m-only factor (alpha+1) m - alpha n of the exp-family breakpoint."""
+    alpha = EXP_PARETO.alpha
+    return (alpha + 1.0) * m - alpha * n
+
+
+def _exp_theta_at(head_sum, factor):
+    return (EXP_PARETO.alpha + 1.0) * head_sum / factor
+
+
 def _exp_theta(head_sum, m, n):
     """Exp-family breakpoint (alpha+1) sum_{i<=m} y_i^eta / ((alpha+1) m - alpha n).
 
     A stationary point only where the denominator is positive.
     """
-    alpha = EXP_PARETO.alpha
-    return (alpha + 1.0) * head_sum / ((alpha + 1.0) * m - alpha * n)
+    return _exp_theta_at(head_sum, _exp_factor(m, n))
+
+
+def _ig_factor(m, n):
+    """The m-only factor alpha m + (alpha-k)(n-m) of the ig-family breakpoint."""
+    alpha, k = IG_PARETO.alpha, IG_PARETO.k
+    return alpha * m + (alpha - k) * (n - m)
+
+
+def _ig_theta_at(inv_sum, factor):
+    return factor / (IG_PARETO.k * inv_sum)
 
 
 def _ig_theta(inv_sum, m, n):
     """Ig-family breakpoint (alpha m + (alpha-k)(n-m)) / (k sum_{i<=m} y_i^-eta)."""
-    alpha, k = IG_PARETO.alpha, IG_PARETO.k
-    return (alpha * m + (alpha - k) * (n - m)) / (k * inv_sum)
+    return _ig_theta_at(inv_sum, _ig_factor(m, n))
 
 
 # -- profile likelihood and profile score ----------------------------------
@@ -174,66 +193,111 @@ def _ig_score(eta, th, inv_dot, head_log, tail_log, n):
 
 
 # Each family's log normalizer is computed once, at import: the ig one
-# evaluates an incomplete gamma.
+# evaluates an incomplete gamma.  Per family: the log normalizer, the
+# breakpoint from (head sum, m, n), its m-only factor and the breakpoint
+# from (head sum, factor), the profile log-likelihood and the profile score.
 _FAMILIES = {
-    "exp": (math.log(exp_pareto_normalizer()), _exp_theta, _exp_loglik, _exp_score),
-    "ig": (math.log(ig_pareto_normalizer()), _ig_theta, _ig_loglik, _ig_score),
+    "exp": (
+        math.log(exp_pareto_normalizer()), _exp_theta, _exp_factor, _exp_theta_at,
+        _exp_loglik, _exp_score,
+    ),
+    "ig": (
+        math.log(ig_pareto_normalizer()), _ig_theta, _ig_factor, _ig_theta_at,
+        _ig_loglik, _ig_score,
+    ),
 }
 
 
-def _first_split(profile, head_sums, powers, n):
-    """(found, m - 1) of the first valid split m of each row of powers z^eta.
+def _first_split(theta_at, head_sums, powers, factors, lo):
+    """(found, m - 1) of the first valid split m of each row of one chunk.
 
-    head_sums[:, m - 1] is the head power sum of split m, which is valid
-    when its profiled theta is finite, positive (so the exp-family
-    denominator is positive) and in [z_m^eta, z_{m+1}^eta].  Its
-    temporaries die at its return, so the heap's top stays where the
-    scan's blocks keep it; it runs under the caller's errstate.
+    The chunk holds columns lo to lo + k - 1 of the rows: head_sums[:, j]
+    is the head power sum of split m = lo + j + 1 and powers[:, j] its
+    z_m^eta; factors[m - 1] is the m-only factor of the breakpoint.  It
+    tests the chunk's first k - 1 splits, as the last one reads the next
+    chunk's first power.  A split is valid when its profiled theta is
+    positive (so the exp-family denominator is positive) and in
+    [z_m^eta, z_{m+1}^eta]: the powers lie in [0, 1], so a theta of inf
+    fails the upper test, and NaN fails every test.  m - 1 is lo where no
+    split is valid.  Its temporaries die at its return, so the heap's top
+    stays where the scan's chunks keep it; it runs under the caller's
+    errstate.
     """
-    Th = profile(head_sums[:, :-1], np.arange(1, n), n)
-    ok = np.isfinite(Th) & (Th > 0.0) & (powers[:, :-1] <= Th) & (Th <= powers[:, 1:])
-    return ok.any(axis=1), np.argmax(ok, axis=1)
+    Th = theta_at(head_sums[:, :-1], factors[lo : lo + head_sums.shape[1] - 1])
+    ok = (Th > 0.0) & (powers[:, :-1] <= Th) & (Th <= powers[:, 1:])
+    at = np.argmax(ok, axis=1)
+    return ok[np.arange(ok.shape[0]), at], lo + at
 
 
 def _scan(family, etas, reps, logz, prefix_log, *, score=False):
     """Profile log-likelihood of each row at its first valid split.
 
     Row i is replicate reps[i], a row of logz, at exponent etas[i].  Returns
-    (ll, m, found), ll = -inf where no m is valid.  With score=True it
-    returns the profile score d ell_p / d eta instead, 0.0 where no m is
-    valid: a root solve stops where the score reads 0.0, and that root's ll
-    of -inf then loses.  The rows are scanned in blocks of about
-    _SCAN_BLOCK cells, so the temporaries stay small whatever n and the
-    number of rows are; one replicate's logz row is broadcast, not copied.
+    (ll, m, found), ll = -inf and m = 1 where no m is valid.  With
+    score=True it returns the profile score d ell_p / d eta instead, 0.0
+    where no m is valid: a root solve stops where the score reads 0.0, and
+    that root's ll of -inf then loses.
+
+    A block holds at most _SCAN_BLOCK cells.  Rows that fit are scanned
+    whole, several to a block; one replicate's logz row is broadcast, not
+    copied.  A longer row runs alone in chunks of _SCAN_BLOCK columns (at
+    least 2), each sharing its last column with the next, and stops at the
+    first chunk that holds a valid split; a row with none is scanned to its
+    end.  Each chunk's cumsum restarts from the carried head sum, added into
+    its first power, so every head sum has the bits of one cumsum over the
+    row.  So the temporaries stay small whatever n and the number of rows
+    are, apart from two n-long rows: the breakpoint's m-only factors and,
+    with score=True, the head powers, whose dot with log z stays one
+    contiguous BLAS dot.
     """
-    log_norm, profile, loglik, profile_score = _FAMILIES[family]
+    log_norm, _, factor, theta_at, loglik, profile_score = _FAMILIES[family]
     n = logz.shape[1]
     found = np.empty(etas.size, dtype=bool)
     first = np.empty(etas.size, dtype=np.intp)
     head_sum = np.empty(etas.size)
     head_dot = np.empty(etas.size)
     rows = max(1, _SCAN_BLOCK // n)
+    width = n if n <= _SCAN_BLOCK else max(_SCAN_BLOCK, 2)
+    factors = factor(np.arange(1, n), n)
+    heads = np.empty(n) if score and width < n else None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, etas.size, rows):
             block = slice(lo, lo + rows)
-            Z = logz[0] if logz.shape[0] == 1 else logz[reps[block]]
-            E = etas[block, None] * Z
-            W = np.exp(E)
-            # head power sums of z^eta (exp) or 1 / z^eta (ig, built in E's
-            # buffer), the powers head_dot sums too
-            power = W if family == "exp" else np.divide(1.0, W, out=E)
-            S = np.cumsum(power, axis=1)
-            found[block], first[block] = _first_split(profile, S, W, n)
-            head_sum[block] = S[np.arange(S.shape[0]), first[block]]
+            # a view where the block's rows share one replicate's logz row
+            Z = logz[reps[lo]] if logz.shape[0] == 1 or rows == 1 else logz[reps[block]]
+            c0 = 0
+            while True:
+                c1 = min(n, c0 + width)
+                E = etas[block, None] * Z[..., c0:c1]
+                W = np.exp(E)
+                # head power sums of z^eta (exp) or 1 / z^eta (ig, built in
+                # E's buffer), the powers head_dot sums too
+                power = W if family == "exp" else np.divide(1.0, W, out=E)
+                if c0:  # carry + p rounds as p + carry, cumsum's next add
+                    S = power.copy()
+                    S[:, 0] += carry
+                    np.cumsum(S, axis=1, out=S)
+                else:
+                    S = np.cumsum(power, axis=1)
+                hit, at = _first_split(theta_at, S, W, factors, c0)
+                if heads is not None:
+                    heads[c0:c1] = power[0]
+                if c1 == n or hit.all():
+                    break
+                carry, c0 = S[:, -2], c1 - 1
+            found[block] = hit
+            first[block] = np.where(hit, at, 0)
+            head_sum[block] = S[np.arange(S.shape[0]), at - c0]
             if score:  # one BLAS dot a row, as for a lone sample
-                for i in np.flatnonzero(found[block]):
+                H = power if heads is None else heads[None, :]
+                for i in np.flatnonzero(hit):
                     k = first[lo + i] + 1
-                    head_dot[lo + i] = np.dot(power[i, :k], (Z if Z.ndim == 1 else Z[i])[:k])
+                    head_dot[lo + i] = np.dot(H[i, :k], (Z if Z.ndim == 1 else Z[i])[:k])
         m = first + 1
         total_log = prefix_log[reps, -1]
         head_log = prefix_log[reps, m]
         # the same elementwise formula as Th, so th is Th at the chosen split
-        th = profile(head_sum, m, n)
+        th = theta_at(head_sum, factors[first])
         if score:
             tail_log = total_log - head_log
             return np.where(found, profile_score(etas, th, head_dot, head_log, tail_log, n), 0.0)

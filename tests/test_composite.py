@@ -581,6 +581,22 @@ def test_log_pdf_survives_underflow():
 
 
 @pytest.mark.parametrize("model", [ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO])
+def test_pdf_goes_through_logs_where_y_to_the_eta_overflows(model):
+    # y**20 is inf past about 2e15, yet the density stays representable far
+    # beyond: the piece is evaluated through its log density there
+    d = build(model, 1.0, 20.0)
+    ys = np.array([1e16, 1e25, 1e30])
+    with np.errstate(over="ignore"):
+        assert np.isinf(ys**20.0).all()
+    want = np.exp(d.log_pdf(ys))
+    assert (want > 0.0).all()
+    assert d.pdf(ys) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert [d.pdf(y) for y in ys.tolist()] == d.pdf(ys).tolist()
+    if model is ModelId.EXP_IG_PARETO:
+        assert d.pdf(1e50) == pytest.approx(2.635e-214, rel=1e-3, abs=0.0)
+
+
+@pytest.mark.parametrize("model", [ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO])
 @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
 def test_log_pdf_at_zero_matches_pdf(model, eta):
     # the exponential head has f(0) > 0, so pdf(0) is inf, c f(0) or 0 as

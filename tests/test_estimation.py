@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -843,6 +844,97 @@ def test_scan_is_the_same_in_any_row_blocks(monkeypatch, family, data, block):
     monkeypatch.setattr(estimation, "_SCAN_BLOCK", block)
     for got, want in zip((*_scan(*args), _scan(*args, score=True)), expected):
         assert got.tobytes() == want.tobytes()
+
+
+def _scan_args(family, data, etas):
+    """_scan's arguments for the rows of data, sorted, each at every exponent."""
+    y = np.sort(np.atleast_2d(data), axis=1)
+    logz = np.log(y / y[:, -1:])
+    prefix_log = np.hstack((np.zeros((y.shape[0], 1)), np.cumsum(logz, axis=1)))
+    reps = np.repeat(np.arange(y.shape[0]), etas.size)
+    return family, np.tile(etas, y.shape[0]), reps, logz, prefix_log
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    family=hst.sampled_from(["exp", "ig"]),
+    true_eta=hst.floats(min_value=0.3, max_value=5.0),
+    n=hst.integers(min_value=70, max_value=200),
+    seed=hst.integers(min_value=0, max_value=2**16),
+    etas=hst.lists(hst.floats(min_value=0.05, max_value=20.0), min_size=1, max_size=6),
+)
+def test_scan_is_the_same_in_any_column_chunks(family, true_eta, n, seed, etas):
+    # Rows longer than _SCAN_BLOCK run in chunks of that many columns; every
+    # chunk width gives the bits of one block over the whole grid, of the
+    # profile and of its score.  1e-20 and 1e20 admit no split, so their rows
+    # are scanned to the end.  A block of m + 1 puts split m last in the first
+    # chunk, whose test reads the overlap column; a block of m puts it first
+    # in the second chunk, whose head sum starts from the carried one.
+    model = ModelId.EXP_EXP_PARETO if family == "exp" else ModelId.EXP_IG_PARETO
+    data = build(model, 1.0, true_eta).sample(n, seed=seed)
+    etas = np.array([1e-20, true_eta, *etas, 1e20])
+    args = _scan_args(family, np.stack((data, data**1.5)), etas)
+    expected = (*_scan(*args), _scan(*args, score=True))
+    _, m, found = expected[:3]
+    assert not found.all()
+    blocks = {2, 3, 7, 64, 10**9} | {int(k) + d for k in m[found] for d in (0, 1)}
+    for block in sorted(blocks):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimation, "_SCAN_BLOCK", block)
+            for got, want in zip((*_scan(*args), _scan(*args, score=True)), expected):
+                assert got.tobytes() == want.tobytes(), block
+
+
+@pytest.mark.parametrize("family,data", [("exp", SAMPLE), ("ig", SAMPLE_IG)])
+@pytest.mark.parametrize("block", [2, 16, 199])
+def test_a_long_row_is_tested_up_to_its_first_valid_split(monkeypatch, family, data, block):
+    # Each _first_split call tests one chunk of one row: its columns lo to
+    # hi - 1, the next chunk starting at hi - 1.  A row stops at the chunk
+    # that holds its first valid split, and a row with none is tested on to
+    # column n - 1.  A block of m + 1 holds split m in the first chunk.
+    n = data.size
+    spans = []
+    real = estimation._first_split
+
+    def recording(theta_at, head_sums, powers, factors, lo):
+        spans.append((lo, lo + head_sums.shape[1]))
+        return real(theta_at, head_sums, powers, factors, lo)
+
+    monkeypatch.setattr(estimation, "_first_split", recording)
+    etas = np.array([0.8, 1e20])
+    (_, m, found), scanned = _scan(*_scan_args(family, data, etas)), list(spans)
+    assert found.tolist() == [True, False] and m[1] == 1
+    for first_chunk in (False, True):
+        spans.clear()
+        monkeypatch.setattr(estimation, "_SCAN_BLOCK", int(m[0]) + 1 if first_chunk else block)
+        _scan(*_scan_args(family, data, etas))
+        width = estimation._SCAN_BLOCK
+        ends = list(range(width, n, width - 1))
+        chunks = [(hi - width, hi) for hi in ends] + [(ends[-1] - 1 if ends else 0, n)]
+        # split m is tested in the chunk whose columns hold m - 1 and m
+        upto = next(i for i, (lo, hi) in enumerate(chunks) if lo <= m[0] - 1 < hi - 1)
+        assert spans == chunks[: upto + 1] + chunks
+        if first_chunk:
+            assert spans[0] == (0, width) and upto == 0
+    assert scanned == [(0, n)]
+
+
+@pytest.mark.parametrize("family", ["exp", "ig"])
+@pytest.mark.parametrize("score", [False, True])
+def test_scan_memory_stays_a_small_multiple_of_a_row(family, score):
+    # one long row over the coarse pass: the chunks keep the temporaries
+    # small, and only the breakpoint factors and, for the score, the head
+    # powers are full rows
+    model = ModelId.EXP_EXP_PARETO if family == "exp" else ModelId.EXP_IG_PARETO
+    args = _scan_args(family, build(model, 1.0, 0.8).sample(200_000, seed=2), estimation._COARSE_PASS)
+    row_bytes = args[3].nbytes
+    tracemalloc.start()
+    try:
+        _scan(*args, score=score)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * row_bytes
 
 
 @settings(max_examples=25)
