@@ -27,7 +27,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .models import (
     EXP_PARETO,
@@ -39,7 +38,7 @@ from .models import (
     ig_pareto_normalizer,
     log_pdf_rows,
 )
-from .special import find_roots_bracketed
+from .special import _scipy_special, find_roots_bracketed
 
 __all__ = [
     "BaselineFitResult",
@@ -58,9 +57,13 @@ _COARSE_PASS = np.geomspace(0.05, 20.0, 40)
 _WIDE_PASS = np.geomspace(1e-20, 1e20, 640)
 # Cells (exponents x observations) per block of the profile scan: a block's
 # float temporary (a chunk of one row beyond n = 8192) stays in cache and in
-# the memory the C heap keeps between calls.  Temporaries past the heap-trim
-# threshold fault in fresh pages on some fits and not others, 30% apart in
-# time.
+# the memory the C heap keeps between calls.  That memory shrinks where the
+# heap's free top passes glibc's trim threshold, which stays at 128 KB until
+# the process frees an mmapped chunk larger than that and then becomes twice
+# that chunk's size: below it, freed scan temporaries go back to the kernel
+# and the next block faults them in again.  A process that imported
+# scipy.special has freed such a chunk; an exp-family recovery study that
+# never imports it takes about 700-1700 minor faults per operation, not 0.
 _SCAN_BLOCK = 8192
 
 
@@ -192,18 +195,17 @@ def _ig_score(eta, th, inv_dot, head_log, tail_log, n):
     return n / eta + (head_log + tail_log) - (alpha + 1.0) * head_log + k * th * inv_dot - tail
 
 
-# Each family's log normalizer is computed once, at import: the ig one
-# evaluates an incomplete gamma.  Per family: the log normalizer, the
-# breakpoint from (head sum, m, n), its m-only factor and the breakpoint
-# from (head sum, factor), the profile log-likelihood and the profile score.
+# Per family: the normalizer, the breakpoint from (head sum, m, n), its
+# m-only factor and the breakpoint from (head sum, factor), the profile
+# log-likelihood and the profile score.  Each normalizer is computed on its
+# first call and cached: the ig one evaluates an incomplete gamma, so an
+# exp-family fit never imports scipy.special.
 _FAMILIES = {
     "exp": (
-        math.log(exp_pareto_normalizer()), _exp_theta, _exp_factor, _exp_theta_at,
-        _exp_loglik, _exp_score,
+        exp_pareto_normalizer, _exp_theta, _exp_factor, _exp_theta_at, _exp_loglik, _exp_score,
     ),
     "ig": (
-        math.log(ig_pareto_normalizer()), _ig_theta, _ig_factor, _ig_theta_at,
-        _ig_loglik, _ig_score,
+        ig_pareto_normalizer, _ig_theta, _ig_factor, _ig_theta_at, _ig_loglik, _ig_score,
     ),
 }
 
@@ -250,7 +252,7 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
     with score=True, the head powers, whose dot with log z stays one
     contiguous BLAS dot.
     """
-    log_norm, _, factor, theta_at, loglik, profile_score = _FAMILIES[family]
+    normalizer, _, factor, theta_at, loglik, profile_score = _FAMILIES[family]
     n = logz.shape[1]
     found = np.empty(etas.size, dtype=bool)
     first = np.empty(etas.size, dtype=np.intp)
@@ -301,7 +303,7 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
         if score:
             tail_log = total_log - head_log
             return np.where(found, profile_score(etas, th, head_dot, head_log, tail_log, n), 0.0)
-        ll0 = n * log_norm + n * np.log(etas) + (etas - 1.0) * total_log
+        ll0 = n * math.log(normalizer()) + n * np.log(etas) + (etas - 1.0) * total_log
         ll = loglik(ll0, etas, m, th, head_sum, head_log, total_log - head_log, n)
     return np.where(found, ll, -np.inf), m, found
 
@@ -540,6 +542,8 @@ def _fit_inverse_gamma(arr: np.ndarray) -> tuple[float, float]:
 
     # the shape equation negated, so that it increases: rounding is symmetric
     # under negation, so each value is the negation of log(a) - digamma(a) - rhs
+    digamma = _scipy_special().digamma
+
     def h(a: float) -> float:
         return float(digamma(a)) - math.log(a) + rhs
 

@@ -23,11 +23,11 @@ from enum import Enum
 from functools import cache, partial
 
 import numpy as np
-from scipy import special as _special
 
 from .composite import CompositeSpec, ExponentiatedComposite, _power_log_density
 from .special import (
     _on_support,
+    _scipy_special,
     lower_incomplete_gamma,
     upper_incomplete_gamma,
 )
@@ -157,7 +157,7 @@ def ig_pareto_spec(theta: float) -> CompositeSpec:
         )
 
     def head_ppf(q):
-        return beta / _special.gammainccinv(alpha, np.asarray(q, dtype=float))
+        return beta / _scipy_special().gammainccinv(alpha, np.asarray(q, dtype=float))
 
     return CompositeSpec(
         head_density=head.pdf,
@@ -407,7 +407,7 @@ class InverseGammaDensity:
 
     def cdf(self, y):
         return _on_support(
-            y, _positive, lambda yp: _special.gammaincc(self.shape, self._ratio(yp))
+            y, _positive, lambda yp: _scipy_special().gammaincc(self.shape, self._ratio(yp))
         )
 
 

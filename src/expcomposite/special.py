@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _special
 
 __all__ = [
     "QuadratureError",
@@ -82,11 +81,23 @@ def _on_support(x, support: Callable, f: Callable, fill: float = 0.0):
     return _maybe_scalar(out, scalar)
 
 
+def _scipy_special():
+    """scipy.special, imported by its first caller.
+
+    It costs about 26 MB and 0.3 s at import, and exp-family fits and
+    simulations and a density without a limited moment never call it, so
+    no module imports it at load.
+    """
+    from scipy import special
+
+    return special
+
+
 def _upper_positive(a: float, x: np.ndarray) -> np.ndarray:
     # Unregularized Gamma(a, x) for a > 0, x >= 0, computed in log space so a
     # large Gamma(a) cannot overflow an otherwise moderate result.
     with np.errstate(divide="ignore"):
-        log_val = math.lgamma(a) + np.log(_special.gammaincc(a, x))
+        log_val = math.lgamma(a) + np.log(_scipy_special().gammaincc(a, x))
     big = log_val > _LOG_DBL_MAX
     if big.any():
         raise OverflowError(
@@ -121,7 +132,7 @@ def upper_incomplete_gamma(a: float, x):
     if a > 0.0:
         return _maybe_scalar(_upper_positive(a, arr), scalar)  # Gamma(a, 0) = Gamma(a)
     if a == 0.0:
-        return _maybe_scalar(_special.exp1(arr), scalar)
+        return _maybe_scalar(_scipy_special().exp1(arr), scalar)
 
     # Step the recurrence down from a chain head the direct routines can
     # evaluate.  Negative integer shapes pass through shape zero, where the
@@ -133,7 +144,7 @@ def upper_incomplete_gamma(a: float, x):
     if abs(a - nearest) <= 4.0 * sys.float_info.epsilon * max(1.0, -a):
         n = int(-nearest)
         head = 0.0
-        value = _special.exp1(arr)
+        value = _scipy_special().exp1(arr)
     else:
         n = int(math.ceil(-a))
         head = a + n  # in (0, 1), bounded away from the ends by the snap
@@ -163,7 +174,7 @@ def lower_incomplete_gamma(a: float, x):
     if (arr < 0.0).any():
         raise ValueError(f"lower_incomplete_gamma requires x >= 0, got x={arr.min()}")
     with np.errstate(divide="ignore"):
-        value = np.exp(math.lgamma(a) + np.log(_special.gammainc(a, arr)))
+        value = np.exp(math.lgamma(a) + np.log(_scipy_special().gammainc(a, arr)))
     return _maybe_scalar(value, scalar)
 
 
@@ -184,9 +195,10 @@ def adaptive_quadrature(
     """
     if not lo < hi:
         raise ValueError(f"adaptive_quadrature requires lo < hi, got [{lo}, {hi}]")
-    # Imported here, by its one user: scipy.integrate imports scipy.optimize,
-    # and together they cost about 26 MB and 0.3 s at import that the fit,
-    # compare and simulate paths never use.
+    # Imported here, by its one user, as _scipy_special imports scipy.special:
+    # scipy.integrate imports scipy.optimize, and beyond scipy.special they
+    # cost about 26 MB and 0.3 s at import that the fit, compare and simulate
+    # paths never use.
     from scipy import integrate
 
     pts = sorted(p for p in (breakpoints or ()) if lo < p < hi)

@@ -1206,3 +1206,54 @@ def test_quadrature_modules_load_only_with_the_first_quadrature(tmp_path):
         "loaded after simulate:",
         "loaded after verify_composite: scipy.optimize scipy.integrate",
     ]
+
+
+_SPECIAL_AFTER_EACH_PATH = """
+import sys
+import expcomposite.cli as cli
+from expcomposite.models import ig_pareto_normalizer
+
+def loaded(stage):
+    special = "scipy.special" if "scipy.special" in sys.modules else "-"
+    misses = ig_pareto_normalizer.cache_info().misses
+    print("after", stage + ":", special, "ig normalizer", misses)
+
+data, out, last = sys.argv[1:]
+loaded("import")
+assert cli.main(["simulate", "--eta", "0.8", "--theta", "1.0", "--n", "40",
+                 "--r", "3", "--out", out]) == 0
+loaded("simulate")
+for model in ("exp-exp-pareto", "exp-pareto-1p", "weibull"):
+    assert cli.main(["fit", data, "--model", model, "--out", out]) == 0
+    loaded("fit " + model)
+assert cli.main(["density", "--model", "exp-exp-pareto", "--theta", "1.0", "--eta", "0.8",
+                 "--lo", "0", "--hi", "5", "--points", "50", "--cdf", "--out", out]) == 0
+loaded("density")
+assert cli.main(["fit", data, "--model", last, "--out", out]) == 0
+loaded("fit " + last)
+"""
+
+
+@pytest.mark.parametrize("last, normalized", [("exp-ig-pareto", 1), ("inverse-gamma", 0)])
+def test_scipy_special_loads_only_where_a_formula_needs_it(tmp_path, last, normalized):
+    # scipy.special costs about 26 MB and 0.3 s at import; exp-family fits
+    # and simulations and a density without a limited moment never call it,
+    # while the ig normalizer and the inverse-gamma shape equation do
+    data = write_csv(tmp_path / "claims.csv", CLAIMS)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPECIAL_AFTER_EACH_PATH, str(data), str(tmp_path / "out.csv"),
+         last],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line for line in proc.stdout.splitlines() if line.startswith("after")]
+    assert loaded == [
+        "after import: - ig normalizer 0",
+        "after simulate: - ig normalizer 0",
+        "after fit exp-exp-pareto: - ig normalizer 0",
+        "after fit exp-pareto-1p: - ig normalizer 0",
+        "after fit weibull: - ig normalizer 0",
+        "after density: - ig normalizer 0",
+        f"after fit {last}: scipy.special ig normalizer {normalized}",
+    ]
