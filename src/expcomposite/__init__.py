@@ -31,7 +31,6 @@ from .models import (
     build,
     exp_pareto_normalizer,
     ig_pareto_normalizer,
-    moment_closed_form,
 )
 from .simulation import (
     Scenario,
@@ -66,7 +65,6 @@ __all__ = [
     "fit",
     "fit_batch",
     "ig_pareto_normalizer",
-    "moment_closed_form",
     "reproduce_recovery_tables",
     "run_scenario",
     "score",

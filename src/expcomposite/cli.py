@@ -69,7 +69,7 @@ class ClaimsDataset:
     values: np.ndarray  # 1-d float
 
     @property
-    def n(self) -> int:
+    def n(self) -> int:  # the row count bench/tracing.py reports for cli.ingest_csv
         return self.values.size
 
 
@@ -89,13 +89,9 @@ class RunArtifact:
 
     @property
     def results(self) -> tuple[dict, ...]:
-        """The result records, one dict per row."""
+        """The result records, one dict per row; CI's replay step compares them."""
         cells = (c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values())
         return tuple(dict(zip(self.columns, row)) for row in zip(*cells))
-
-    def to_json(self) -> str:
-        spelled = [_machine_cells(column)[1] for column in self.columns.values()]
-        return "".join(_artifact_chunks(self.command, self.config, list(self.columns), spelled))
 
 
 # -- ingestion -------------------------------------------------------------

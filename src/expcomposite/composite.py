@@ -323,7 +323,7 @@ class ExponentiatedComposite:
         return _maybe_scalar(out, scalar)
 
 
-def _power_density(piece: Callable, y, eta: float, c: float, log_piece: Callable | None = None):
+def _power_density(piece: Callable, y, eta: float, c: float, log_piece: Callable):
     """c * f(y**eta) * eta * y**(eta - 1): a density f of X = Y**eta carried to Y.
 
     y**eta can overflow (or the jacobian blow up at tiny y when eta < 1)
@@ -339,7 +339,7 @@ def _power_density(piece: Callable, y, eta: float, c: float, log_piece: Callable
         vanished = dens == 0.0
         out = np.where(vanished, 0.0, dens * eta * y ** (eta - 1.0))
     # count_nonzero: a quarter of any()'s cost on the quadrature's one-element calls
-    if log_piece is not None and np.count_nonzero(vanished):
+    if np.count_nonzero(vanished):
         big = vanished & np.isinf(x) & np.isfinite(y)
         log_y = np.log(np.asarray(y)[big])
         out[big] = np.exp(_power_log_density(log_piece, log_y, eta, math.log(eta), math.log(c)))
@@ -386,22 +386,18 @@ class VerificationReport:
     continuity_gap: float  # |g1 - g2| / g1 at the breakpoint
     derivative_gap: float  # |g1' - g2'| / max(1, |g1'|), central differences
     normalization_defect: float  # |integral of pdf - 1|
-    # plain class attributes, not fields: every report uses these thresholds
-    continuity_tol = CONTINUITY_TOL
-    derivative_tol = DERIVATIVE_TOL
-    normalization_tol = NORMALIZATION_TOL
 
     @property
     def continuity_ok(self) -> bool:
-        return self.continuity_gap <= self.continuity_tol
+        return self.continuity_gap <= CONTINUITY_TOL
 
     @property
     def derivative_ok(self) -> bool:
-        return self.derivative_gap <= self.derivative_tol
+        return self.derivative_gap <= DERIVATIVE_TOL
 
     @property
     def normalization_ok(self) -> bool:
-        return self.normalization_defect <= self.normalization_tol
+        return self.normalization_defect <= NORMALIZATION_TOL
 
     @property
     def passed(self) -> bool:
@@ -411,9 +407,16 @@ class VerificationReport:
 def verify_composite(d: ExponentiatedComposite) -> VerificationReport:
     """Measure continuity/differentiability gaps at the breakpoint and the
     normalization defect.  Always returns the diagnostics; the fixed
-    thresholds only classify them."""
+    thresholds only classify them.  Raises ValueError where the breakpoint
+    underflows so far that the derivative step is not positive."""
     u = d.breakpoint
     eta, parent = d.exponent, d.parent
+    h = DERIVATIVE_STEP_REL * u
+    if not h > 0.0:
+        raise ValueError(
+            f"breakpoint theta**(1/eta) = {u:g} at theta = {parent.breakpoint:g}, "
+            f"eta = {eta:g} leaves no positive derivative step"
+        )
     c = parent.norm_const
     head = parent.head_density, parent.head_log_density
     tail = parent.tail_density, parent.tail_log_density
@@ -429,7 +432,6 @@ def verify_composite(d: ExponentiatedComposite) -> VerificationReport:
     denom = g1u if g1u > 0.0 else 1.0
     continuity_gap = abs(g1u - g2u) / denom
 
-    h = DERIVATIVE_STEP_REL * u
     d1 = (g1(u + h) - g1(u - h)) / (2.0 * h)
     d2 = (g2(u + h) - g2(u - h)) / (2.0 * h)
     derivative_gap = abs(d1 - d2) / max(1.0, abs(d1))

@@ -106,7 +106,8 @@ class BaselineFitResult:
 #
 # With the exponent and the head count m fixed, each family's likelihood has
 # a closed-form maximizer in theta.  The helpers take the head power sum and
-# work on floats and on (exponents x m) arrays alike.
+# the breakpoint's m-only factor, and work on floats and on (exponents x m)
+# arrays alike.
 
 
 def _exp_factor(m, n):
@@ -116,15 +117,11 @@ def _exp_factor(m, n):
 
 
 def _exp_theta_at(head_sum, factor):
-    return (EXP_PARETO.alpha + 1.0) * head_sum / factor
-
-
-def _exp_theta(head_sum, m, n):
     """Exp-family breakpoint (alpha+1) sum_{i<=m} y_i^eta / ((alpha+1) m - alpha n).
 
-    A stationary point only where the denominator is positive.
+    A stationary point only where the factor is positive.
     """
-    return _exp_theta_at(head_sum, _exp_factor(m, n))
+    return (EXP_PARETO.alpha + 1.0) * head_sum / factor
 
 
 def _ig_factor(m, n):
@@ -134,12 +131,8 @@ def _ig_factor(m, n):
 
 
 def _ig_theta_at(inv_sum, factor):
-    return factor / (IG_PARETO.k * inv_sum)
-
-
-def _ig_theta(inv_sum, m, n):
     """Ig-family breakpoint (alpha m + (alpha-k)(n-m)) / (k sum_{i<=m} y_i^-eta)."""
-    return _ig_theta_at(inv_sum, _ig_factor(m, n))
+    return factor / (IG_PARETO.k * inv_sum)
 
 
 # -- profile likelihood and profile score ----------------------------------
@@ -195,18 +188,14 @@ def _ig_score(eta, th, inv_dot, head_log, tail_log, n):
     return n / eta + (head_log + tail_log) - (alpha + 1.0) * head_log + k * th * inv_dot - tail
 
 
-# Per family: the normalizer, the breakpoint from (head sum, m, n), its
-# m-only factor and the breakpoint from (head sum, factor), the profile
-# log-likelihood and the profile score.  Each normalizer is computed on its
-# first call and cached: the ig one evaluates an incomplete gamma, so an
-# exp-family fit never imports scipy.special.
+# Per family: the normalizer, the breakpoint's m-only factor, the breakpoint
+# from (head sum, factor), the profile log-likelihood and the profile score.
+# Each normalizer is computed on its first call and cached: the ig one
+# evaluates an incomplete gamma, so an exp-family fit never imports
+# scipy.special.
 _FAMILIES = {
-    "exp": (
-        exp_pareto_normalizer, _exp_theta, _exp_factor, _exp_theta_at, _exp_loglik, _exp_score,
-    ),
-    "ig": (
-        ig_pareto_normalizer, _ig_theta, _ig_factor, _ig_theta_at, _ig_loglik, _ig_score,
-    ),
+    "exp": (exp_pareto_normalizer, _exp_factor, _exp_theta_at, _exp_loglik, _exp_score),
+    "ig": (ig_pareto_normalizer, _ig_factor, _ig_theta_at, _ig_loglik, _ig_score),
 }
 
 
@@ -252,7 +241,7 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
     with score=True, the head powers, whose dot with log z stays one
     contiguous BLAS dot.
     """
-    normalizer, _, factor, theta_at, loglik, profile_score = _FAMILIES[family]
+    normalizer, factor, theta_at, loglik, profile_score = _FAMILIES[family]
     n = logz.shape[1]
     found = np.empty(etas.size, dtype=bool)
     first = np.empty(etas.size, dtype=np.intp)
@@ -437,7 +426,7 @@ def _fit_results(model, arr, best):
     normal float range.  One log-density pass over the rows that pass gives
     every nll."""
     family = model.composite_family
-    profile = _FAMILIES[family][1]
+    _, factor, theta_at, _, _ = _FAMILIES[family]
     n, p = arr.shape[1], model.param_count
     if model.fixed_exponent is None:
         no_split = f"{model.value}: no exponent admits a valid breakpoint split"
@@ -457,7 +446,7 @@ def _fit_results(model, arr, best):
             eta, m = fitted
             power = eta if family == "exp" else -eta
             # np.sum's own pairwise reduction, without its wrapper
-            theta = float(profile(np.add.reduce(row[:m] ** power), m, n))
+            theta = float(theta_at(np.add.reduce(row[:m] ** power), factor(m, n)))
             if not sys.float_info.min <= theta < math.inf:
                 outcomes.append(FitFailureError(
                     f"{model.value}: the profiled theta = y_b^eta at eta={eta:g} "

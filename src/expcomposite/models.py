@@ -463,8 +463,9 @@ def log_pdf_rows(model: ModelId, thetas, etas, y: np.ndarray) -> np.ndarray:
     return np.where(y < split, head_log, tail_log)
 
 
+# bench/workloads.py's pricing-curves calls it; bench/tracing.py times it as a layer
 def moment_closed_form(model: ModelId, theta: float, eta: float, t: float) -> float:
-    """E[Y^t] of a composite family in closed form.
+    """E[Y^t] of a composite family in closed form, build(...).moment(t).
 
     Finite exactly when t/eta stays below the Pareto tail exponent
     (alpha - k for the inverse gamma head family, alpha for the

@@ -14,6 +14,9 @@ import numpy as np
 
 import expcomposite.cli as cli
 from expcomposite.composite import (
+    CONTINUITY_TOL,
+    DERIVATIVE_TOL,
+    NORMALIZATION_TOL,
     ExponentiatedComposite,
     InfiniteMomentError,
     verify_composite,
@@ -62,10 +65,10 @@ def test_acceptance_02_published_constants_verify():
     spec = dataclasses.replace(ig_pareto_spec(1.0), norm_const=IG_PARETO.c)
     rep = verify_composite(ExponentiatedComposite(spec, 1.0))
     detail = (
-        f"continuity gap {rep.continuity_gap:.3g} (tol {rep.continuity_tol:g}), "
-        f"derivative gap {rep.derivative_gap:.3g} (tol {rep.derivative_tol:g}), "
+        f"continuity gap {rep.continuity_gap:.3g} (tol {CONTINUITY_TOL:g}), "
+        f"derivative gap {rep.derivative_gap:.3g} (tol {DERIVATIVE_TOL:g}), "
         f"normalization defect {rep.normalization_defect:.3g} "
-        f"(tol {rep.normalization_tol:g})"
+        f"(tol {NORMALIZATION_TOL:g})"
     )
     assert _report(2, rep.passed, detail)
 

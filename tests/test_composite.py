@@ -631,12 +631,23 @@ def test_verify_flags_bad_normalization():
     assert not report.normalization_ok
 
 
+@pytest.mark.parametrize("model", [ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO])
+@pytest.mark.parametrize("theta", [1e-100, 1e-64])
+def test_verify_refuses_an_underflowed_breakpoint_by_name(model, theta):
+    # the breakpoint theta ** (1 / 0.2) underflows to 0 at theta = 1e-100 and
+    # to a subnormal at 1e-64; at both the step DERIVATIVE_STEP_REL * u is 0
+    d = build(model, theta, 0.2)
+    assert d.breakpoint < 1e-300 and DERIVATIVE_STEP_REL * d.breakpoint == 0.0
+    with pytest.raises(ValueError, match=rf"theta\*\*\(1/eta\) = .* at theta = {theta:g}, eta = 0.2 "):
+        verify_composite(d)
+
+
 def verify_through_pdf(d: ExponentiatedComposite) -> VerificationReport:
     """verify_composite with the public scalar pdf as its mass integrand."""
-    u = d.breakpoint
-    eta, c = d.exponent, d.parent.norm_const
-    g1 = lambda y: float(_power_density(d.parent.head_density, y, eta, c))
-    g2 = lambda y: float(_power_density(d.parent.tail_density, y, eta, c))
+    u, parent = d.breakpoint, d.parent
+    eta, c = d.exponent, parent.norm_const
+    g1 = lambda y: float(_power_density(parent.head_density, y, eta, c, parent.head_log_density))
+    g2 = lambda y: float(_power_density(parent.tail_density, y, eta, c, parent.tail_log_density))
     g1u, g2u = g1(u), g2(u)
     continuity_gap = abs(g1u - g2u) / (g1u if g1u > 0.0 else 1.0)
     h = DERIVATIVE_STEP_REL * u

@@ -14,8 +14,6 @@ from expcomposite import estimation
 from expcomposite.estimation import (
     FitFailureError,
     FitResult,
-    _exp_theta,
-    _ig_theta,
     _scan,
     fit,
     fit_batch,
@@ -39,8 +37,25 @@ SAMPLE_2000 = build(ModelId.EXP_IG_PARETO, 1.0, 2.0).sample(2000, seed=3)
 
 # -- profiled breakpoint formulas ------------------------------------------
 #
-# theta_profile_* apply the estimator's closed forms to a raw sample with
-# argument checks; they are the oracles the scan and the fit are held to.
+# theta_profile_* apply the closed forms to a raw sample with argument
+# checks; they are the oracles the scan and the fit are held to.  The closed
+# forms take (head sum, m, n); the estimator forms the same expression as
+# theta_at(head sum, factor(m, n)).
+
+
+def _exp_theta(head_sum, m, n):
+    """Exp-family breakpoint (alpha+1) sum_{i<=m} y_i^eta / ((alpha+1) m - alpha n)."""
+    alpha = EXP_PARETO.alpha
+    return (alpha + 1.0) * head_sum / ((alpha + 1.0) * m - alpha * n)
+
+
+def _ig_theta(inv_sum, m, n):
+    """Ig-family breakpoint (alpha m + (alpha-k)(n-m)) / (k sum_{i<=m} y_i^-eta)."""
+    alpha, k = IG_PARETO.alpha, IG_PARETO.k
+    return (alpha * m + (alpha - k) * (n - m)) / (k * inv_sum)
+
+
+PROFILE_THETA = {"exp": _exp_theta, "ig": _ig_theta}
 
 
 def _check_profile_args(m: int, n: int) -> None:
@@ -702,7 +717,7 @@ def reference_fit_result(model, row, fitted):
     eta_hat, m_hat = fitted
     family = model.composite_family
     power = eta_hat if family == "exp" else -eta_hat
-    profile = estimation._FAMILIES[family][1]
+    profile = PROFILE_THETA[family]
     with np.errstate(over="ignore", divide="ignore"):
         theta_hat = float(profile(np.sum(row[:m_hat] ** power), m_hat, row.size))
     if not sys.float_info.min <= theta_hat < math.inf:

@@ -113,7 +113,6 @@ def test_quadrature_exponential_tail():
     res = adaptive_quadrature(lambda x: math.exp(-x), 0.0, math.inf)
     assert isinstance(res, QuadratureResult)
     assert res.value == pytest.approx(1.0, abs=1e-12)
-    assert res.evaluations >= 1
 
 
 def test_quadrature_endpoint_singularity():
@@ -135,13 +134,6 @@ def test_quadrature_ignores_breakpoints_outside_range():
 def test_quadrature_reports_divergence():
     with pytest.raises(QuadratureError):
         adaptive_quadrature(lambda x: 1.0 / x, 0.0, 1.0)
-
-
-def test_quadrature_result_validation():
-    with pytest.raises(ValueError):
-        QuadratureResult(value=1.0, abs_error_estimate=-1e-3, evaluations=10)
-    with pytest.raises(ValueError):
-        QuadratureResult(value=1.0, abs_error_estimate=0.0, evaluations=0)
 
 
 def find_root_bracketed(f, lo: float, hi: float) -> float:
