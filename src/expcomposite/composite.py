@@ -145,12 +145,13 @@ class ExponentiatedComposite:
         return math.inf if f10 > 0.0 else 0.0
 
     def _by_piece(self, y, head: Callable, tail: Callable, fill: float, at_zero: Callable):
-        """Elementwise over y: head(y) on (0, breakpoint), tail(y) from the
-        breakpoint on, at_zero() at y = 0, fill below zero and NaN at NaN."""
+        """Elementwise over y: on y > 0, head(y) below the breakpoint and tail(y)
+        from it on; at_zero() at y = 0, fill below zero and NaN at NaN."""
         arr, scalar = _as_batch(y)
         out = np.full(arr.shape, fill)
         yb = self.breakpoint
-        for mask, formula in (((arr > 0.0) & (arr < yb), head), (arr >= yb, tail)):
+        positive = arr > 0.0  # a breakpoint underflowed to 0 leaves y = 0 to at_zero
+        for mask, formula in ((positive & (arr < yb), head), (positive & (arr >= yb), tail)):
             if mask.any():
                 out[mask] = formula(arr[mask])
         zero = arr == 0.0
@@ -224,11 +225,11 @@ class ExponentiatedComposite:
         x = np.empty(arr.shape)
         head = arr < head_mass
         tail = ~head
-        if head.any():
-            x[head] = parent.head_ppf(arr[head] / c)
-        if tail.any():
-            x[tail] = parent.tail_ppf((arr[tail] - head_mass) / c + f2_theta)
         with np.errstate(over="ignore"):
+            if head.any():
+                x[head] = parent.head_ppf(arr[head] / c)
+            if tail.any():
+                x[tail] = parent.tail_ppf((arr[tail] - head_mass) / c + f2_theta)
             y = x ** (1.0 / self.exponent)
         if not np.all(np.isfinite(y)):
             raise OverflowError(
@@ -338,7 +339,7 @@ def _power_density(piece: Callable, y, eta: float, c: float, log_piece: Callable
         dens = c * np.asarray(piece(x), dtype=float)
         vanished = dens == 0.0
         out = np.where(vanished, 0.0, dens * eta * y ** (eta - 1.0))
-    # count_nonzero: a quarter of any()'s cost on the quadrature's one-element calls
+    # count_nonzero: a quarter of any()'s cost on a scalar pdf's one-element arrays
     if np.count_nonzero(vanished):
         big = vanished & np.isinf(x) & np.isfinite(y)
         log_y = np.log(np.asarray(y)[big])
@@ -384,7 +385,7 @@ class VerificationReport:
     """Smoothness and normalization diagnostics at the piece boundary."""
 
     continuity_gap: float  # |g1 - g2| / g1 at the breakpoint
-    derivative_gap: float  # |g1' - g2'| / max(1, |g1'|), central differences
+    derivative_gap: float  # |g1' - g2'| / max(1, |g1'|) on Y/breakpoint's density
     normalization_defect: float  # |integral of pdf - 1|
 
     @property
@@ -407,38 +408,34 @@ class VerificationReport:
 def verify_composite(d: ExponentiatedComposite) -> VerificationReport:
     """Measure continuity/differentiability gaps at the breakpoint and the
     normalization defect.  Always returns the diagnostics; the fixed
-    thresholds only classify them.  Raises ValueError where the breakpoint
-    underflows so far that the derivative step is not positive."""
-    u = d.breakpoint
+    thresholds only classify them.  Theta scales X, so each is taken where
+    it is the same at every theta: the gaps on the density of Y/u, u the
+    breakpoint, at 1, and the mass on that of X/theta, split at 1, both from
+    the pieces' log densities so that u may under- or overflow."""
     eta, parent = d.exponent, d.parent
-    h = DERIVATIVE_STEP_REL * u
-    if not h > 0.0:
-        raise ValueError(
-            f"breakpoint theta**(1/eta) = {u:g} at theta = {parent.breakpoint:g}, "
-            f"eta = {eta:g} leaves no positive derivative step"
-        )
-    c = parent.norm_const
-    head = parent.head_density, parent.head_log_density
-    tail = parent.tail_density, parent.tail_log_density
+    log_c = math.log(parent.norm_const)
+    log_theta = math.log(parent.breakpoint)
+    head, tail = parent.head_log_density, parent.tail_log_density
 
-    def carried(piece, y):
-        density, log_density = piece
-        return _power_density(density, y, eta, c, log_density)
+    def density(log_piece: Callable, log_unit: float, power: float, s: float) -> float:
+        """Density at s of X**(1/power) / exp(log_unit) on one piece."""
+        log_g = _power_log_density(log_piece, log_unit + math.log(s), power, math.log(power), log_c)
+        return math.exp(float(log_g) + log_unit)
 
-    g1 = lambda y: float(carried(head, y))
-    g2 = lambda y: float(carried(tail, y))
-    g1u = g1(u)
-    g2u = g2(u)
-    denom = g1u if g1u > 0.0 else 1.0
-    continuity_gap = abs(g1u - g2u) / denom
+    g1 = lambda s: density(head, log_theta / eta, eta, s)
+    g2 = lambda s: density(tail, log_theta / eta, eta, s)
+    g1u, g2u = g1(1.0), g2(1.0)
+    continuity_gap = abs(g1u - g2u) / (g1u if g1u > 0.0 else 1.0)
 
-    d1 = (g1(u + h) - g1(u - h)) / (2.0 * h)
-    d2 = (g2(u + h) - g2(u - h)) / (2.0 * h)
+    h = DERIVATIVE_STEP_REL
+    d1 = (g1(1.0 + h) - g1(1.0 - h)) / (2.0 * h)
+    d2 = (g2(1.0 + h) - g2(1.0 - h)) / (2.0 * h)
     derivative_gap = abs(d1 - d2) / max(1.0, abs(d1))
 
-    # each piece on a one-element array, as pdf evaluates it
-    g = lambda y: float(carried(head if y < u else tail, np.array([y]))[0])
-    total = adaptive_quadrature(g, 0.0, math.inf, breakpoints=[u])
+    # Y/u = (X/theta)**(1/eta) exactly, so this is Y's mass, without the
+    # jacobian's singularity at 0 that eta < 1 gives Y/u
+    g = lambda r: density(head if r < 1.0 else tail, log_theta, 1.0, r)
+    total = adaptive_quadrature(g, 0.0, math.inf, breakpoints=[1.0])
     normalization_defect = abs(total.value - 1.0)
 
     return VerificationReport(
@@ -446,4 +443,3 @@ def verify_composite(d: ExponentiatedComposite) -> VerificationReport:
         derivative_gap=derivative_gap,
         normalization_defect=normalization_defect,
     )
-

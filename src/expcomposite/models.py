@@ -215,6 +215,8 @@ def exp_pareto_spec(theta: float) -> CompositeSpec:
 def _ig_head(theta: float) -> tuple[float, float]:
     """(log beta, beta) of the inverse gamma head at breakpoint theta."""
     beta = IG_PARETO.k * theta
+    if beta == 0.0:
+        raise ValueError(f"theta = {theta} underflows the head scale k*theta to 0")
     return math.log(beta), beta
 
 

@@ -700,6 +700,15 @@ def test_density_breakpoint_overflow_exits_1(capsys):
     )
 
 
+def test_density_head_scale_underflow_exits_1(capsys):
+    # k * theta underflows to 0 at theta = 5e-324: one line naming theta
+    argv = ["density", "--model", "exp-ig-pareto", "--theta", "5e-324", "--lo", "0", "--hi", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: theta = 5e-324 underflows the head scale k*theta to 0\n"
+    )
+
+
 # -- artifacts and replay --------------------------------------------------
 
 

@@ -140,6 +140,14 @@ def test_build_rejects_bad_parameters():
             build(model, 1.0, math.inf)
 
 
+def test_build_refuses_a_theta_that_underflows_the_ig_head_scale():
+    # k * theta is 0 at the smallest subnormal; the exp head has no such product
+    for model in (ModelId.EXP_IG_PARETO, ModelId.IG_PARETO_1P):
+        with pytest.raises(ValueError, match=r"^theta = 5e-324 underflows the head scale k\*theta"):
+            build(model, 5e-324)
+    assert build(ModelId.EXP_IG_PARETO, 1e-320).parent.breakpoint == 1e-320
+
+
 @pytest.mark.parametrize("density", [WeibullDensity, InverseGammaDensity])
 @pytest.mark.parametrize("shape,scale", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, 0.0)])
 def test_baselines_reject_non_finite_parameters(density, shape, scale):

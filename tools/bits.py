@@ -1,14 +1,17 @@
-"""Bits sweep: one sha256 over the package's numbers, refusals and CLI bytes.
+"""Bits sweep: sha256 digests over the package's numbers, refusals and CLI bytes.
 
 Run it against the source tree to check, from the root of that tree:
 
     PYTHONPATH=src python tools/bits.py
 
-It prints one sha256.  Two trees that print the same digest on one machine
-give the same bits on every record below, so a refactor that claims "same
-bits" runs this sweep on the parent and on the change.  Each record is a
-label and its value: a float by float.hex, an array by its bytes, and a
-refusal by its exception type and message.  The records cover
+It prints one sha256 per section of records (composites, verify_composite,
+baselines, fits, ingest, cli), then one over all the records in order.  Two
+trees that print the same digest on one machine give the same bits on every
+record below, so a refactor that claims "same bits" runs this sweep on the
+parent and on the change, and a change that moves some bits shows in which
+sections.  Each record is a label and its value: a float by float.hex, an
+array by its bytes, and a refusal by its exception type and message.  The
+records cover
 
 - every method of the four composite models over fixed (theta, eta) and
   points including 0, -1, NaN, inf and 5e-324, and the two baselines;
@@ -66,14 +69,19 @@ def spell(value) -> str:
 class Sweep:
     def __init__(self) -> None:
         self.sha = hashlib.sha256()
+        self.sections = {}  # section name -> its sha256, in the order first used
+        self.section = ""
 
-    def add(self, label: str, f, *args) -> None:
-        """Record f(*args), or the exception it raises."""
+    def add(self, label: str, f, *args, section: str | None = None) -> None:
+        """Record f(*args), or the exception it raises, in the overall digest
+        and in its section's, the current one unless named."""
         try:
             value = f(*args)
         except Exception as exc:  # a refusal is a record too
             value = exc
-        self.sha.update(f"{label}\t{spell(value)}\n".encode())
+        record = f"{label}\t{spell(value)}\n".encode()
+        self.sha.update(record)
+        self.sections.setdefault(section or self.section, hashlib.sha256()).update(record)
 
 
 def _composite_cases():
@@ -108,7 +116,8 @@ def sweep_composites(s: Sweep) -> None:
             s.add(f"{tag} limited_moment({t!r})", d.limited_moment, t, caps)
             for b in (-1.0, math.nan, 2.0, math.inf, 1e300):
                 s.add(f"{tag} limited_moment({t!r}, {b!r})", d.limited_moment, t, b)
-        s.add(f"{tag} verify_composite", lambda: repr(verify_composite(d)))
+        s.add(f"{tag} verify_composite", lambda: repr(verify_composite(d)),
+              section="verify_composite")
 
 
 def sweep_baselines(s: Sweep) -> None:
@@ -235,10 +244,13 @@ def sweep_cli(s: Sweep) -> None:
             os.remove(path)
 
 
-def main_sweep() -> str:
+def main_sweep() -> Sweep:
     s = Sweep()
+    s.section = "composites"
     sweep_composites(s)
+    s.section = "baselines"
     sweep_baselines(s)
+    s.section = "fits"
     sweep_fits(s)
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
@@ -246,12 +258,17 @@ def main_sweep() -> str:
         # do not depend on where the sweep runs
         os.chdir(work)
         try:
+            s.section = "ingest"
             sweep_ingest(s)
+            s.section = "cli"
             sweep_cli(s)
         finally:
             os.chdir(here)
-    return s.sha.hexdigest()
+    return s
 
 
 if __name__ == "__main__":
-    print(main_sweep())
+    sweep = main_sweep()
+    for name, sha in sweep.sections.items():
+        print(f"{sha.hexdigest()}  {name}")
+    print(f"{sweep.sha.hexdigest()}  all")
