@@ -128,8 +128,12 @@ class ExponentiatedComposite:
 
     @property
     def breakpoint(self) -> float:
-        """Piece boundary of the transformed density, theta**(1/eta)."""
-        return self.parent.breakpoint ** (1.0 / self.exponent)
+        """Piece boundary of the transformed density, theta**(1/eta).
+
+        math.pow raises OverflowError past the float range also for numpy
+        floats, whose ** would warn and give inf.
+        """
+        return math.pow(self.parent.breakpoint, 1.0 / self.exponent)
 
     # -- density ----------------------------------------------------------
 

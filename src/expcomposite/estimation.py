@@ -5,17 +5,20 @@ the breakpoint parameter once the transform exponent and the head count m
 are fixed, so fitting reduces to a one-dimensional search over the
 exponent: for each exponent, find the unique split m consistent with the
 order statistics and plug in the profiled breakpoint.  A coarse pass of
-log-spaced exponents brackets each peak of this profile likelihood, and
-Brent's method solves the analytic profile score to zero in the bracket.
-fit_batch fits many samples of one size at once: their scans share blocks,
-and the brackets of all samples are solved in lockstep, one profile-score
-pass a round; fit is its one-sample case, so both give the same bits.
+log-spaced exponents brackets each peak of this profile likelihood, and a
+safeguarded Newton iteration (rtsafe) solves the analytic profile score to
+zero in the bracket, from the scanned peak, with the score's closed-form
+slope.  fit_batch fits many samples of one size at once: their scans share
+blocks, and the brackets of all samples are solved in lockstep as numpy
+arrays, one profile-score pass a round, which also gives each point's
+profile likelihood and split; fit is its one-sample case, so both give the
+same bits.
 Each row's nll sums its row of one log-density sweep over the batch
 (models.log_pdf_rows).
 
 The Weibull and inverse-gamma reference fits solve their usual one-variable
-score equations by bracketed root finding, each as one lane of the same
-lockstep solver.
+score equations by bracketed root finding, each as one lane of
+special.find_roots_bracketed, a port of scipy's brentq.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .models import (
     ig_pareto_normalizer,
     log_pdf_rows,
 )
-from .special import _scipy_special, find_roots_bracketed
+from .special import _ROOT_MAXITER, ROOT_RTOL, _scipy_special, find_roots_bracketed
 
 __all__ = [
     "BaselineFitResult",
@@ -225,9 +228,13 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
 
     Row i is replicate reps[i], a row of logz, at exponent etas[i].  Returns
     (ll, m, found), ll = -inf and m = 1 where no m is valid.  With
-    score=True it returns the profile score d ell_p / d eta instead, 0.0
-    where no m is valid: a root solve stops where the score reads 0.0, and
-    that root's ll of -inf then loses.
+    score=True it returns (ll, m, found, score, slope) from the same pass:
+    the profile score d ell_p / d eta and its slope, the second derivative
+    -n / eta^2 - c_m Var_w(log z) of ell_m at the split, where c_m is the
+    breakpoint's m-only factor and w the head powers over their sum: it is
+    negative at every valid split, as c_m > 0 there.  Both
+    read 0.0 where no m is valid: a root solve stops where the score reads
+    0.0, and that root's ll of -inf then loses.
 
     A block holds at most _SCAN_BLOCK cells.  Rows that fit are scanned
     whole, several to a block; one replicate's logz row is broadcast, not
@@ -236,21 +243,28 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
     first chunk that holds a valid split; a row with none is scanned to its
     end.  Each chunk's cumsum restarts from the carried head sum, added into
     its first power, so every head sum has the bits of one cumsum over the
-    row.  So the temporaries stay small whatever n and the number of rows
-    are, apart from two n-long rows: the breakpoint's m-only factors and,
-    with score=True, the head powers, whose dot with log z stays one
-    contiguous BLAS dot.
+    row.  With score=True the head sums of p log z and of p (log z - mean)^2,
+    p the head powers and mean the first sum over the head power sum, are
+    pairwise sums over all n columns with the powers past the split zeroed:
+    masked in a block of whole rows, and in an n-long row of a long row's
+    powers.  So the temporaries stay small whatever n and
+    the number of rows are, apart from n-long rows: the breakpoint's m-only
+    factors and, with score=True, the head powers and their products.
     """
     normalizer, factor, theta_at, loglik, profile_score = _FAMILIES[family]
     n = logz.shape[1]
     found = np.empty(etas.size, dtype=bool)
     first = np.empty(etas.size, dtype=np.intp)
     head_sum = np.empty(etas.size)
-    head_dot = np.empty(etas.size)
+    head_dot = np.empty(etas.size)  # head sums of p log z and p (log z - mean)^2
+    head_var = np.empty(etas.size)
     rows = max(1, _SCAN_BLOCK // n)
     width = n if n <= _SCAN_BLOCK else max(_SCAN_BLOCK, 2)
     factors = factor(np.arange(1, n), n)
     heads = np.empty(n) if score and width < n else None
+    # a long row's products for the score's sums, allocated once as heads is:
+    # an n-long temporary a row raised the peak RSS of a 20 000-row compare
+    spread = np.empty((1, n)) if heads is not None else None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for lo in range(0, etas.size, rows):
             block = slice(lo, lo + rows)
@@ -262,7 +276,7 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
                 E = etas[block, None] * Z[..., c0:c1]
                 W = np.exp(E)
                 # head power sums of z^eta (exp) or 1 / z^eta (ig, built in
-                # E's buffer), the powers head_dot sums too
+                # E's buffer), the powers p the score's sums weigh too
                 power = W if family == "exp" else np.divide(1.0, W, out=E)
                 if c0:  # carry + p rounds as p + carry, cumsum's next add
                     S = power.copy()
@@ -279,22 +293,100 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
             found[block] = hit
             first[block] = np.where(hit, at, 0)
             head_sum[block] = S[np.arange(S.shape[0]), at - c0]
-            if score:  # one BLAS dot a row, as for a lone sample
-                H = power if heads is None else heads[None, :]
-                for i in np.flatnonzero(hit):
-                    k = first[lo + i] + 1
-                    head_dot[lo + i] = np.dot(H[i, :k], (Z if Z.ndim == 1 else Z[i])[:k])
+            if score:  # n-long pairwise sums, the powers past the head zeroed
+                if heads is None:
+                    P = np.where(np.arange(n) <= at[:, None], power, 0.0)
+                else:
+                    heads[at[0] + 1 :] = 0.0
+                    P = heads[None, :]
+                T = P * Z if spread is None else np.multiply(P, Z, out=spread)
+                dot = np.add.reduce(T, axis=1)
+                # the spread of log z about its weighted head mean
+                np.subtract(Z, (dot / head_sum[block])[:, None], out=T)
+                T *= T
+                T *= P
+                head_dot[block] = dot
+                head_var[block] = np.add.reduce(T, axis=1)
         m = first + 1
         total_log = prefix_log[reps, -1]
         head_log = prefix_log[reps, m]
+        tail_log = total_log - head_log
         # the same elementwise formula as Th, so th is Th at the chosen split
         th = theta_at(head_sum, factors[first])
-        if score:
-            tail_log = total_log - head_log
-            return np.where(found, profile_score(etas, th, head_dot, head_log, tail_log, n), 0.0)
         ll0 = n * math.log(normalizer()) + n * np.log(etas) + (etas - 1.0) * total_log
-        ll = loglik(ll0, etas, m, th, head_sum, head_log, total_log - head_log, n)
-    return np.where(found, ll, -np.inf), m, found
+        ll = np.where(found, loglik(ll0, etas, m, th, head_sum, head_log, tail_log, n), -np.inf)
+        if not score:
+            return ll, m, found
+        slope = -n / etas**2 - factors[first] * (head_var / head_sum)
+        return (
+            ll,
+            m,
+            found,
+            np.where(found, profile_score(etas, th, head_dot, head_log, tail_log, n), 0.0),
+            np.where(found, slope, 0.0),
+        )
+
+
+def _newton_roots(evaluate, lo, hi, start):
+    """Root of the profile score in each lane's bracket [lo[i], hi[i]], by a
+    safeguarded Newton iteration from start[i] (rtsafe, Press et al.,
+    Numerical Recipes, section 9.4), all lanes in lockstep.
+
+    evaluate(x, lanes) gives _scan's (ll, m, found, score, slope) of lane
+    lanes[j] at x[j]; each round calls it once, over every lane still
+    running, and the first round takes both ends and the start.  As in
+    brentq's contract, a lane has a root only where its ends' scores differ
+    in sign bit, or one of them is 0.0, which is then the root.  Each
+    evaluated point replaces the bracket end whose score has its sign.  The
+    next point is the Newton step, or the bracket's midpoint where that step
+    leaves the bracket, where the slope is not negative, or where the step
+    is longer than half the step before last.  A lane stops at a point whose
+    score is 0.0 or whose next step is at most ROOT_RTOL of it: that point
+    is its root, with the ll and m of the round that evaluated it.
+
+    Returns (root, ll, m, ok); ok is False, and root NaN, where the ends
+    hold no sign change or a score is NaN.  Raises RuntimeError when a lane
+    has not converged within _ROOT_MAXITER rounds.
+    """
+    size = lo.size
+    points = np.concatenate((lo, hi, start))
+    ll, m, _, f, df = evaluate(points, np.tile(np.arange(size), 3))
+    f_lo, f_hi = f[:size], f[size : 2 * size]
+    ok = ~np.isnan(f_lo) & ~np.isnan(f_hi)
+    ok &= (f_lo == 0.0) | (f_hi == 0.0) | (np.signbit(f_lo) != np.signbit(f_hi))
+    # each lane's current point: an end where the score is 0.0, else the start
+    at = np.where(f_lo == 0.0, 0, np.where(f_hi == 0.0, 1, 2)) * size + np.arange(size)
+    x, ll, m, f, df = points[at], ll[at], m[at], f[at], df[at]
+    ok &= ~np.isnan(f)
+    sign_lo = np.signbit(f_lo)
+    lo, hi = lo.copy(), hi.copy()
+    last = hi - lo  # the step to the current point
+    before = last.copy()  # the step before it
+    i = np.flatnonzero(ok & (at >= 2 * size))  # the lanes still running
+    rounds = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while i.size:
+            xi, fi, dfi = x[i], f[i], df[i]
+            low = np.signbit(fi) == sign_lo[i]
+            lo[i] = np.where(low, xi, lo[i])
+            hi[i] = np.where(low, hi[i], xi)
+            newton = xi - fi / dfi
+            good = (dfi < 0.0) & (lo[i] <= newton) & (newton <= hi[i])
+            good &= np.abs(2.0 * fi) <= np.abs(before[i] * dfi)
+            nxt = np.where(good, newton, 0.5 * (lo[i] + hi[i]))
+            before[i], last[i] = last[i], nxt - xi
+            going = (fi != 0.0) & (np.abs(nxt - xi) > ROOT_RTOL * np.abs(xi))
+            i = i[going]
+            if not i.size:
+                break
+            rounds += 1
+            if rounds > _ROOT_MAXITER:
+                raise RuntimeError(f"Failed to converge after {_ROOT_MAXITER} iterations")
+            x[i] = nxt[going]
+            ll[i], m[i], _, f[i], df[i] = evaluate(x[i], i)
+            ok[i[np.isnan(f[i])]] = False
+            i = i[ok[i]]
+    return np.where(ok, x, np.nan), ll, m, ok
 
 
 def _search(family, logz, prefix_log):
@@ -305,12 +397,13 @@ def _search(family, logz, prefix_log):
     none has a valid split (argmax of all -inf is 0), the wide pass over
     1e-20 to 1e20 replaces it.  Each local peak of a replicate's pass is
     bracketed by its neighbours, and the brackets of all replicates solve
-    the profile score in lockstep.  Each peak offers its root and its
-    scanned exponent: a replicate's fit is the first maximum of its roots,
-    then its scanned peaks, both in peak order, so a root beats a scanned
-    exponent it ties, and the smallest of tied scanned exponents wins.  A
-    pass's ll is finite at a valid split and -inf elsewhere, never NaN, so a
-    replicate has a peak (its pass's first maximum) iff it has a valid split.
+    the profile score in lockstep by _newton_roots, each from its peak.
+    Each peak offers its root and its scanned exponent: a replicate's fit is
+    the first maximum of its roots, then its scanned peaks, both in peak
+    order, so a root beats a scanned exponent it ties, and the smallest of
+    tied scanned exponents wins.  A pass's ll is finite at a valid split and
+    -inf elsewhere, never NaN, so a replicate has a peak (its pass's first
+    maximum) iff it has a valid split.
     """
 
     def scan_pass(etas, rows):
@@ -334,13 +427,13 @@ def _search(family, logz, prefix_log):
         lo, hi = etas[np.maximum(peak - 1, 0)], etas[np.minimum(peak + 1, etas.size - 1)]
         peaks.append((rows[row], lo, hi, ll[row, peak], etas[peak], m[row, peak]))
     lane_rep, lo, hi, *peak_scan = map(np.concatenate, zip(*peaks))
-    root, ok = find_roots_bracketed(
-        lambda x, lanes: _scan(family, x, lane_rep[lanes], logz, prefix_log, score=True), lo, hi
+    root, ll_root, m_root, ok = _newton_roots(
+        lambda x, lanes: _scan(family, x, lane_rep[lanes], logz, prefix_log, score=True),
+        lo, hi, peak_scan[1],
     )
-    ll_root, m_root, _ = _scan(family, root[ok], lane_rep[ok], logz, prefix_log)
     candidates = [[] for _ in reps]  # (ll, eta, m) of each replicate's roots, then scanned peaks
     for rep, ll_c, eta, m_c in itertools.chain(
-        zip(lane_rep[ok], ll_root, root[ok], m_root), zip(lane_rep, *peak_scan)
+        zip(lane_rep[ok], ll_root[ok], root[ok], m_root[ok]), zip(lane_rep, *peak_scan)
     ):
         candidates[rep].append((ll_c, float(eta), int(m_c)))
     return [max(c, key=lambda f: f[0])[1:] if c else None for c in candidates], wide

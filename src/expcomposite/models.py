@@ -145,7 +145,7 @@ def ig_pareto_spec(theta: float) -> CompositeSpec:
     The published truncated normalizer can be studied through
     dataclasses.replace(spec, norm_const=IG_PARETO.c).
     """
-    _check_theta(theta)
+    theta = _check_theta(theta)
     alpha = IG_PARETO.alpha
     log_beta, beta = _ig_head(theta)
     head = InverseGammaDensity(alpha, beta)
@@ -173,7 +173,7 @@ def ig_pareto_spec(theta: float) -> CompositeSpec:
 
 def exp_pareto_spec(theta: float) -> CompositeSpec:
     """Exponential-Pareto parent at scale theta, with the exact normalizer."""
-    _check_theta(theta)
+    theta = _check_theta(theta)
     alpha = EXP_PARETO.alpha
     log_rate, rate = _exp_head(theta)
 
@@ -231,6 +231,8 @@ def _ig_head_log_density(log_x, log_beta, beta):
 def _exp_head(theta: float) -> tuple[float, float]:
     """(log rate, rate) of the exponential head at breakpoint theta."""
     rate = (EXP_PARETO.alpha + 1.0) / theta
+    if rate == math.inf:
+        raise ValueError(f"theta = {theta} overflows the head rate (alpha+1)/theta")
     return math.log(rate), rate
 
 
@@ -245,9 +247,11 @@ def _pareto_log_density(log_x, log_theta, exponent: float):
     return math.log(exponent) + exponent * log_theta - (exponent + 1.0) * log_x
 
 
-def _check_theta(theta: float) -> None:
+def _check_theta(theta: float) -> float:
+    """theta as a Python float: a numpy float would warn where arithmetic on it overflows."""
     if not 0.0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
+    return float(theta)
 
 
 def _positive(a: np.ndarray) -> np.ndarray:

@@ -29,9 +29,9 @@ __all__ = [
 # estimate stays within a small constant factor of max(tol, tol * |value|).
 QUAD_TOL = 1e-10
 QUAD_LIMIT = 200  # subintervals quadpack may use per panel
-ROOT_RTOL = 1e-13  # relative tolerance of find_roots_bracketed
+ROOT_RTOL = 1e-13  # relative tolerance of find_roots_bracketed and estimation's Newton
 _ROOT_XTOL = 1e-300  # its absolute tolerance, tiny so that ROOT_RTOL governs
-_ROOT_MAXITER = 100  # brentq's default iteration budget
+_ROOT_MAXITER = 100  # brentq's default iteration budget, also the Newton's
 
 _LOG_DBL_MAX = math.log(math.sqrt(2.0) * 2.0**1022)  # ~709.08, safely below overflow
 

@@ -709,6 +709,15 @@ def test_density_head_scale_underflow_exits_1(capsys):
     )
 
 
+def test_density_head_rate_overflow_exits_1(capsys):
+    # (alpha+1)/theta overflows at theta = 1e-310: one line naming theta
+    argv = ["density", "--model", "exp-exp-pareto", "--theta", "1e-310", "--lo", "0", "--hi", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: theta = 1e-310 overflows the head rate (alpha+1)/theta\n"
+    )
+
+
 # -- artifacts and replay --------------------------------------------------
 
 

@@ -337,6 +337,22 @@ def test_a_quantile_past_the_float_range_is_refused_without_a_warning(model):
         assert d.quantile(0.5) < math.inf
 
 
+@pytest.mark.parametrize(
+    "theta,eta",
+    [(np.float64(1e100), 0.1), (1e100, np.float64(0.1)), (np.float64(1e100), np.float64(0.1))],
+)
+def test_a_numpy_float_breakpoint_past_the_float_range_is_refused_by_name(theta, eta):
+    # numpy's scalar power warns and gives inf where Python's float power
+    # raises: each combination once constructed with breakpoint inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
+            with pytest.raises(OverflowError, match=r"breakpoint theta\*\*\(1/eta\) exceeds"):
+                build(model, theta, eta)
+        d = build(ModelId.EXP_EXP_PARETO, np.float64(2.0), np.float64(0.7))
+        assert d.breakpoint == 2.0 ** (1.0 / 0.7)
+
+
 def test_sampling_deterministic_and_plausible():
     d = ExponentiatedComposite(rough_spec(), 2.0)
     a = d.sample(4000, seed=11)

@@ -5,6 +5,7 @@ stored constants, independently of the scipy routines the package uses.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,11 +142,24 @@ def test_build_rejects_bad_parameters():
 
 
 def test_build_refuses_a_theta_that_underflows_the_ig_head_scale():
-    # k * theta is 0 at the smallest subnormal; the exp head has no such product
+    # k * theta is 0 at the smallest subnormal
     for model in (ModelId.EXP_IG_PARETO, ModelId.IG_PARETO_1P):
         with pytest.raises(ValueError, match=r"^theta = 5e-324 underflows the head scale k\*theta"):
             build(model, 5e-324)
     assert build(ModelId.EXP_IG_PARETO, 1e-320).parent.breakpoint == 1e-320
+
+
+def test_build_refuses_a_theta_that_overflows_the_exp_head_rate():
+    # (alpha+1)/theta is inf below about 7.5e-309: at 1e-310 pdf(1e-320) was
+    # nan, and at 5e-324 cdf(1e-320) read 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_PARETO_1P):
+            for theta in (1e-310, 5e-324, np.float64(1e-310)):
+                with pytest.raises(ValueError, match=r"^theta = .* overflows the head rate"):
+                    build(model, theta)
+    d = build(ModelId.EXP_EXP_PARETO, 7.6e-309)
+    assert math.isfinite(d.pdf(1e-320)) and verify_composite(d).passed
 
 
 @pytest.mark.parametrize("density", [WeibullDensity, InverseGammaDensity])

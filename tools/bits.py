@@ -22,6 +22,19 @@ records cover
 - the CLI's exit codes, stdout, stderr and written files for the commands
   whose outputs the tests pin.
 
+With --compare OTHER_TREE it runs the fits instead, here and, in a child
+process, on OTHER_TREE/src, and prints per fit record the nll difference
+(this tree minus the other) and the relative difference of eta (of the
+shape for a baseline), then the worst nll rise:
+
+    PYTHONPATH=src python tools/bits.py --compare ../parent
+
+The records are the canonical ones below and a set of 30 000 fit_batch
+replicates of both families at eta 0.3 to 30, which take the wide pass
+past 20; that set prints one line per batch, with its worst differences.
+It exits 1 where a record fits on one side and is refused on the other,
+or where an nll rises by more than 1e-12 of its size.
+
 The sweep is a tool, not a check against a stored digest: numpy's SIMD
 kernels may round differently on another CPU.  It uses only names that
 have long been public or module-level in the package, so it runs on older
@@ -33,8 +46,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -71,6 +87,7 @@ class Sweep:
         self.sha = hashlib.sha256()
         self.sections = {}  # section name -> its sha256, in the order first used
         self.section = ""
+        self.fits = []  # (label, result or refusal) of each fit, in order
 
     def add(self, label: str, f, *args, section: str | None = None) -> None:
         """Record f(*args), or the exception it raises, in the overall digest
@@ -82,6 +99,20 @@ class Sweep:
         record = f"{label}\t{spell(value)}\n".encode()
         self.sha.update(record)
         self.sections.setdefault(section or self.section, hashlib.sha256()).update(record)
+
+    def add_fit(self, label: str, f) -> None:
+        """Record repr(f()), or the refusal f raises, and keep it as a fit."""
+
+        def spelled():
+            try:
+                result = f()
+            except Exception as exc:
+                self.fits.append((label, exc))
+                raise
+            self.fits.append((label, result))
+            return repr(result)
+
+        self.add(label, spelled)
 
 
 def _composite_cases():
@@ -137,7 +168,7 @@ def sweep_fits(s: Sweep) -> None:
         variants = {"y": y, "y*1e150": y * 1e150, "y*1e-150": y * 1e-150, "sqrt(y)": np.sqrt(y)}
         for model in ModelId:
             for name, data in variants.items():
-                s.add(f"fit {model.value} n={n} {name}", lambda: repr(fit(model, data)))
+                s.add_fit(f"fit {model.value} n={n} {name}", lambda: fit(model, data))
     wide = build(ModelId.EXP_EXP_PARETO, 1.0, 30.0).sample(200, seed=1)
     constant = np.full(20, 3.0)
     refused = {
@@ -154,20 +185,121 @@ def sweep_fits(s: Sweep) -> None:
     }
     for model in ModelId:
         for name, data in refused.items():
-            s.add(f"fit {model.value} {name}", lambda: repr(fit(model, data)))
+            s.add_fit(f"fit {model.value} {name}", lambda: fit(model, data))
     for model in ModelId:
         for n, seeds in ((50, range(40, 48)), (200, range(7, 11)), (9000, (2, 5))):
             rows = build(ModelId.EXP_EXP_PARETO, 1.0, 0.8).sample(n, list(seeds))
-            s.add(f"fit_batch {model.value} n={n}", lambda: _batch(model, rows))
+            _add_batch(s, f"fit_batch {model.value} n={n}", model, rows)
         rows = build(ModelId.EXP_EXP_PARETO, 1.0, 18.0).sample(50, list(range(20)))
-        s.add(f"fit_batch {model.value} eta=18", lambda: _batch(model, rows))
-        s.add(f"fit_batch {model.value} constant", lambda: _batch(model, constant[None, :]))
-        s.add(f"fit_batch {model.value} 1-d", lambda: _batch(model, wide))
+        _add_batch(s, f"fit_batch {model.value} eta=18", model, rows)
+        _add_batch(s, f"fit_batch {model.value} constant", model, constant[None, :])
+        _add_batch(s, f"fit_batch {model.value} 1-d", model, wide)
 
 
-def _batch(model, rows):
-    outcomes, wide = fit_batch(model, rows)
-    return [repr(o) if not isinstance(o, Exception) else o for o in outcomes], wide
+def _add_batch(s: Sweep, label: str, model, rows) -> None:
+    """Record fit_batch's outcomes and wide-pass mask; keep each row as a fit."""
+
+    def outcomes():
+        results, wide = fit_batch(model, rows)
+        s.fits.extend((f"{label} row {i}", o) for i, o in enumerate(results))
+        return [repr(o) if not isinstance(o, Exception) else o for o in results], wide
+
+    s.add(label, outcomes)
+
+
+# --compare's batch set: (family's model, true eta, n, replicates), 30 000
+# replicates in all; eta 18 and 30 take the wide pass
+BATCH_SET = [
+    (model, eta, n, 1250)
+    for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO)
+    for eta in (0.3, 0.8, 2.0, 5.0, 18.0, 30.0)
+    for n in (50, 200)
+]
+
+
+def batch_fits() -> list:
+    """(label, outcome) of each replicate of BATCH_SET, fitted 250 to a batch."""
+    fits = []
+    for model, eta, n, count in BATCH_SET:
+        for lo in range(0, count, 250):
+            rows = build(model, 1.0, eta).sample(n, list(range(lo, lo + 250)))
+            label = f"batch {model.value} eta={eta!r} n={n}"
+            outcomes, _ = fit_batch(model, rows)
+            fits.extend((f"{label} row {lo + i}", o) for i, o in enumerate(outcomes))
+    return fits
+
+
+def fit_values(fits) -> list:
+    """Each (label, outcome) as [label, nll, eta or shape] with floats by
+    float.hex, or [label, refusal text]."""
+    out = []
+    for label, o in fits:
+        if isinstance(o, Exception):
+            out.append([label, f"{type(o).__name__}: {o}"])
+        else:
+            param = o.eta if hasattr(o, "eta") else o.shape
+            out.append([label, float(o.nll).hex(), float(param).hex()])
+    return out
+
+
+def dump_fits() -> None:
+    """Print fit_values of the canonical fits and of the batch set as JSON:
+    the child process of --compare runs this on the other tree."""
+    s = Sweep()
+    sweep_fits(s)
+    json.dump(fit_values(s.fits) + fit_values(batch_fits()), sys.stdout)
+
+
+def compare(other: str) -> int:
+    """Print this tree's fits against OTHER's; 1 where a record differs in
+    kind or an nll rises by more than 1e-12 of its size, else 0."""
+    code = f"import runpy; runpy.run_path({os.path.abspath(__file__)!r})['dump_fits']()"
+    env = dict(os.environ, PYTHONPATH=os.path.join(other, "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, stdout=subprocess.PIPE
+    )
+    theirs = json.loads(child.stdout)
+    s = Sweep()
+    sweep_fits(s)
+    canonical = fit_values(s.fits)
+    ours = canonical + fit_values(batch_fits())
+    if [r[0] for r in ours] != [r[0] for r in theirs]:
+        print("the two trees give different fit records")
+        return 1
+    bad = differ = 0
+    worst = (-math.inf, 0.0, "")  # (relative nll rise, nll rise, label)
+    worst_eta = 0.0
+    groups = {}  # batch label -> (its worst |d nll|, its worst |d eta| / eta)
+    for i, (mine, other_rec) in enumerate(zip(ours, theirs)):
+        label = mine[0]
+        if len(mine) != len(other_rec) or (len(mine) == 2 and mine != other_rec):
+            print(f"{label}\tthis: {mine[1:]}\tother: {other_rec[1:]}")
+            bad += 1
+            continue
+        if len(mine) == 2:
+            if i < len(canonical):
+                print(f"{label}\trefused on both")
+            continue
+        nll, param = (float.fromhex(v) for v in mine[1:])
+        nll_o, param_o = (float.fromhex(v) for v in other_rec[1:])
+        d_nll, d_eta = nll - nll_o, abs(param - param_o) / abs(param_o)
+        differ += (d_nll, d_eta) != (0.0, 0.0)
+        worst_eta = max(worst_eta, d_eta)
+        if d_nll / abs(nll_o) > worst[0]:
+            worst = (d_nll / abs(nll_o), d_nll, label)
+        if i < len(canonical):
+            print(f"{label}\td_nll {d_nll:.3g}\td_eta/eta {d_eta:.3g}")
+        else:
+            group = label.rsplit(" row ", 1)[0]
+            g_nll, g_eta = groups.get(group, (0.0, 0.0))
+            groups[group] = max(g_nll, abs(d_nll)), max(g_eta, d_eta)
+    for group, (g_nll, g_eta) in groups.items():
+        print(f"{group}\tworst |d_nll| {g_nll:.3g}\tworst d_eta/eta {g_eta:.3g}")
+    rise, d_nll, label = worst
+    print(f"worst nll rise {d_nll:.3g} ({rise:.3g} of |nll|) at {label}; "
+          f"worst d_eta/eta {worst_eta:.3g}")
+    print(f"{differ + bad} of {len(ours)} fits differ")
+    return 1 if bad or rise > 1e-12 else 0
 
 
 def _write(path: str, text: str, encoding: str = "utf-8") -> None:
@@ -268,6 +400,10 @@ def main_sweep() -> Sweep:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 3:
+        sys.exit(compare(sys.argv[2]))
+    if sys.argv[1:]:
+        sys.exit("usage: tools/bits.py [--compare OTHER_TREE]")
     sweep = main_sweep()
     for name, sha in sweep.sections.items():
         print(f"{sha.hexdigest()}  {name}")
