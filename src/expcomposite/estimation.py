@@ -4,15 +4,26 @@ For the composite families the likelihood has a closed-form maximizer in
 the breakpoint parameter once the transform exponent and the head count m
 are fixed, so fitting reduces to a one-dimensional search over the
 exponent: for each exponent, find the unique split m consistent with the
-order statistics and plug in the profiled breakpoint.  A coarse pass of
-log-spaced exponents brackets each peak of this profile likelihood, and a
-safeguarded Newton iteration (rtsafe) solves the analytic profile score to
-zero in the bracket, from the scanned peak, with the score's closed-form
-slope.  fit_batch fits many samples of one size at once: their scans share
-blocks, and the brackets of all samples are solved in lockstep as numpy
-arrays, one profile-score pass a round, which also gives each point's
-profile likelihood and split; fit is its one-sample case, so both give the
-same bits.
+order statistics and plug in the profiled breakpoint.
+
+This profile likelihood ell_p is concave in the exponent, up to the
+printed constants.  The first valid split m never rises as eta grows: for
+exp the lower test z_m^eta <= theta_m reads c_{m-1} <= (alpha+1)
+sum_{i<m} (z_i / z_m)^eta, c the breakpoint's m-only factor, whose right
+side falls as eta grows; for ig, k (1 + sum_{i<m} (z_m / z_i)^eta) <= c_m,
+whose left side grows.  Each piece ell_m with c_m > 0 is strictly concave
+(log sum_i z_i^eta is convex, Boyd & Vandenberghe, section 3.1.5), and the
+pieces meet in value and slope where m changes, because the head and tail
+densities do at the splice: (alpha+1) e^-(alpha+1) = alpha for exp.  With
+the printed constants they meet to verify_composite's continuity gap, 1.5e-6
+(exp) and 6.1e-7 (ig) in log density.  So a coarse pass of 9 log-spaced
+exponents brackets the one peak, and a safeguarded Newton iteration
+(rtsafe) solves the analytic profile score to zero in the bracket, from the
+scanned peak, with the score's closed-form slope.  fit_batch fits many
+samples of one size at once: their scans share blocks, and the brackets of
+all samples are solved in lockstep as numpy arrays, one profile-score pass
+a round, which also gives each point's profile likelihood and split; fit
+is its one-sample case, so both give the same bits.
 Each row's nll sums its row of one log-density sweep over the batch
 (models.log_pdf_rows).
 
@@ -51,13 +62,13 @@ __all__ = [
     "fit_batch",
 ]
 
-# Log-spaced exponents of the coarse pass that brackets the profile's peaks,
-# and of the wide pass run when the coarse pass's best exponent is one of its
-# ends: both about 16 exponents per decade, built once.  Neither end of the
-# wide pass admits a split on float data: past 1e20 every z < 1 gives
+# Log-spaced exponents of the coarse pass that brackets the profile's peak,
+# and of the wide pass run where its scores put the peak past its ends: both
+# at a step of a factor of about 2.1, built once.  Neither end of the wide
+# pass admits a split on float data: past 1e20 every z < 1 gives
 # z^eta == 0, below 1e-20 every z^eta rounds to 1.
-_COARSE_PASS = np.geomspace(0.05, 20.0, 40)
-_WIDE_PASS = np.geomspace(1e-20, 1e20, 640)
+_COARSE_PASS = np.geomspace(0.05, 20.0, 9)
+_WIDE_PASS = np.geomspace(1e-20, 1e20, 124)
 # Cells (exponents x observations) per block of the profile scan: a block's
 # float temporary (a chunk of one row beyond n = 8192) stays in cache and in
 # the memory the C heap keeps between calls.  That memory shrinks where the
@@ -223,18 +234,17 @@ def _first_split(theta_at, head_sums, powers, factors, lo):
     return ok[np.arange(ok.shape[0]), at], lo + at
 
 
-def _scan(family, etas, reps, logz, prefix_log, *, score=False):
-    """Profile log-likelihood of each row at its first valid split.
+def _scan(family, etas, reps, logz, prefix_log):
+    """Profile log-likelihood and score of each row at its first valid split.
 
     Row i is replicate reps[i], a row of logz, at exponent etas[i].  Returns
-    (ll, m, found), ll = -inf and m = 1 where no m is valid.  With
-    score=True it returns (ll, m, found, score, slope) from the same pass:
+    (ll, m, found, score, slope): ll = -inf and m = 1 where no m is valid;
     the profile score d ell_p / d eta and its slope, the second derivative
     -n / eta^2 - c_m Var_w(log z) of ell_m at the split, where c_m is the
     breakpoint's m-only factor and w the head powers over their sum: it is
-    negative at every valid split, as c_m > 0 there.  Both
-    read 0.0 where no m is valid: a root solve stops where the score reads
-    0.0, and that root's ll of -inf then loses.
+    negative at every valid split, as c_m > 0 there.  Both read 0.0 where no
+    m is valid: a root solve stops where the score reads 0.0, and that
+    root's ll of -inf then loses.
 
     A block holds at most _SCAN_BLOCK cells.  Rows that fit are scanned
     whole, several to a block; one replicate's logz row is broadcast, not
@@ -243,13 +253,13 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
     first chunk that holds a valid split; a row with none is scanned to its
     end.  Each chunk's cumsum restarts from the carried head sum, added into
     its first power, so every head sum has the bits of one cumsum over the
-    row.  With score=True the head sums of p log z and of p (log z - mean)^2,
-    p the head powers and mean the first sum over the head power sum, are
-    pairwise sums over all n columns with the powers past the split zeroed:
-    masked in a block of whole rows, and in an n-long row of a long row's
-    powers.  So the temporaries stay small whatever n and
-    the number of rows are, apart from n-long rows: the breakpoint's m-only
-    factors and, with score=True, the head powers and their products.
+    row.  The head sums of p log z and of p (log z - mean)^2, p the head
+    powers and mean the first sum over the head power sum, are pairwise
+    sums over all n columns with the powers past the split zeroed: masked
+    in a block of whole rows, and in an n-long row of a long row's powers.
+    So the temporaries stay small whatever n and the number of rows are,
+    apart from n-long rows: the breakpoint's m-only factors, the head powers
+    and their products.
     """
     normalizer, factor, theta_at, loglik, profile_score = _FAMILIES[family]
     n = logz.shape[1]
@@ -261,7 +271,7 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
     rows = max(1, _SCAN_BLOCK // n)
     width = n if n <= _SCAN_BLOCK else max(_SCAN_BLOCK, 2)
     factors = factor(np.arange(1, n), n)
-    heads = np.empty(n) if score and width < n else None
+    heads = np.empty(n) if width < n else None
     # a long row's products for the score's sums, allocated once as heads is:
     # an n-long temporary a row raised the peak RSS of a 20 000-row compare
     spread = np.empty((1, n)) if heads is not None else None
@@ -293,20 +303,20 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
             found[block] = hit
             first[block] = np.where(hit, at, 0)
             head_sum[block] = S[np.arange(S.shape[0]), at - c0]
-            if score:  # n-long pairwise sums, the powers past the head zeroed
-                if heads is None:
-                    P = np.where(np.arange(n) <= at[:, None], power, 0.0)
-                else:
-                    heads[at[0] + 1 :] = 0.0
-                    P = heads[None, :]
-                T = P * Z if spread is None else np.multiply(P, Z, out=spread)
-                dot = np.add.reduce(T, axis=1)
-                # the spread of log z about its weighted head mean
-                np.subtract(Z, (dot / head_sum[block])[:, None], out=T)
-                T *= T
-                T *= P
-                head_dot[block] = dot
-                head_var[block] = np.add.reduce(T, axis=1)
+            # n-long pairwise sums, the powers past the head zeroed
+            if heads is None:
+                P = np.where(np.arange(n) <= at[:, None], power, 0.0)
+            else:
+                heads[at[0] + 1 :] = 0.0
+                P = heads[None, :]
+            T = P * Z if spread is None else np.multiply(P, Z, out=spread)
+            dot = np.add.reduce(T, axis=1)
+            # the spread of log z about its weighted head mean
+            np.subtract(Z, (dot / head_sum[block])[:, None], out=T)
+            T *= T
+            T *= P
+            head_dot[block] = dot
+            head_var[block] = np.add.reduce(T, axis=1)
         m = first + 1
         total_log = prefix_log[reps, -1]
         head_log = prefix_log[reps, m]
@@ -315,8 +325,6 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
         th = theta_at(head_sum, factors[first])
         ll0 = n * math.log(normalizer()) + n * np.log(etas) + (etas - 1.0) * total_log
         ll = np.where(found, loglik(ll0, etas, m, th, head_sum, head_log, tail_log, n), -np.inf)
-        if not score:
-            return ll, m, found
         slope = -n / etas**2 - factors[first] * (head_var / head_sum)
         return (
             ll,
@@ -327,42 +335,42 @@ def _scan(family, etas, reps, logz, prefix_log, *, score=False):
         )
 
 
-def _newton_roots(evaluate, lo, hi, start):
-    """Root of the profile score in each lane's bracket [lo[i], hi[i]], by a
-    safeguarded Newton iteration from start[i] (rtsafe, Press et al.,
+def _newton_roots(evaluate, x, ll, m, f, df):
+    """Root of the profile score in each lane's bracket [x[0, i], x[1, i]],
+    by a safeguarded Newton iteration from x[2, i] (rtsafe, Press et al.,
     Numerical Recipes, section 9.4), all lanes in lockstep.
 
+    ll, m, f and df hold _scan's ll, m, score and slope at the three points
+    x of each lane, as the pass that found the brackets gave them.
     evaluate(x, lanes) gives _scan's (ll, m, found, score, slope) of lane
     lanes[j] at x[j]; each round calls it once, over every lane still
-    running, and the first round takes both ends and the start.  As in
-    brentq's contract, a lane has a root only where its ends' scores differ
-    in sign bit, or one of them is 0.0, which is then the root.  Each
-    evaluated point replaces the bracket end whose score has its sign.  The
-    next point is the Newton step, or the bracket's midpoint where that step
-    leaves the bracket, where the slope is not negative, or where the step
-    is longer than half the step before last.  A lane stops at a point whose
-    score is 0.0 or whose next step is at most ROOT_RTOL of it: that point
-    is its root, with the ll and m of the round that evaluated it.
+    running.  As in brentq's contract, a lane has a root only where its
+    ends' scores differ in sign bit, or one of them is 0.0, which is then
+    the root.  Each evaluated point replaces the bracket end whose score has
+    its sign.  The next point is the Newton step, or the bracket's midpoint
+    where that step leaves the bracket, where the slope is not negative, or
+    where the step is longer than half the step before last.  A lane stops
+    at a point whose score is 0.0 or whose next step is at most ROOT_RTOL of
+    it: that point is its root, with the ll and m of the round that
+    evaluated it.
 
     Returns (root, ll, m, ok); ok is False, and root NaN, where the ends
     hold no sign change or a score is NaN.  Raises RuntimeError when a lane
     has not converged within _ROOT_MAXITER rounds.
     """
-    size = lo.size
-    points = np.concatenate((lo, hi, start))
-    ll, m, _, f, df = evaluate(points, np.tile(np.arange(size), 3))
-    f_lo, f_hi = f[:size], f[size : 2 * size]
+    size = x.shape[1]
+    f_lo, f_hi = f[0], f[1]
     ok = ~np.isnan(f_lo) & ~np.isnan(f_hi)
     ok &= (f_lo == 0.0) | (f_hi == 0.0) | (np.signbit(f_lo) != np.signbit(f_hi))
-    # each lane's current point: an end where the score is 0.0, else the start
-    at = np.where(f_lo == 0.0, 0, np.where(f_hi == 0.0, 1, 2)) * size + np.arange(size)
-    x, ll, m, f, df = points[at], ll[at], m[at], f[at], df[at]
-    ok &= ~np.isnan(f)
     sign_lo = np.signbit(f_lo)
-    lo, hi = lo.copy(), hi.copy()
+    lo, hi = x[0].copy(), x[1].copy()
+    # each lane's current point: an end where the score is 0.0, else the start
+    at = np.where(f_lo == 0.0, 0, np.where(f_hi == 0.0, 1, 2)), np.arange(size)
+    x, ll, m, f, df = x[at], ll[at], m[at], f[at], df[at]
+    ok &= ~np.isnan(f)
     last = hi - lo  # the step to the current point
     before = last.copy()  # the step before it
-    i = np.flatnonzero(ok & (at >= 2 * size))  # the lanes still running
+    i = np.flatnonzero(ok & (at[0] == 2))  # the lanes still running
     rounds = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while i.size:
@@ -393,47 +401,55 @@ def _search(family, logz, prefix_log):
     """Per replicate (row of logz): its (eta, m) maximizing the profile
     likelihood, or None; and a mask of the replicates that ran the wide pass.
 
-    The coarse pass scans 0.05 to 20; where its best exponent is an end, or
-    none has a valid split (argmax of all -inf is 0), the wide pass over
-    1e-20 to 1e20 replaces it.  Each local peak of a replicate's pass is
-    bracketed by its neighbours, and the brackets of all replicates solve
-    the profile score in lockstep by _newton_roots, each from its peak.
-    Each peak offers its root and its scanned exponent: a replicate's fit is
-    the first maximum of its roots, then its scanned peaks, both in peak
-    order, so a root beats a scanned exponent it ties, and the smallest of
-    tied scanned exponents wins.  A pass's ll is finite at a valid split and
-    -inf elsewhere, never NaN, so a replicate has a peak (its pass's first
+    The coarse pass scores 9 exponents from 0.05 to 20.  The profile is
+    concave, so its peak lies below 0.05 where the best exponent is 0.05 and
+    its score is negative, above 20 where the best is 20 and its score is
+    positive; there, and where no exponent has a valid split, the wide pass
+    over 1e-20 to 1e20 replaces it.  Each local peak of a replicate's pass
+    is bracketed by its neighbours, and the brackets of all replicates
+    solve the profile score in lockstep by _newton_roots, each from its
+    peak, with the pass's own values at the bracket's three points.  Each
+    peak offers its root and its scanned exponent: a replicate's fit is the
+    first maximum of its roots, then its scanned peaks, both in peak order,
+    so a root beats a scanned exponent it ties, and the smallest of tied
+    scanned exponents wins.  A pass's ll is finite at a valid split and -inf
+    elsewhere, never NaN, so a replicate has a peak (its pass's first
     maximum) iff it has a valid split.
     """
 
     def scan_pass(etas, rows):
-        """_scan's (ll, m) of each replicate of rows at every exponent of etas."""
+        """_scan's (ll, m, score, slope) of each replicate of rows at every
+        exponent of etas, as (rows, exponents) tables."""
         grid = np.tile(etas, rows.size), np.repeat(rows, etas.size)
-        ll, m, _ = _scan(family, *grid, logz, prefix_log)
-        return ll.reshape(rows.size, etas.size), m.reshape(rows.size, etas.size)
+        ll, m, _, score, slope = _scan(family, *grid, logz, prefix_log)
+        return [a.reshape(rows.size, etas.size) for a in (ll, m, score, slope)]
 
     reps = np.arange(logz.shape[0])
-    ll, m = scan_pass(_COARSE_PASS, reps)
-    top = np.argmax(ll, axis=1)
-    wide = (top == 0) | (top == _COARSE_PASS.size - 1)
-    passes = [(_COARSE_PASS, reps[~wide], ll[~wide], m[~wide])]
+    table = scan_pass(_COARSE_PASS, reps)
+    ll, _, score, _ = table
+    top, end = np.argmax(ll, axis=1), _COARSE_PASS.size - 1
+    # no valid split, or the best exponent is an end whose score points out
+    wide = np.isneginf(ll[reps, top]) | ((top == 0) & (score[:, 0] < 0.0))
+    wide |= (top == end) & (score[:, end] > 0.0)
+    passes = [(_COARSE_PASS, reps[~wide], [a[~wide] for a in table])]
     if wide.any():
-        passes.append((_WIDE_PASS, reps[wide], *scan_pass(_WIDE_PASS, reps[wide])))
-    peaks = []  # per pass, the (replicate, lo, hi, ll, eta, m) of each local peak
-    for etas, rows, ll, m in passes:
+        passes.append((_WIDE_PASS, reps[wide], scan_pass(_WIDE_PASS, reps[wide])))
+    lanes = []  # per pass, each local peak's replicate, and the pass at its (lo, hi, peak)
+    for etas, rows, table in passes:
+        ll = table[0]
         edge = np.full((rows.size, 1), -np.inf)
         left, right = np.hstack((edge, ll[:, :-1])), np.hstack((ll[:, 1:], edge))
         row, peak = np.nonzero((ll > left) & (ll >= right))
-        lo, hi = etas[np.maximum(peak - 1, 0)], etas[np.minimum(peak + 1, etas.size - 1)]
-        peaks.append((rows[row], lo, hi, ll[row, peak], etas[peak], m[row, peak]))
-    lane_rep, lo, hi, *peak_scan = map(np.concatenate, zip(*peaks))
+        cols = np.stack((np.maximum(peak - 1, 0), np.minimum(peak + 1, etas.size - 1), peak))
+        lanes.append((rows[row], etas[cols], *(a[row, cols] for a in table)))
+    lane_rep, x, ll, m, score, slope = (np.concatenate(a, axis=-1) for a in zip(*lanes))
     root, ll_root, m_root, ok = _newton_roots(
-        lambda x, lanes: _scan(family, x, lane_rep[lanes], logz, prefix_log, score=True),
-        lo, hi, peak_scan[1],
+        lambda x, lanes: _scan(family, x, lane_rep[lanes], logz, prefix_log),
+        x, ll, m, score, slope,
     )
     candidates = [[] for _ in reps]  # (ll, eta, m) of each replicate's roots, then scanned peaks
     for rep, ll_c, eta, m_c in itertools.chain(
-        zip(lane_rep[ok], ll_root[ok], root[ok], m_root[ok]), zip(lane_rep, *peak_scan)
+        zip(lane_rep[ok], ll_root[ok], root[ok], m_root[ok]), zip(lane_rep, ll[2], x[2], m[2])
     ):
         candidates[rep].append((ll_c, float(eta), int(m_c)))
     return [max(c, key=lambda f: f[0])[1:] if c else None for c in candidates], wide
@@ -508,7 +524,7 @@ def _split_search(model, arr):
     fixed = model.fixed_exponent
     if fixed is None:
         return _search(family, logz, prefix_log)
-    _, m, found = _scan(family, np.full(count, fixed), np.arange(count), logz, prefix_log)
+    _, m, found, _, _ = _scan(family, np.full(count, fixed), np.arange(count), logz, prefix_log)
     best = [(fixed, int(m_i)) if ok else None for m_i, ok in zip(m, found)]
     return best, np.zeros(count, dtype=bool)
 

@@ -33,7 +33,8 @@ The records are the canonical ones below and a set of 30 000 fit_batch
 replicates of both families at eta 0.3 to 30, which take the wide pass
 past 20; that set prints one line per batch, with its worst differences.
 It exits 1 where a record fits on one side and is refused on the other,
-or where an nll rises by more than 1e-12 of its size.
+or where an nll rises by more than 1e-12 of max(|nll|, n): an nll sums n
+terms, so its rounding scales with n even where the sum is near 0.
 
 The sweep is a tool, not a check against a stored digest: numpy's SIMD
 kernels may round differently on another CPU.  It uses only names that
@@ -230,15 +231,15 @@ def batch_fits() -> list:
 
 
 def fit_values(fits) -> list:
-    """Each (label, outcome) as [label, nll, eta or shape] with floats by
-    float.hex, or [label, refusal text]."""
+    """Each (label, outcome) as [label, nll, eta or shape, n] with floats
+    by float.hex, or [label, refusal text]."""
     out = []
     for label, o in fits:
         if isinstance(o, Exception):
             out.append([label, f"{type(o).__name__}: {o}"])
         else:
             param = o.eta if hasattr(o, "eta") else o.shape
-            out.append([label, float(o.nll).hex(), float(param).hex()])
+            out.append([label, float(o.nll).hex(), float(param).hex(), o.n])
     return out
 
 
@@ -252,7 +253,7 @@ def dump_fits() -> None:
 
 def compare(other: str) -> int:
     """Print this tree's fits against OTHER's; 1 where a record differs in
-    kind or an nll rises by more than 1e-12 of its size, else 0."""
+    kind or an nll rises by more than 1e-12 of max(|nll|, n), else 0."""
     code = f"import runpy; runpy.run_path({os.path.abspath(__file__)!r})['dump_fits']()"
     env = dict(os.environ, PYTHONPATH=os.path.join(other, "src"))
     child = subprocess.run(
@@ -267,7 +268,7 @@ def compare(other: str) -> int:
         print("the two trees give different fit records")
         return 1
     bad = differ = 0
-    worst = (-math.inf, 0.0, "")  # (relative nll rise, nll rise, label)
+    worst = (-math.inf, 0.0, "")  # (nll rise over max(|nll|, n), nll rise, label)
     worst_eta = 0.0
     groups = {}  # batch label -> (its worst |d nll|, its worst |d eta| / eta)
     for i, (mine, other_rec) in enumerate(zip(ours, theirs)):
@@ -280,13 +281,14 @@ def compare(other: str) -> int:
             if i < len(canonical):
                 print(f"{label}\trefused on both")
             continue
-        nll, param = (float.fromhex(v) for v in mine[1:])
-        nll_o, param_o = (float.fromhex(v) for v in other_rec[1:])
+        nll, param = (float.fromhex(v) for v in mine[1:3])
+        nll_o, param_o = (float.fromhex(v) for v in other_rec[1:3])
         d_nll, d_eta = nll - nll_o, abs(param - param_o) / abs(param_o)
         differ += (d_nll, d_eta) != (0.0, 0.0)
         worst_eta = max(worst_eta, d_eta)
-        if d_nll / abs(nll_o) > worst[0]:
-            worst = (d_nll / abs(nll_o), d_nll, label)
+        rise = d_nll / max(abs(nll_o), mine[3])
+        if rise > worst[0]:
+            worst = (rise, d_nll, label)
         if i < len(canonical):
             print(f"{label}\td_nll {d_nll:.3g}\td_eta/eta {d_eta:.3g}")
         else:
@@ -296,7 +298,7 @@ def compare(other: str) -> int:
     for group, (g_nll, g_eta) in groups.items():
         print(f"{group}\tworst |d_nll| {g_nll:.3g}\tworst d_eta/eta {g_eta:.3g}")
     rise, d_nll, label = worst
-    print(f"worst nll rise {d_nll:.3g} ({rise:.3g} of |nll|) at {label}; "
+    print(f"worst nll rise {d_nll:.3g} ({rise:.3g} of max(|nll|, n)) at {label}; "
           f"worst d_eta/eta {worst_eta:.3g}")
     print(f"{differ + bad} of {len(ours)} fits differ")
     return 1 if bad or rise > 1e-12 else 0
