@@ -414,7 +414,10 @@ def _search(family, logz, prefix_log):
     so a root beats a scanned exponent it ties, and the smallest of tied
     scanned exponents wins.  A pass's ll is finite at a valid split and -inf
     elsewhere, never NaN, so a replicate has a peak (its pass's first
-    maximum) iff it has a valid split.
+    maximum) iff it has a valid split.  The concave profile gives a pass one
+    local peak; several occur only on constructed profiles, and a bracket of
+    the 9-exponent pass spans 1.5 in log eta, so it solves both of two peaks
+    only where they lie well over that apart.
     """
 
     def scan_pass(etas, rows):

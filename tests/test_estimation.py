@@ -564,7 +564,7 @@ def _search_profiles(profiles):
 @settings(max_examples=30, deadline=None)
 @given(
     first=hst.floats(min_value=math.log(0.1), max_value=math.log(0.3)),
-    gap=hst.floats(min_value=3.5, max_value=4.0),
+    gap=hst.floats(min_value=2.0, max_value=3.0),
     heights=hst.tuples(
         hst.floats(min_value=1.0, max_value=3.0), hst.floats(min_value=1.0, max_value=3.0)
     ).filter(lambda h: abs(h[0] - h[1]) > 1e-3),
@@ -572,15 +572,18 @@ def _search_profiles(profiles):
 def test_search_solves_every_peak_of_a_bimodal_profile(first, gap, heights):
     # A constructed profile with two bumps in log eta stands in for the scan
     # and the score: every peak of the coarse pass is bracketed and solved,
-    # and the higher root wins whichever side it lies on.  A bracket spans
-    # two coarse steps of 0.75 in log eta, so the bumps lie 3.5 or more
-    # apart: a bracket end nearer the other bump has that bump's slope, and
-    # its score holds no sign change.  The real profile is concave, with
-    # one peak.
+    # and the higher root wins whichever side it lies on.  This checks the
+    # lanes and the candidate rule, not the pass's resolution: a bracket of
+    # the 9-exponent pass spans 1.5 in log eta, so with bumps 2 apart an end
+    # can sit on the other bump's slope and hold no sign change.  The real
+    # profile is concave, with one peak; here the pass has 40 exponents, a
+    # bracket 0.31 wide.
     width = 0.3
     centres = (first, first + gap)
     ell, score, slope = _two_bumps(heights, centres, width)
-    [(eta, m)], solved = _search_profiles([(ell, score, slope)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimation, "_COARSE_PASS", np.geomspace(0.05, 20.0, 40))
+        [(eta, m)], solved = _search_profiles([(ell, score, slope)])
     assert len(solved) == 2
     for (lo, hi, _, _), c in zip(solved, centres):
         assert lo < math.exp(c) < hi
