@@ -284,8 +284,13 @@ class ExponentiatedComposite:
                  + b**t * (F1(theta) - F1(u1) + S2(u2))]
 
         H and T are the head and tail partial moments, S2 = 1 - F2 the tail
-        survival, and c times the last bracket is P(Y > b).  At b = inf
-        that bracket is exactly zero and the identity is the raw moment.
+        survival, and c times the last bracket is P(Y > b).  T counts mass
+        from theta on, so T(theta, s) is zero; it is still subtracted, as a
+        spec's closed form may round there (theta**d - theta**d by two pow
+        routines), and then a cap of zero would not give exactly zero.  At
+        b = inf the last bracket is exactly zero and the identity is the
+        raw moment.  F1 and H run once each, on the caps with b**eta < theta
+        and on theta, whose values fill the other caps.
         Order zero gives exactly one, and a positive order at cap zero
         exactly zero.  Raises ValueError for a negative or infinite order
         or a negative cap, InfiniteMomentError for an infinite cap at an
@@ -312,13 +317,13 @@ class ExponentiatedComposite:
             x = b**eta
             if (np.isinf(x) & np.isfinite(b)).any():
                 raise OverflowError(f"cap**{eta:g} exceeds the float range")
-            u1 = np.minimum(x, theta)
+            head = x < theta
+            u1 = np.append(x[head], theta)
+            f1 = parent.head_cdf(u1)
             u2 = np.maximum(x, theta)
-            survival = (
-                float(parent.head_cdf(theta)) - parent.head_cdf(u1) + parent.tail_sf(u2)
-            )
+            survival = f1[-1] - _spread(f1, head) + parent.tail_sf(u2)
             out = c * (
-                parent.head_partial_moment(u1, s)
+                _spread(parent.head_partial_moment(u1, s), head)
                 + parent.tail_partial_moment(u2, s)
                 - float(parent.tail_partial_moment(theta, s))
                 + _cap_power_times(b, t, survival)
@@ -362,6 +367,14 @@ def _power_log_density(log_piece: Callable, log_y, eta, log_eta, log_c: float):
     with np.errstate(invalid="ignore"):
         out = log_c + log_piece(eta * log_y) + log_eta + (eta - 1.0) * log_y
     return np.where(np.isposinf(log_y), -math.inf, out)
+
+
+def _spread(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """values[:-1] where mask holds and values[-1] elsewhere: a function's
+    values on the masked points and on one more, spread over all points."""
+    out = np.full(mask.shape, values[-1])
+    out[mask] = values[:-1]
+    return out
 
 
 def _cap_power_times(b: np.ndarray, t: float, w: np.ndarray) -> np.ndarray:

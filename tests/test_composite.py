@@ -501,13 +501,53 @@ def test_limited_moment_at_cap_zero_is_exact(model):
 @settings(max_examples=30)
 def test_limited_moment_array_matches_scalar_calls(theta, eta, t, caps):
     # the CLI fills a whole column with one array call; each entry must be
-    # bitwise the value a scalar call gives
-    for model in (ModelId.EXP_EXP_PARETO, ModelId.EXP_IG_PARETO):
-        d = build(model, theta, eta)
-        bs = np.array([*caps, d.breakpoint])
+    # bitwise the value a scalar call gives, on both sides of the breakpoint
+    for model, exponent in (
+        (ModelId.EXP_EXP_PARETO, eta),
+        (ModelId.EXP_IG_PARETO, eta),
+        (ModelId.IG_PARETO_1P, 1.0),
+        (ModelId.EXP_PARETO_1P, 1.0),
+    ):
+        d = build(model, theta, exponent)
+        yb = d.breakpoint
+        bs = np.array([*caps, 0.0, np.nextafter(yb, 0.0), yb, np.nextafter(yb, math.inf)])
         got = d.limited_moment(t, bs)
         assert isinstance(got, np.ndarray) and got.shape == bs.shape
         assert got.tolist() == [d.limited_moment(t, float(b)) for b in bs]
+
+
+@pytest.mark.parametrize("make_spec", [exp_pareto_spec, ig_pareto_spec])
+def test_limited_moment_evaluates_the_head_on_caps_below_the_breakpoint(make_spec):
+    # F1 and H each take one call: the caps with b**eta < theta, then theta,
+    # whose values fill every other cap
+    theta, eta, t = 1.7, 0.8, 0.1
+    spec = make_spec(theta)
+    seen = {"head_cdf": [], "head_partial_moment": []}
+
+    def counting(name):
+        def wrapper(u, *args):
+            seen[name].append(np.array(u, dtype=float))
+            return getattr(spec, name)(u, *args)
+
+        return wrapper
+
+    counted = dataclasses.replace(
+        spec, head_cdf=counting("head_cdf"), head_partial_moment=counting("head_partial_moment")
+    )
+    d = ExponentiatedComposite(counted, eta)
+    yb = d.breakpoint
+    caps = np.array([
+        0.0, 0.3 * yb, np.nextafter(yb, 0.0), yb, np.nextafter(yb, math.inf), 5.0 * yb, math.inf,
+    ])
+    got = d.limited_moment(t, caps)
+    x = caps**eta
+    head = x < theta
+    assert 0 < head.sum() < caps.size
+    want = np.append(x[head], theta)
+    for calls in seen.values():
+        assert len(calls) == 1
+        assert calls[0].tobytes() == want.tobytes()
+    assert got.tolist() == ExponentiatedComposite(spec, eta).limited_moment(t, caps).tolist()
 
 
 @given(

@@ -22,19 +22,22 @@ records cover
 - the CLI's exit codes, stdout, stderr and written files for the commands
   whose outputs the tests pin.
 
-With --compare OTHER_TREE it runs the fits instead, here and, in a child
-process, on OTHER_TREE/src, and prints per fit record the nll difference
-(this tree minus the other) and the relative difference of eta (of the
-shape for a baseline), then the worst nll rise:
+With --compare OTHER_TREE it runs the composites and the fits instead,
+here and, in a child process, on OTHER_TREE/src, and prints per fit record
+the nll difference (this tree minus the other) and the relative difference
+of eta (of the shape for a baseline).  Then, for the composites and
+verify_composite sections, it prints how many records differ and the first
+few labels, and last the worst nll rise and how many fits differ:
 
     PYTHONPATH=src python tools/bits.py --compare ../parent
 
-The records are the canonical ones below and a set of 30 000 fit_batch
+The fit records are the canonical ones below and a set of 30 000 fit_batch
 replicates of both families at eta 0.3 to 30, which take the wide pass
 past 20; that set prints one line per batch, with its worst differences.
-It exits 1 where a record fits on one side and is refused on the other,
-or where an nll rises by more than 1e-12 of max(|nll|, n): an nll sums n
-terms, so its rounding scales with n even where the sum is near 0.
+It exits 1 where a fit record fits on one side and is refused on the
+other, or where an nll rises by more than 1e-12 of max(|nll|, n): an nll
+sums n terms, so its rounding scales with n even where the sum is near 0.
+A differing composite or verify_composite record is reported only.
 
 The sweep is a tool, not a check against a stored digest: numpy's SIMD
 kernels may round differently on another CPU.  It uses only names that
@@ -87,6 +90,7 @@ class Sweep:
     def __init__(self) -> None:
         self.sha = hashlib.sha256()
         self.sections = {}  # section name -> its sha256, in the order first used
+        self.records = {}  # section name -> [label, spelled value] of each record
         self.section = ""
         self.fits = []  # (label, result or refusal) of each fit, in order
 
@@ -97,9 +101,12 @@ class Sweep:
             value = f(*args)
         except Exception as exc:  # a refusal is a record too
             value = exc
-        record = f"{label}\t{spell(value)}\n".encode()
+        section = section or self.section
+        text = spell(value)
+        record = f"{label}\t{text}\n".encode()
         self.sha.update(record)
-        self.sections.setdefault(section or self.section, hashlib.sha256()).update(record)
+        self.sections.setdefault(section, hashlib.sha256()).update(record)
+        self.records.setdefault(section, []).append([label, text])
 
     def add_fit(self, label: str, f) -> None:
         """Record repr(f()), or the refusal f raises, and keep it as a fit."""
@@ -243,27 +250,49 @@ def fit_values(fits) -> list:
     return out
 
 
-def dump_fits() -> None:
-    """Print fit_values of the canonical fits and of the batch set as JSON:
-    the child process of --compare runs this on the other tree."""
+# the sections whose records --compare reports beside the fits
+COMPARED = ("composites", "verify_composite")
+
+
+def compared_records() -> tuple[dict, int, list]:
+    """The records of the COMPARED sections by name, the number of canonical
+    fits, and fit_values of the canonical fits then of the batch set."""
     s = Sweep()
+    s.section = "composites"
+    sweep_composites(s)
+    s.section = "fits"
     sweep_fits(s)
-    json.dump(fit_values(s.fits) + fit_values(batch_fits()), sys.stdout)
+    sections = {name: s.records[name] for name in COMPARED}
+    return sections, len(s.fits), fit_values(s.fits) + fit_values(batch_fits())
+
+
+def dump_records() -> None:
+    """Print compared_records() as JSON: the child process of --compare runs
+    this on the other tree."""
+    json.dump(compared_records(), sys.stdout)
+
+
+def section_line(name: str, mine: list, theirs: list) -> str:
+    """How many of a section's records differ between two trees, with the
+    first three labels."""
+    if [r[0] for r in mine] != [r[0] for r in theirs]:
+        return f"{name}: the two trees give different records"
+    differ = [a[0] for a, b in zip(mine, theirs) if a[1] != b[1]]
+    line = f"{name}: {len(differ)} of {len(mine)} records differ"
+    return line + (", first: " + "; ".join(differ[:3]) if differ else "")
 
 
 def compare(other: str) -> int:
-    """Print this tree's fits against OTHER's; 1 where a record differs in
-    kind or an nll rises by more than 1e-12 of max(|nll|, n), else 0."""
-    code = f"import runpy; runpy.run_path({os.path.abspath(__file__)!r})['dump_fits']()"
+    """Print this tree's fits and compared sections against OTHER's; 1 where
+    a fit record differs in kind or an nll rises by more than 1e-12 of
+    max(|nll|, n), else 0."""
+    code = f"import runpy; runpy.run_path({os.path.abspath(__file__)!r})['dump_records']()"
     env = dict(os.environ, PYTHONPATH=os.path.join(other, "src"))
     child = subprocess.run(
         [sys.executable, "-c", code], env=env, check=True, stdout=subprocess.PIPE
     )
-    theirs = json.loads(child.stdout)
-    s = Sweep()
-    sweep_fits(s)
-    canonical = fit_values(s.fits)
-    ours = canonical + fit_values(batch_fits())
+    their_sections, _, theirs = json.loads(child.stdout)
+    sections, canonical, ours = compared_records()
     if [r[0] for r in ours] != [r[0] for r in theirs]:
         print("the two trees give different fit records")
         return 1
@@ -278,7 +307,7 @@ def compare(other: str) -> int:
             bad += 1
             continue
         if len(mine) == 2:
-            if i < len(canonical):
+            if i < canonical:
                 print(f"{label}\trefused on both")
             continue
         nll, param = (float.fromhex(v) for v in mine[1:3])
@@ -289,7 +318,7 @@ def compare(other: str) -> int:
         rise = d_nll / max(abs(nll_o), mine[3])
         if rise > worst[0]:
             worst = (rise, d_nll, label)
-        if i < len(canonical):
+        if i < canonical:
             print(f"{label}\td_nll {d_nll:.3g}\td_eta/eta {d_eta:.3g}")
         else:
             group = label.rsplit(" row ", 1)[0]
@@ -297,6 +326,8 @@ def compare(other: str) -> int:
             groups[group] = max(g_nll, abs(d_nll)), max(g_eta, d_eta)
     for group, (g_nll, g_eta) in groups.items():
         print(f"{group}\tworst |d_nll| {g_nll:.3g}\tworst d_eta/eta {g_eta:.3g}")
+    for name in COMPARED:
+        print(section_line(name, sections[name], their_sections[name]))
     rise, d_nll, label = worst
     print(f"worst nll rise {d_nll:.3g} ({rise:.3g} of max(|nll|, n)) at {label}; "
           f"worst d_eta/eta {worst_eta:.3g}")
